@@ -155,6 +155,13 @@ CellModel::retentionTempFactor(double temp_c) const
     return std::exp2((temp_c - 80.0) / 10.0);
 }
 
+void
+CellModel::refreshTempMemo(double temp_c) const
+{
+    tempMemo_ = {temp_c, hammerTempFactor(temp_c), pressTempFactor(temp_c),
+                 retentionTempFactor(temp_c)};
+}
+
 CellProps
 CellModel::cellProps(int bank, int row, int bit) const
 {
@@ -228,6 +235,7 @@ CellModel::invalidateCaches()
 {
     rowMemo_.clear();
     wordMemo_.clear();
+    tempMemo_.tempC = std::numeric_limits<double>::quiet_NaN();
     store_ = ThresholdStore::makePrivate(params_, bitsPerRow_, seed_);
 }
 

@@ -37,6 +37,7 @@
 #define ROWPRESS_DEVICE_CELL_MODEL_H
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -80,7 +81,6 @@ struct DoseState
 {
     double hammer[2] = {0.0, 0.0};  ///< Weighted ACT counts.
     double press[2] = {0.0, 0.0};   ///< Weighted on-time (ps).
-    Time lastRestore = 0;           ///< Wall-clock of last restore.
 
     bool
     empty() const
@@ -151,6 +151,29 @@ class CellModel
 
     /** Retention time-scaling: x2 leakage per 10C above 80C. */
     double retentionTempFactor(double temp_c) const;
+
+    /** The three temperature factors at one temperature. */
+    struct TempFactors
+    {
+        double tempC;
+        double hammer;    ///< hammerTempFactor(tempC)
+        double press;     ///< pressTempFactor(tempC)
+        double retention; ///< retentionTempFactor(tempC)
+    };
+
+    /**
+     * The temperature factors at @p temp_c, memoized for the last
+     * temperature asked for, so the dose hot path (every ACT, PRE and
+     * restore) pays a compare instead of an exp.  invalidateCaches()
+     * drops the memo, so mutated params apply from then on.
+     */
+    const TempFactors &
+    tempFactors(double temp_c) const
+    {
+        if (!(tempMemo_.tempC == temp_c))
+            refreshTempMemo(temp_c);
+        return tempMemo_;
+    }
 
     // --- per-cell properties (deterministic in (seed,bank,row,bit)) ---
 
@@ -266,6 +289,8 @@ class CellModel
     bool rowMayFlip(const RowCandidates &cands, const DoseState &dose,
                     double retention_seconds, double temp_c) const;
 
+    void refreshTempMemo(double temp_c) const;
+
     DieConfig die_;
     int bitsPerRow_;
     std::uint64_t seed_;
@@ -283,6 +308,9 @@ class CellModel
     /** Same memoization for the word-occupancy tier. */
     mutable std::unordered_map<std::uint64_t, const RowWordMasks *>
         wordMemo_;
+    /** tempFactors() memo; a NaN temperature matches nothing. */
+    mutable TempFactors tempMemo_{std::numeric_limits<double>::quiet_NaN(),
+                                  0.0, 0.0, 0.0};
 };
 
 } // namespace rp::device

@@ -92,28 +92,22 @@ Chip::refresh(Time now)
         bk.ref(now);
 
     const int lo = refreshPtr_;
-    const int hi = refreshPtr_ + rowsPerRef_;
+    const int hi = std::min(org_.rows, refreshPtr_ + rowsPerRef_);
     refreshPtr_ = hi >= org_.rows ? 0 : hi;
 
-    // Restore every tracked row within the refreshed stripe.  Only
-    // rows with dose or retention history need attention.
-    std::vector<std::pair<int, int>> to_restore;
-    for (const auto &[b, r] : fault_.disturbedRows()) {
-        if (r >= lo && r < hi)
-            to_restore.emplace_back(b, r);
+    // Restore the stripe's rows that carry dose or stored data, in
+    // (bank, row) order.  Storing data restores the row (fillRow,
+    // materializeRowInto), so a row the fault model never touched has
+    // neither and needs no data lookup.
+    for (int b = 0; b < int(banks_.size()); ++b) {
+        if (!fault_.bankTouched(b))
+            continue;
+        for (int r = lo; r < hi; ++r) {
+            if (fault_.touched(b, r) &&
+                (!fault_.dose(b, r).empty() || data_.count(key(b, r))))
+                restoreRow(b, r, now);
+        }
     }
-    for (const auto &[k, rd] : data_) {
-        (void)rd;
-        const int b = int(k >> 32);
-        const int r = int(std::uint32_t(k));
-        if (r >= lo && r < hi)
-            to_restore.emplace_back(b, r);
-    }
-    std::sort(to_restore.begin(), to_restore.end());
-    to_restore.erase(std::unique(to_restore.begin(), to_restore.end()),
-                     to_restore.end());
-    for (const auto &[b, r] : to_restore)
-        restoreRow(b, r, now);
 }
 
 void

@@ -1,18 +1,55 @@
 #include "device/fault_model.h"
 
+#include <algorithm>
+
+#include "common/logging.h"
+
 namespace rp::device {
 
 FaultModel::FaultModel(const DieConfig &die, const dram::Organization &org,
                        std::uint64_t seed)
     : org_(org),
-      cells_(die, org.columns * org.blockBytes * 8, seed)
+      cells_(die, org.columns * org.blockBytes * 8, seed),
+      slotIndex_(std::size_t(org.totalBanks()))
 {
 }
 
-DoseState &
-FaultModel::state(int bank, int row)
+const FaultModel::RowSlot *
+FaultModel::findSlot(int bank, int row) const
 {
-    return doses_[key(bank, row)];
+    if (!bankTouched(bank) || row < 0 || row >= org_.rows)
+        return nullptr;
+    const std::uint32_t idx =
+        slotIndex_[std::size_t(bank)][std::size_t(row)];
+    return idx ? &slots_[idx - 1] : nullptr;
+}
+
+FaultModel::RowSlot &
+FaultModel::slot(int bank, int row)
+{
+    if (bank < 0 || bank >= int(slotIndex_.size()) || row < 0 ||
+        row >= org_.rows)
+        panic("FaultModel: row (%d, %d) outside the %d x %d array", bank,
+              row, int(slotIndex_.size()), org_.rows);
+    auto &index = slotIndex_[std::size_t(bank)];
+    if (index.empty())
+        index.resize(std::size_t(org_.rows), 0);
+    std::uint32_t &idx = index[std::size_t(row)];
+    if (!idx) {
+        slots_.push_back(RowSlot{});
+        slots_.back().bank = bank;
+        slots_.back().row = row;
+        idx = std::uint32_t(slots_.size());
+    }
+    return slots_[idx - 1];
+}
+
+DoseState &
+FaultModel::liveDose(int bank, int row)
+{
+    RowSlot &s = slot(bank, row);
+    s.live = true;
+    return s.dose;
 }
 
 void
@@ -21,11 +58,11 @@ FaultModel::onActivate(int bank, int row, Time now)
     // Hammer weight depends on how long this aggressor rested since it
     // was last closed (charge recombination; paper section 5.4).
     Time t_off = -1;
-    if (auto it = lastClose_.find(key(bank, row)); it != lastClose_.end())
-        t_off = now - it->second;
+    if (const RowSlot *s = findSlot(bank, row); s && s->lastClose != kNever)
+        t_off = now - s->lastClose;
 
     const double w = cells_.hammerOffWeight(t_off) *
-                     cells_.hammerTempFactor(temperatureC_);
+                     cells_.tempFactors(temperatureC_).hammer;
     const auto &p = cells_.params();
     const double atten[4] = {0.0, 1.0, p.dist2Rh, p.dist3Rh};
 
@@ -38,9 +75,9 @@ FaultModel::onActivate(int bank, int row, Time now)
             // victim.
             const int side = sign > 0 ? 0 : 1;
             const double inc = w * atten[d];
-            state(bank, victim).hammer[side] += inc;
+            liveDose(bank, victim).hammer[side] += inc;
             if (opRecorder_)
-                opRecorder_->push_back({key(bank, victim), side, inc});
+                opRecorder_->push_back({doseKey(bank, victim), side, inc});
         }
     }
 }
@@ -48,7 +85,7 @@ FaultModel::onActivate(int bank, int row, Time now)
 void
 FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
 {
-    lastClose_[key(bank, row)] = close_at;
+    slot(bank, row).lastClose = close_at;
 
     // The press-onset transient of each open interval contributes no
     // passing-gate stress (CellModelParams::pressOnset).
@@ -56,7 +93,8 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
         double(close_at - open_at - cells_.params().pressOnset);
     if (on_time <= 0.0)
         return;
-    const double scaled = on_time * cells_.pressTempFactor(temperatureC_);
+    const double scaled =
+        on_time * cells_.tempFactors(temperatureC_).press;
     const auto &p = cells_.params();
     const double atten[4] = {0.0, 1.0, p.dist2Rp, p.dist3Rp};
 
@@ -67,10 +105,10 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
                 continue;
             const int side = sign > 0 ? 0 : 1;
             const double inc = scaled * atten[d];
-            state(bank, victim).press[side] += inc;
+            liveDose(bank, victim).press[side] += inc;
             if (opRecorder_)
                 opRecorder_->push_back(
-                    {key(bank, victim), 2 + side, inc});
+                    {doseKey(bank, victim), 2 + side, inc});
         }
     }
 }
@@ -78,59 +116,78 @@ FaultModel::onPrecharge(int bank, int row, Time open_at, Time close_at)
 void
 FaultModel::onRestore(int bank, int row, Time now)
 {
-    doses_.erase(key(bank, row));
-    lastRestore_[key(bank, row)] = now;
+    RowSlot &s = slot(bank, row);
+    s.dose = DoseState{};
+    s.live = false;
+    s.lastRestore = now;
 }
 
 const DoseState &
 FaultModel::dose(int bank, int row) const
 {
     static const DoseState zero;
-    auto it = doses_.find(key(bank, row));
-    return it != doses_.end() ? it->second : zero;
+    const RowSlot *s = findSlot(bank, row);
+    return s ? s->dose : zero;
 }
 
 double
 FaultModel::retentionSeconds(int bank, int row, Time now) const
 {
     Time since = now;
-    if (auto it = lastRestore_.find(key(bank, row));
-        it != lastRestore_.end())
-        since = now - it->second;
+    if (const RowSlot *s = findSlot(bank, row);
+        s && s->lastRestore != kNever)
+        since = now - s->lastRestore;
     if (since <= 0)
         return 0.0;
-    return toSec(since) * cells_.retentionTempFactor(temperatureC_);
+    return toSec(since) * cells_.tempFactors(temperatureC_).retention;
 }
 
 std::vector<std::pair<int, int>>
 FaultModel::disturbedRows() const
 {
     std::vector<std::pair<int, int>> rows;
-    rows.reserve(doses_.size());
-    for (const auto &[k, v] : doses_) {
-        if (!v.empty())
-            rows.emplace_back(int(k >> 32), int(std::uint32_t(k)));
+    for (const RowSlot &s : slots_) {
+        if (!s.dose.empty())
+            rows.emplace_back(s.bank, s.row);
     }
+    std::sort(rows.begin(), rows.end());
     return rows;
 }
 
 void
 FaultModel::reset()
 {
-    doses_.clear();
-    lastClose_.clear();
-    lastRestore_.clear();
+    // Keep the index allocations; only the touched entries need zeroing.
+    for (const RowSlot &s : slots_)
+        slotIndex_[std::size_t(s.bank)][std::size_t(s.row)] = 0;
+    slots_.clear();
+}
+
+std::vector<DoseState>
+FaultModel::snapshotDoses() const
+{
+    std::vector<DoseState> doses;
+    doses.reserve(slots_.size());
+    for (const RowSlot &s : slots_)
+        doses.push_back(s.dose);
+    return doses;
 }
 
 void
-FaultModel::scaleDoseDelta(const DoseMap &before, double factor)
+FaultModel::scaleDoseDelta(const std::vector<DoseState> &before,
+                           double factor)
 {
     if (factor <= 0.0)
         return;
-    for (auto &[k, cur] : doses_) {
-        DoseState prev;
-        if (auto it = before.find(k); it != before.end())
-            prev = it->second;
+    static const DoseState zero;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        RowSlot &slot = slots_[i];
+        if (!slot.live)
+            continue;
+        // A slot that was not live at snapshot time recorded zero; one
+        // created after it has no entry.
+        const DoseState &prev = i < before.size() ? before[i] : zero;
+        DoseState &cur = slot.dose;
         for (int s = 0; s < 2; ++s) {
             cur.hammer[s] += (cur.hammer[s] - prev.hammer[s]) * factor;
             cur.press[s] += (cur.press[s] - prev.press[s]) * factor;
@@ -141,11 +198,13 @@ FaultModel::scaleDoseDelta(const DoseMap &before, double factor)
 void
 FaultModel::shiftRowHistory(int bank, int row, Time delta)
 {
-    if (auto it = lastClose_.find(key(bank, row)); it != lastClose_.end())
-        it->second += delta;
-    if (auto it = lastRestore_.find(key(bank, row));
-        it != lastRestore_.end())
-        it->second += delta;
+    if (!findSlot(bank, row))
+        return;
+    RowSlot &s = slot(bank, row);
+    if (s.lastClose != kNever)
+        s.lastClose += delta;
+    if (s.lastRestore != kNever)
+        s.lastRestore += delta;
 }
 
 } // namespace rp::device

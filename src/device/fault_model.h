@@ -11,13 +11,20 @@
  *  - the aggressor's preceding off-time (hammer recovery weight,
  *    paper section 5.4);
  *  - row-distance attenuation (victims up to +/-3 rows).
+ *
+ * Every ACT, PRE and restore updates per-row state, so that state lives
+ * in one flat slot array reached through a per-bank row -> slot index
+ * (no hashing on the hot path).  A slot holds the row's dose, its last
+ * close and restore clocks, and whether dose has been deposited since
+ * its last restore.
  */
 
 #ifndef ROWPRESS_DEVICE_FAULT_MODEL_H
 #define ROWPRESS_DEVICE_FAULT_MODEL_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -62,7 +69,29 @@ class FaultModel
     /** Temperature-scaled unrefreshed seconds of a row at @p now. */
     double retentionSeconds(int bank, int row, Time now) const;
 
-    /** Rows that currently carry non-zero dose (bank, row pairs). */
+    /**
+     * False while no ACT, PRE or restore event has ever touched a row
+     * of @p bank (a cheap pre-check for Chip::refresh's stripe walk;
+     * it stays true across reset()).
+     */
+    bool
+    bankTouched(int bank) const
+    {
+        return bank >= 0 && bank < int(slotIndex_.size()) &&
+               !slotIndex_[std::size_t(bank)].empty();
+    }
+
+    /**
+     * True once an ACT, PRE or restore event has touched the row.
+     * Rows never touched carry no dose and no retention history.
+     */
+    bool
+    touched(int bank, int row) const
+    {
+        return findSlot(bank, row) != nullptr;
+    }
+
+    /** Rows that currently carry non-zero dose, in (bank, row) order. */
     std::vector<std::pair<int, int>> disturbedRows() const;
 
     /** Clear all dose state (platform reset). */
@@ -70,10 +99,8 @@ class FaultModel
 
     // --- loop fast-forward support (bender::TestPlatform) ---
 
-    using DoseMap = std::unordered_map<std::uint64_t, DoseState>;
-
     /**
-     * One elementary dose accumulation: `doses_[key].<comp> += value`.
+     * One elementary dose accumulation: `dose(key).<comp> += value`.
      * comp 0/1 = hammer side 0/1, comp 2/3 = press side 0/1.  Recorded
      * traces let the chr::AttemptOracle replay an attempt's exact
      * floating-point accumulation sequence without re-executing the
@@ -86,11 +113,11 @@ class FaultModel
         double value;
     };
 
-    /** The dose-map key of (bank, row) (= device::packRowKey). */
+    /** The DoseOp key of (bank, row) (= device::packRowKey). */
     static std::uint64_t
     doseKey(int bank, int row)
     {
-        return key(bank, row);
+        return packRowKey(bank, row);
     }
 
     /**
@@ -100,14 +127,20 @@ class FaultModel
      */
     void setDoseOpRecorder(std::vector<DoseOp> *rec) { opRecorder_ = rec; }
 
-    /** Snapshot of all current doses. */
-    DoseMap snapshotDoses() const { return doses_; }
+    /**
+     * Snapshot of all current doses, one entry per row slot (rows
+     * without dose read zero).  Only scaleDoseDelta interprets it.
+     */
+    std::vector<DoseState> snapshotDoses() const;
 
     /**
      * Replay the dose growth between @p before and the current state
      * an additional @p factor times (steady-state loop extrapolation).
+     * Rows restored since the snapshot and not disturbed again stay
+     * empty; rows first disturbed after it grow from zero.
      */
-    void scaleDoseDelta(const DoseMap &before, double factor);
+    void scaleDoseDelta(const std::vector<DoseState> &before,
+                        double factor);
 
     /**
      * Advance a row's close/restore history by @p delta (applied to
@@ -117,24 +150,45 @@ class FaultModel
     void shiftRowHistory(int bank, int row, Time delta);
 
   private:
-    static std::uint64_t
-    key(int bank, int row)
-    {
-        return packRowKey(bank, row);
-    }
+    /** "No such event yet" for the per-row clocks. */
+    static constexpr Time kNever = std::numeric_limits<Time>::min();
 
-    DoseState &state(int bank, int row);
+    /** Everything the model knows about one touched row. */
+    struct RowSlot
+    {
+        /** Accumulated dose; zero whenever the slot is not live. */
+        DoseState dose;
+        /** Last close of the row as an aggressor (tAggOFF weighting). */
+        Time lastClose = kNever;
+        /** Last charge restore of the row (retention). */
+        Time lastRestore = kNever;
+        int bank = 0;
+        int row = 0;
+        /**
+         * Dose has been deposited since the last restore (possibly a
+         * zero one): the scope of scaleDoseDelta's extrapolation.
+         */
+        bool live = false;
+    };
+
+    /** The row's slot, created on first touch. */
+    RowSlot &slot(int bank, int row);
+    const RowSlot *findSlot(int bank, int row) const;
+    /** The dose of a row about to receive a deposit; marks it live. */
+    DoseState &liveDose(int bank, int row);
 
     dram::Organization org_;
     CellModel cells_;
     double temperatureC_ = 50.0;
     double evalNoiseSigma_ = 0.05;
 
-    std::unordered_map<std::uint64_t, DoseState> doses_;
-    /** Last close time per aggressor row (for tAggOFF weighting). */
-    std::unordered_map<std::uint64_t, Time> lastClose_;
-    /** Last restore time per row (for retention). */
-    std::unordered_map<std::uint64_t, Time> lastRestore_;
+    /** Touched rows in first-touch order; kept until reset(). */
+    std::vector<RowSlot> slots_;
+    /**
+     * Per bank: row -> 1 + its index in slots_ (0 = untouched).  A
+     * bank's vector stays empty until one of its rows is touched.
+     */
+    std::vector<std::vector<std::uint32_t>> slotIndex_;
 
     std::vector<DoseOp> *opRecorder_ = nullptr;
 };

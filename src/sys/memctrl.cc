@@ -24,8 +24,9 @@ MemCtrl::targetedRefreshes() const
 void
 MemCtrl::trackRow(int bank, int row)
 {
-    tracked_.insert((std::uint64_t(std::uint32_t(bank)) << 32) |
-                    std::uint32_t(row));
+    const std::uint64_t key = device::packRowKey(bank, row);
+    if (std::find(tracked_.begin(), tracked_.end(), key) == tracked_.end())
+        tracked_.push_back(key);
 }
 
 void
@@ -33,10 +34,8 @@ MemCtrl::recordInterval(int bank, const dram::Bank::OpenInterval &iv)
 {
     openTimeSum_ += iv.onTime();
     ++pres_;
-    const std::uint64_t key =
-        (std::uint64_t(std::uint32_t(bank)) << 32) |
-        std::uint32_t(iv.row);
-    if (tracked_.count(key)) {
+    const std::uint64_t key = device::packRowKey(bank, iv.row);
+    if (std::find(tracked_.begin(), tracked_.end(), key) != tracked_.end()) {
         trackedOpenTime_ += iv.onTime();
         ++trackedPres_;
     }

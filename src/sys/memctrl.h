@@ -12,7 +12,7 @@
 #ifndef ROWPRESS_SYS_MEMCTRL_H
 #define ROWPRESS_SYS_MEMCTRL_H
 
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "device/chip.h"
@@ -75,7 +75,8 @@ class MemCtrl
     std::uint64_t acts_ = 0;
     std::uint64_t pres_ = 0;
     Time openTimeSum_ = 0;
-    std::unordered_set<std::uint64_t> tracked_;
+    /** device::packRowKey of each tracked row (a handful per demo). */
+    std::vector<std::uint64_t> tracked_;
     Time trackedOpenTime_ = 0;
     std::uint64_t trackedPres_ = 0;
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "device/chip.h"
@@ -278,6 +281,25 @@ TEST(FaultModel, PressDoseScalesWithOnTimeAndTemperature)
     EXPECT_NEAR(d80 / d50, fm.cells().pressTempFactor(80.0), 1e-6);
 }
 
+TEST(FaultModel, MutatedTemperatureResponseAppliesAfterInvalidate)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    fm.setTemperature(80.0);
+    const double on_time =
+        double(10_us - fm.cells().params().pressOnset);
+    fm.onPrecharge(0, 100, 0, 10_us);
+    const double original = fm.dose(0, 101).press[0];
+    fm.onRestore(0, 101, 10_us);
+
+    // An ablation-style edit: mutate, then invalidate.
+    fm.cells().mutableParams().lambdaRp *= 2.0;
+    fm.cells().invalidateCaches();
+    fm.onPrecharge(0, 100, 10_us, 20_us);
+    EXPECT_EQ(fm.dose(0, 101).press[0],
+              on_time * fm.cells().pressTempFactor(80.0));
+    EXPECT_GT(fm.dose(0, 101).press[0], original);
+}
+
 TEST(FaultModel, PressOnsetSubtractsPerInterval)
 {
     FaultModel fm(dieS8GbB(), smallOrg(), 1);
@@ -309,6 +331,53 @@ TEST(FaultModel, SnapshotScaleReplaysLinearGrowth)
     const double one_iter = fm.dose(0, 101).press[0] - base;
     fm.scaleDoseDelta(before, 9.0); // replay 9 more iterations
     EXPECT_NEAR(fm.dose(0, 101).press[0], base + 10.0 * one_iter, 1e-3);
+}
+
+TEST(FaultModel, RowRestoredInMeasuredIterationStaysEmptyAfterScale)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    fm.onActivate(0, 100, 0); // doses rows 97..99 and 101..103
+    auto before = fm.snapshotDoses();
+    // The measured iteration restores row 101 and disturbs row 104,
+    // which carried no dose at snapshot time.
+    fm.onRestore(0, 101, 1_us);
+    fm.onActivate(0, 105, 2_us);
+    const double d104 = fm.dose(0, 104).hammer[1];
+    const double d102 = fm.dose(0, 102).hammer[0];
+    fm.scaleDoseDelta(before, 4.0);
+    EXPECT_TRUE(fm.dose(0, 101).empty());
+    EXPECT_EQ(fm.dose(0, 104).hammer[1], d104 * 5.0); // grew from zero
+    EXPECT_EQ(fm.dose(0, 102).hammer[0], d102);       // no growth
+}
+
+TEST(FaultModel, DisturbedRowsLeaveOutRestoredRows)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    fm.onActivate(2, 10, 0);
+    fm.onRestore(2, 11, 1_us);
+    fm.onRestore(2, 200, 1_us); // restore-only history: not disturbed
+    const std::vector<std::pair<int, int>> expected = {
+        {2, 7}, {2, 8}, {2, 9}, {2, 12}, {2, 13}};
+    auto rows = fm.disturbedRows();
+    std::sort(rows.begin(), rows.end());
+    EXPECT_EQ(rows, expected);
+}
+
+TEST(FaultModel, ShiftRowHistoryOfUntouchedRowDoesNothing)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    FaultModel fresh(dieS8GbB(), smallOrg(), 1);
+    fm.shiftRowHistory(0, 300, 5_us);
+    EXPECT_TRUE(fm.dose(0, 300).empty());
+    EXPECT_TRUE(fm.disturbedRows().empty());
+    // Still no restore history: retention counts from time zero.
+    EXPECT_EQ(fm.retentionSeconds(0, 300, 1_s),
+              fresh.retentionSeconds(0, 300, 1_s));
+    // Nor close history: an ACT 100 ns after the shifted time is fully
+    // recovered, not weighted as 100 ns after a close.
+    fm.onActivate(0, 300, 5_us + 100_ns);
+    fresh.onActivate(0, 300, 5_us + 100_ns);
+    EXPECT_EQ(fm.dose(0, 301).hammer[0], fresh.dose(0, 301).hammer[0]);
 }
 
 TEST(Chip, FillReadAndFlipLatching)
@@ -353,6 +422,70 @@ TEST(Chip, RefreshStripeRestoresTrackedRows)
     ASSERT_FALSE(chip.fault().dose(0, 0).empty());
     chip.refresh(1_us); // stripe 0 covers row 0
     EXPECT_TRUE(chip.fault().dose(0, 0).empty());
+}
+
+/** A row was restored at @p t iff no unrefreshed time has passed. */
+bool
+restoredAt(const Chip &chip, int b, int row, Time t)
+{
+    return chip.fault().retentionSeconds(b, row, t) == 0.0;
+}
+
+TEST(Chip, RefreshRestoresExactlyTheStripeRowsWithDoseOrData)
+{
+    // The default organization refreshes 8 rows per REF: stripe 0 is
+    // rows 0..7 of every bank.
+    Chip chip(dieS8GbB(), dram::Organization{}, dram::benderTiming(), 1);
+    chip.fillRow(0, 3, 0x55, 0);      // stored data, no dose
+    chip.fillRow(0, 8, 0x55, 0);      // stored data, outside the stripe
+    chip.fault().onActivate(2, 6, 0); // dose on rows 3..5 and 7..9
+    chip.refreshRow(5, 2, 1_us);      // TRR-only history, no dose/data
+    ASSERT_FALSE(chip.fault().dose(2, 8).empty());
+
+    const Time t = 2_us;
+    chip.refresh(t);
+    EXPECT_TRUE(restoredAt(chip, 0, 3, t));
+    for (int r : {3, 4, 5, 7}) {
+        EXPECT_TRUE(restoredAt(chip, 2, r, t)) << r;
+        EXPECT_TRUE(chip.fault().dose(2, r).empty()) << r;
+    }
+    // Outside the stripe: untouched.
+    EXPECT_FALSE(restoredAt(chip, 0, 8, t));
+    EXPECT_FALSE(chip.fault().dose(2, 8).empty());
+    EXPECT_FALSE(chip.fault().dose(2, 9).empty());
+    // Inside the stripe but with neither dose nor data: not restored,
+    // so its retention clock still runs from the TRR refresh.
+    EXPECT_FALSE(restoredAt(chip, 5, 2, t));
+    EXPECT_EQ(chip.fault().retentionSeconds(5, 2, t),
+              toSec(t - 1_us) *
+                  chip.fault().cells().retentionTempFactor(
+                      chip.temperature()));
+}
+
+TEST(Chip, RefreshPointerWrapsAfterOneFullCycle)
+{
+    dram::Organization org;
+    org.rows = 8192 * 2; // 2 rows per REF: one cycle is 8192 REFs
+    Chip chip(dieS8GbB(), org, dram::benderTiming(), 1);
+    const Time step = chip.timing().tREFI;
+    chip.fillRow(1, 0, 0xAA, 0);
+    chip.fillRow(1, org.rows - 1, 0xAA, 0);
+
+    Time t = step;
+    chip.refresh(t); // stripe 0
+    EXPECT_TRUE(restoredAt(chip, 1, 0, t));
+    for (int i = 1; i < 8191; ++i) {
+        t += step;
+        chip.refresh(t);
+    }
+    EXPECT_FALSE(restoredAt(chip, 1, org.rows - 1, t));
+    t += step;
+    chip.refresh(t); // REF 8192: the last stripe
+    EXPECT_TRUE(restoredAt(chip, 1, org.rows - 1, t));
+    EXPECT_FALSE(restoredAt(chip, 1, 0, t));
+    t += step;
+    chip.refresh(t); // wrapped back to stripe 0
+    EXPECT_TRUE(restoredAt(chip, 1, 0, t));
 }
 
 TEST(Chip, EvalNoiseMakesNearThresholdFlipsStochastic)

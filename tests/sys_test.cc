@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
+#include "common/rng.h"
 #include "dram/timing.h"
 #include "sys/cache.h"
 #include "sys/memctrl.h"
@@ -27,6 +31,46 @@ TEST(Cache, LoadHitMissAndFlush)
     EXPECT_EQ(cache.residentLines(), 1u);
     cache.clear();
     EXPECT_EQ(cache.residentLines(), 0u);
+}
+
+TEST(Cache, MatchesReferenceSetUnderRandomLoadFlushClear)
+{
+    // Differential test against std::unordered_set.  Lines are drawn
+    // from a small pool, so the table holds up to a few hundred lines
+    // at once: probe runs collide, flushes open holes in the middle of
+    // them, and flushed lines are re-inserted.  The pool mixes the
+    // demo's (bank, row, column) encoding with arbitrary values and 0.
+    for (std::uint64_t seed : {1, 2, 3, 4}) {
+        Rng rng(seed);
+        std::vector<std::uint64_t> pool = {0};
+        for (std::uint64_t i = 1; i < 300; ++i)
+            pool.push_back(i % 3 ? (std::uint64_t(1) << 40) | (i << 8) |
+                                       (i & 63)
+                                 : rng.next());
+        CacheModel cache;
+        std::unordered_set<std::uint64_t> ref;
+        for (int op = 0; op < 100000; ++op) {
+            const std::uint64_t line = pool[rng.below(pool.size())];
+            const std::uint64_t kind = rng.below(1000);
+            if (kind < 550) {
+                const bool hit = !ref.insert(line).second;
+                ASSERT_EQ(cache.load(line), hit)
+                    << "seed " << seed << " op " << op;
+            } else if (kind < 999) {
+                ref.erase(line);
+                cache.clflush(line);
+            } else {
+                ref.clear();
+                cache.clear();
+            }
+            ASSERT_EQ(cache.residentLines(), ref.size())
+                << "seed " << seed << " op " << op;
+        }
+        for (std::uint64_t line : pool) {
+            const bool hit = !ref.insert(line).second;
+            EXPECT_EQ(cache.load(line), hit) << "seed " << seed;
+        }
+    }
 }
 
 TEST(Trr, RecencySamplerCatchesLastActivatedRows)
