@@ -14,8 +14,7 @@
 #include <array>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -155,17 +154,5 @@ runAblation(api::ExperimentContext &ctx)
 
 REGISTER_EXPERIMENT(ablation, "Model ablations", "DESIGN.md section 5",
                     "ablation", runAblation);
-
-void
-BM_AblationPoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbD(), 50.0);
-    for (auto _ : state) {
-        auto p = chr::acminPoint(module, 36_ns,
-                                 chr::AccessKind::DoubleSided);
-        benchmark::DoNotOptimize(p);
-    }
-}
-BENCHMARK(BM_AblationPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -56,20 +55,5 @@ REGISTER_EXPERIMENT_OPTS(
                     "module temperature (C)", 0.0, true});
     },
     runFig01);
-
-void
-BM_AcminSearch(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 80.0);
-    chr::RowLayout layout =
-        chr::makeLayout(chr::AccessKind::SingleSided, 1, 64);
-    for (auto _ : state) {
-        auto res = chr::findAcmin(module.platform(), layout,
-                                  chr::DataPattern::CheckerBoard,
-                                  7800_ns);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_AcminSearch)->Unit(benchmark::kMillisecond);
 
 } // namespace

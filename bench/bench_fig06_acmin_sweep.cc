@@ -8,8 +8,7 @@
 #include <cmath>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -66,17 +65,5 @@ REGISTER_EXPERIMENT_OPTS(
                     "module temperature (C)", 0.0, true});
     },
     runFig06);
-
-void
-BM_AcminSweepPoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 50.0);
-    for (auto _ : state) {
-        auto point = chr::acminPoint(module, 70200_ns,
-                                     chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(point);
-    }
-}
-BENCHMARK(BM_AcminSweepPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -56,17 +55,5 @@ runFig08(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig08, "Fig. 8: fraction of rows with bitflips",
                     "Fig. 8 (single-sided @ 50C)", "characterization",
                     runFig08);
-
-void
-BM_RowFractionPoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbD(), 50.0);
-    for (auto _ : state) {
-        auto point = chr::acminPoint(module, 30_ms,
-                                     chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(point);
-    }
-}
-BENCHMARK(BM_RowFractionPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

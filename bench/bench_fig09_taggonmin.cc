@@ -9,8 +9,7 @@
 #include <cmath>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 
@@ -63,20 +62,5 @@ REGISTER_EXPERIMENT_OPTS(
                     "module temperature (C)", 0.0, true});
     },
     runFig09);
-
-void
-BM_TAggOnMinSearch(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 50.0);
-    chr::RowLayout layout =
-        chr::makeLayout(chr::AccessKind::SingleSided, 1, 64);
-    for (auto _ : state) {
-        auto res = chr::findTAggOnMin(module.platform(), layout,
-                                      chr::DataPattern::CheckerBoard,
-                                      100);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_TAggOnMinSearch)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -8,8 +8,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -60,17 +59,5 @@ REGISTER_EXPERIMENT(
     fig10, "Figs. 10/11: RowPress vs RowHammer/retention cell overlap",
     "Fig. 10 (@ACmin), Fig. 11 (@ACmax)", "characterization",
     runFig10);
-
-void
-BM_OverlapAnalysis(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 50.0);
-    for (auto _ : state) {
-        auto res = chr::overlapAtAcmin(module, {7800_ns},
-                                       chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_OverlapAnalysis)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -57,18 +56,5 @@ runFig12(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig12, "Fig. 12: bitflip direction",
                     "Fig. 12 (fraction of 1->0 flips, checkerboard)",
                     "characterization", runFig12);
-
-void
-BM_DirectionPoint(benchmark::State &state)
-{
-    chr::Module module =
-        rpb::makeModule(device::dieById("M-16Gb-E"), 50.0);
-    for (auto _ : state) {
-        auto point = chr::acminPoint(module, 7800_ns,
-                                     chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(point.fractionOneToZero());
-    }
-}
-BENCHMARK(BM_DirectionPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -55,17 +54,5 @@ REGISTER_EXPERIMENT(fig13, "Figs. 13/14: temperature sensitivity",
                     "Fig. 13 (ACmin@80C / ACmin@50C), Fig. 14 (row "
                     "fraction @80C)",
                     "characterization", runFig13);
-
-void
-BM_TemperaturePoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieH16GbA(), 80.0);
-    for (auto _ : state) {
-        auto point = chr::acminPoint(module, 7800_ns,
-                                     chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(point);
-    }
-}
-BENCHMARK(BM_TemperaturePoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 
@@ -60,17 +59,5 @@ REGISTER_EXPERIMENT_OPTS(
                     "temperature sweep step (C)", 1.0, true});
     },
     runFig15);
-
-void
-BM_TempSweepPoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieH16GbA(), 65.0);
-    for (auto _ : state) {
-        auto point =
-            chr::tAggOnMinPoint(module, 1, chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(point);
-    }
-}
-BENCHMARK(BM_TempSweepPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -7,8 +7,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -70,20 +69,5 @@ REGISTER_EXPERIMENT(fig17, "Figs. 17/18: single- vs double-sided RowPress",
                     "Fig. 17 (DS ACmin @50C), Fig. 18 (SS - DS "
                     "difference @50C/80C)",
                     "characterization", runFig17);
-
-void
-BM_DoubleSidedSearch(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 50.0);
-    chr::RowLayout layout =
-        chr::makeLayout(chr::AccessKind::DoubleSided, 1, 64);
-    for (auto _ : state) {
-        auto res = chr::findAcmin(module.platform(), layout,
-                                  chr::DataPattern::CheckerBoard,
-                                  7800_ns);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_DoubleSidedSearch)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -9,8 +9,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 
@@ -86,18 +85,5 @@ REGISTER_EXPERIMENT(fig19, "Figs. 19/20: data-pattern sensitivity",
                     "Fig. 19 (single-sided), Fig. 20 (double-sided, "
                     "S 8Gb B)",
                     "characterization", runFig19);
-
-void
-BM_DataPatternPoint(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 50.0);
-    for (auto _ : state) {
-        auto p = chr::acminPoint(module, 7800_ns,
-                                 chr::AccessKind::SingleSided,
-                                 chr::DataPattern::ColStripeI);
-        benchmark::DoNotOptimize(p);
-    }
-}
-BENCHMARK(BM_DataPatternPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace

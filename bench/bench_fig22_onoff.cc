@@ -7,8 +7,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -76,18 +75,5 @@ REGISTER_EXPERIMENT(fig22, "Fig. 22: RowPress-ONOFF pattern BER",
                     "Fig. 22 (S 8Gb D-die; Figs. 27-37 for the rest "
                     "with --dies all)",
                     "characterization", runFig22);
-
-void
-BM_OnOffBer(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbD(), 50.0);
-    for (auto _ : state) {
-        double ber = chr::onOffBer(module, 0,
-                                   chr::AccessKind::SingleSided,
-                                   2400_ns, 0.75, 1);
-        benchmark::DoNotOptimize(ber);
-    }
-}
-BENCHMARK(BM_OnOffBer)->Unit(benchmark::kMillisecond);
 
 } // namespace

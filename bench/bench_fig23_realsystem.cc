@@ -10,8 +10,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 
@@ -76,19 +75,5 @@ REGISTER_EXPERIMENT(fig23, "Figs. 23/49: real-system RowPress demonstration",
                     "Fig. 23 (Algorithm 1), Fig. 49 (Algorithm 2); "
                     "paper: 1500 victims, 800K iters - scaled here",
                     "system", runFig23);
-
-void
-BM_DemoIterationBatch(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sys::DemoConfig cfg;
-        cfg.numVictims = 1;
-        cfg.numIters = 500;
-        cfg.numReads = 32;
-        auto res = sys::runDemo(cfg);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_DemoIterationBatch)->Unit(benchmark::kMillisecond);
 
 } // namespace

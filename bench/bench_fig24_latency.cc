@@ -9,8 +9,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 
@@ -43,15 +42,5 @@ runFig24(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig24, "Fig. 24: row-open-time verification probe",
                     "Fig. 24 (latency histogram, 100K trials)",
                     "system", runFig24);
-
-void
-BM_LatencyProbe(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto probe = sys::rowOpenLatencyProbe(1000);
-        benchmark::DoNotOptimize(probe);
-    }
-}
-BENCHMARK(BM_LatencyProbe)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -9,8 +9,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -71,19 +70,5 @@ REGISTER_EXPERIMENT(fig25, "Figs. 25/26: bitflips per 64-bit word vs ECC",
                     "Fig. 25 (tAggON = 7.8us), Fig. 26 (70.2us) @ "
                     "80C, max activation count",
                     "characterization", runFig25);
-
-void
-BM_EccAnalysis(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbD(), 80.0);
-    for (auto _ : state) {
-        auto attempt = chr::maxActivationAttempt(
-            module, 0, chr::AccessKind::SingleSided,
-            chr::DataPattern::CheckerBoard, 7800_ns);
-        auto stats = chr::analyzeWordErrors(attempt.flips);
-        benchmark::DoNotOptimize(stats);
-    }
-}
-BENCHMARK(BM_EccAnalysis)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -9,8 +9,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -75,20 +74,5 @@ REGISTER_EXPERIMENT(fig38, "Figs. 38/39: minimally-open-row policy",
                     "Fig. 38 (max per-row ACT increase), Fig. 39 "
                     "(normalized IPC)",
                     "simulator", runFig38);
-
-void
-BM_MinOpenRun(benchmark::State &state)
-{
-    const auto w = workloads::workloadByName("462.libquantum");
-    for (auto _ : state) {
-        sim::SystemConfig cfg;
-        cfg.core.instrLimit = 50000;
-        cfg.mem.tMro = cfg.mem.timing.tRAS;
-        cfg.workloads = {w};
-        auto r = sim::runSystem(cfg);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_MinOpenRun)->Unit(benchmark::kMillisecond);
 
 } // namespace

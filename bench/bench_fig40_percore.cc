@@ -8,8 +8,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 #include "mitigation/defaults.h"
 
 using namespace rp;
@@ -90,22 +89,5 @@ runFig40(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig40, "Fig. 40: per-workload normalized IPC",
                     "Fig. 40 (single-core, LLC-MPKI > 5 subset)",
                     "simulator", runFig40);
-
-void
-BM_MitigatedRun(benchmark::State &state)
-{
-    const auto w = workloads::workloadByName("429.mcf");
-    mitigation::Graphene g(mitigation::standardGrapheneFor(724));
-    for (auto _ : state) {
-        sim::SystemConfig cfg;
-        cfg.core.instrLimit = 40000;
-        cfg.mem.tMro = 96_ns;
-        cfg.mem.mitigation = &g;
-        cfg.workloads = {w};
-        auto r = sim::runSystem(cfg);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_MitigatedRun)->Unit(benchmark::kMillisecond);
 
 } // namespace

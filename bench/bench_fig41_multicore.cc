@@ -9,8 +9,7 @@
 #include <memory>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 #include "mitigation/defaults.h"
 
 using namespace rp;
@@ -120,19 +119,5 @@ runFig41(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig41, "Fig. 41: four-core weighted speedups",
                     "Fig. 41 (homogeneous + HHHH..LLLL mixes)",
                     "simulator", runFig41);
-
-void
-BM_FourCoreRun(benchmark::State &state)
-{
-    auto mix = workloads::makeMix("HHLL", 7);
-    for (auto _ : state) {
-        sim::SystemConfig cfg;
-        cfg.core.instrLimit = 20000;
-        cfg.workloads = mix;
-        auto r = sim::runSystem(cfg);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_FourCoreRun)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -10,8 +10,7 @@
 #include <map>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -104,19 +103,5 @@ runFig42(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig42, "Figs. 42-45: repeatability of RowPress bitflips",
                     "Appendix E (5-iteration occurrence histograms)",
                     "characterization", runFig42);
-
-void
-BM_RepeatAttempt(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbD(), 50.0);
-    auto layout = chr::makeLayout(chr::AccessKind::SingleSided, 1, 64);
-    for (auto _ : state) {
-        auto attempt = chr::runPressAttempt(
-            module.platform(), layout, chr::DataPattern::CheckerBoard,
-            7800_ns, 2000);
-        benchmark::DoNotOptimize(attempt);
-    }
-}
-BENCHMARK(BM_RepeatAttempt)->Unit(benchmark::kMillisecond);
 
 } // namespace

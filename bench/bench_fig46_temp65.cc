@@ -6,8 +6,7 @@
  */
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -63,17 +62,5 @@ runFig46(api::ExperimentContext &ctx)
 REGISTER_EXPERIMENT(fig46, "Figs. 46-48: 65C temperature step",
                     "Appendix F (normalized ACmin at 65C and 80C)",
                     "characterization", runFig46);
-
-void
-BM_Temp65Point(benchmark::State &state)
-{
-    chr::Module module = rpb::makeModule(device::dieS8GbB(), 65.0);
-    for (auto _ : state) {
-        auto p = chr::acminPoint(module, 7800_ns,
-                                 chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(p);
-    }
-}
-BENCHMARK(BM_Temp65Point)->Unit(benchmark::kMillisecond);
 
 } // namespace

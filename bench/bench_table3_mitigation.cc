@@ -11,8 +11,7 @@
 #include <memory>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 #include "mitigation/defaults.h"
 
 using namespace rp;
@@ -141,19 +140,5 @@ REGISTER_EXPERIMENT_OPTS(
                     "base RowHammer threshold T_RH", 1.0, true});
     },
     runTable3);
-
-void
-BM_SingleCoreRun(benchmark::State &state)
-{
-    const auto w = workloads::workloadByName("429.mcf");
-    for (auto _ : state) {
-        sim::SystemConfig cfg;
-        cfg.core.instrLimit = 50000;
-        cfg.workloads = {w};
-        auto r = sim::runSystem(cfg);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_SingleCoreRun)->Unit(benchmark::kMillisecond);
 
 } // namespace

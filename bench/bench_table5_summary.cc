@@ -8,8 +8,7 @@
 #include <algorithm>
 
 #include "api/context.h"
-
-#include "bench_support.h"
+#include "core/rowpress.h"
 
 using namespace rp;
 using namespace rp::literals;
@@ -87,17 +86,5 @@ REGISTER_EXPERIMENT(table5, "Tables 5/6: module summary",
                     "Table 5 (ACmin / tAggONmin), Table 6 (max BER); "
                     "all 12 dies with --dies all",
                     "characterization", runTable5);
-
-void
-BM_SummaryDie(benchmark::State &state)
-{
-    for (auto _ : state) {
-        chr::Module m = rpb::makeModule(device::dieM16GbF(), 50.0);
-        auto p =
-            chr::acminPoint(m, 7800_ns, chr::AccessKind::SingleSided);
-        benchmark::DoNotOptimize(p);
-    }
-}
-BENCHMARK(BM_SummaryDie)->Unit(benchmark::kMillisecond);
 
 } // namespace

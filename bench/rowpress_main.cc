@@ -3,33 +3,14 @@
  * Entry point of the `rowpress` multi-tool binary.
  *
  * Every figure/table experiment is linked in and registers itself
- * with rp::api::ExperimentRegistry; the CLI (`list` / `run`) lives in
- * src/api/cli.cc.  The one extra command handled here is `bench`,
- * which forwards to google-benchmark (the micro-measurements declared
- * next to each experiment) — it stays out of the library so the api
- * layer carries no benchmark dependency.
+ * with rp::api::ExperimentRegistry; the CLI (`list` / `run` / `serve`
+ * / `cache`) lives in src/api/cli.cc.
  */
 
-#include <cstring>
-#include <string>
-#include <vector>
-
 #include "api/cli.h"
-
-#include "bench_support.h"
 
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "bench") == 0) {
-        // `rowpress bench [--benchmark_filter=...]`: forward the
-        // remaining args under the original argv[0].
-        std::vector<char *> args;
-        args.push_back(argv[0]);
-        for (int i = 2; i < argc; ++i)
-            args.push_back(argv[i]);
-        int n = int(args.size());
-        return rpb::runBenchmarkMain(n, args.data());
-    }
     return rp::api::cliMain(argc, argv);
 }

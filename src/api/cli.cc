@@ -32,7 +32,6 @@ const char *const kUsage =
     "                       stdin/stdout (see --port for TCP)\n"
     "  cache <verb>         snapshot-cache maintenance: ls | gc |\n"
     "                       export DEST | import FILE...\n"
-    "  bench [args]         run the google-benchmark micro-measurements\n"
     "  help                 show this message\n"
     "\n"
     "list options:\n"

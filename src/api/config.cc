@@ -70,18 +70,12 @@ void
 Config::loadEnv()
 {
     for (const auto &opt : schema_.options()) {
-        // The primary alias wins; the deprecated legacy alias is
-        // consulted only when the primary is unset.
-        std::string name = opt.envVar;
-        const char *v =
-            name.empty() ? nullptr : std::getenv(name.c_str());
-        if (!v && !opt.envVarLegacy.empty()) {
-            name = opt.envVarLegacy;
-            v = std::getenv(name.c_str());
-        }
+        const char *v = opt.envVar.empty()
+                            ? nullptr
+                            : std::getenv(opt.envVar.c_str());
         if (!v)
             continue;
-        validate(opt, v, name);
+        validate(opt, v, opt.envVar);
         Entry &entry = values_[opt.key];
         if (int(ConfigLayer::Env) < int(entry.origin))
             continue; // a CLI value already set this key

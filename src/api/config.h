@@ -70,11 +70,6 @@ struct OptionSpec
     std::string help;         ///< One-line description for `--help`.
     double minValue = 0.0;    ///< Lower bound when hasMin (Int/Double).
     bool hasMin = false;
-    /**
-     * Deprecated second env alias kept for compatibility; consulted
-     * only when @ref envVar is not set in the environment.
-     */
-    std::string envVarLegacy = {};
 };
 
 /** The set of options one experiment (or the CLI itself) accepts. */

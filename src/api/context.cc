@@ -23,7 +23,7 @@ baseSchema()
                 true});
     schema.add({"seed", OptionType::Int, "1", "RP_SEED",
                 "root seed for module construction and searches", 0.0,
-                true, "ROWPRESS_SEED"});
+                true});
     schema.add({"threads", OptionType::Int, "0", "RP_THREADS",
                 "engine worker threads (0 = hardware concurrency)",
                 0.0, true});
@@ -35,13 +35,11 @@ baseSchema()
 
 ExperimentContext::ExperimentContext(ExperimentInfo info, Config config,
                                      core::ExperimentEngine &engine,
-                                     JobEventEmitter emit,
-                                     std::filesystem::path out_dir)
+                                     JobEventEmitter emit)
     : info_(std::move(info)),
       config_(std::move(config)),
       engine_(engine),
-      emit_(std::move(emit)),
-      outDir_(std::move(out_dir))
+      emit_(std::move(emit))
 {
 }
 

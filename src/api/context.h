@@ -14,7 +14,6 @@
 #ifndef ROWPRESS_API_CONTEXT_H
 #define ROWPRESS_API_CONTEXT_H
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -48,20 +47,12 @@ class ExperimentContext
      */
     ExperimentContext(ExperimentInfo info, Config config,
                       core::ExperimentEngine &engine,
-                      JobEventEmitter emit,
-                      std::filesystem::path out_dir = "artifacts");
+                      JobEventEmitter emit);
 
     const ExperimentInfo &info() const { return info_; }
     Config &config() { return config_; }
     const Config &config() const { return config_; }
     core::ExperimentEngine &engine() { return engine_; }
-
-    /**
-     * The artifact directory of this run (`--out`).  Experiments that
-     * write format-independent artifacts (the perf.* benchmarks'
-     * BENCH_*.json files) place them here.
-     */
-    const std::filesystem::path &outDir() const { return outDir_; }
 
     // ---- configuration conveniences ---------------------------------
 
@@ -135,7 +126,6 @@ class ExperimentContext
     Config config_;
     core::ExperimentEngine &engine_;
     JobEventEmitter emit_;
-    std::filesystem::path outDir_;
 };
 
 } // namespace rp::api

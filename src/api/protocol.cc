@@ -512,8 +512,6 @@ experimentListJson(const std::vector<std::string> &patterns)
             o.add("default", JsonValue::string(spec.defaultValue));
             if (!spec.envVar.empty())
                 o.add("env", JsonValue::string(spec.envVar));
-            if (!spec.envVarLegacy.empty())
-                o.add("env_legacy", JsonValue::string(spec.envVarLegacy));
             o.add("help", JsonValue::string(spec.help));
             if (spec.hasMin)
                 o.add("min", JsonValue::number(spec.minValue));

@@ -852,8 +852,7 @@ Service::runAttempt(Job &job, JobState *final_state,
             exp.info, job.config, engine,
             [this, &job](JobEvent &&event) {
                 dispatch(job, std::move(event));
-            },
-            job.req.outDir);
+            });
 
         exp.run(ctx);
     } catch (const core::CancelledError &) {

@@ -106,8 +106,14 @@ TEST(ApiCli, FlagRejectionPrecedesAnyRun)
 TEST(ApiCli, UnknownCommandAndExperimentExitCode2)
 {
     EXPECT_EQ(cli({"frobnicate"}), 2);
+    EXPECT_EQ(cli({"bench"}), 2);
     EXPECT_EQ(cli({"run", "zzz_does_not_exist"}), 2);
     EXPECT_EQ(cli({"run"}), 2);
+    // The usage text advertises only commands cliMain accepts.
+    std::string text;
+    ASSERT_EQ(cli({"help"}, &text), 0);
+    EXPECT_NE(text.find("  run "), std::string::npos);
+    EXPECT_EQ(text.find("  bench"), std::string::npos);
 }
 
 TEST(ApiCli, UnknownFlagRejectedWithExitCode2)
@@ -134,6 +140,16 @@ TEST(ApiCli, RunExecutesAndReportsCompletion)
     EXPECT_NE(text.find("dummy note"), std::string::npos);
     EXPECT_NE(text.find("[rowpress] zzztest_a completed"),
               std::string::npos);
+}
+
+TEST(ApiCli, TimeFlagPrintsElapsedLine)
+{
+    std::string text;
+    ASSERT_EQ(cli({"run", "zzztest_b", "--threads", "1", "--time"}, &text),
+              0);
+    EXPECT_NE(text.find("elapsed: "), std::string::npos);
+    ASSERT_EQ(cli({"run", "zzztest_b", "--threads", "1"}, &text), 0);
+    EXPECT_EQ(text.find("elapsed: "), std::string::npos);
 }
 
 TEST(ApiCli, GlobRunsBothDummies)

@@ -100,49 +100,6 @@ TEST(ApiConfig, CliBeatsEnvRegardlessOfOrder)
     }
 }
 
-TEST(ApiConfig, LegacyEnvAliasConsultedOnlyWhenPrimaryUnset)
-{
-    // --seed's RP_SEED has the deprecated ROWPRESS_SEED spelling as
-    // envVarLegacy; model the same shape with test variables.
-    ConfigSchema schema;
-    schema.add({"seed", OptionType::Int, "1", "RP_TEST_SEED",
-                "root seed", 0.0, true, "RP_TEST_SEED_LEGACY"});
-    {
-        ScopedEnv legacy("RP_TEST_SEED_LEGACY", "9");
-        Config cfg{schema};
-        cfg.loadEnv();
-        EXPECT_EQ(cfg.getInt("seed"), 9);
-        EXPECT_EQ(cfg.origin("seed"), ConfigLayer::Env);
-    }
-    {
-        ScopedEnv primary("RP_TEST_SEED", "5");
-        ScopedEnv legacy("RP_TEST_SEED_LEGACY", "9");
-        Config cfg{schema};
-        cfg.loadEnv();
-        EXPECT_EQ(cfg.getInt("seed"), 5); // primary wins
-    }
-    {
-        // A bad value is reported under the variable actually used.
-        ScopedEnv legacy("RP_TEST_SEED_LEGACY", "nope");
-        Config cfg{schema};
-        try {
-            cfg.loadEnv();
-            FAIL() << "expected ConfigError";
-        } catch (const ConfigError &e) {
-            EXPECT_NE(std::string(e.what()).find("RP_TEST_SEED_LEGACY"),
-                      std::string::npos);
-        }
-    }
-    {
-        // CLI still beats either env spelling.
-        ScopedEnv legacy("RP_TEST_SEED_LEGACY", "9");
-        Config cfg{schema};
-        cfg.set("seed", "3", ConfigLayer::Cli);
-        cfg.loadEnv();
-        EXPECT_EQ(cfg.getInt("seed"), 3);
-    }
-}
-
 TEST(ApiConfig, UnknownKeyRejected)
 {
     Config cfg{testSchema()};
@@ -245,7 +202,17 @@ TEST(ApiContext, BaseSchemaHasLegacyEnvAliases)
     ASSERT_NE(schema.find("scale"), nullptr);
     EXPECT_EQ(schema.find("scale")->envVar, "ROWPRESS_BENCH_SCALE");
     ASSERT_NE(schema.find("seed"), nullptr);
+    EXPECT_EQ(schema.find("seed")->envVar, "RP_SEED");
     ASSERT_NE(schema.find("dies"), nullptr);
+    {
+        // The retired ROWPRESS_SEED spelling is no longer read.
+        ScopedEnv primary("RP_SEED", nullptr);
+        ScopedEnv retired("ROWPRESS_SEED", "9");
+        Config cfg{schema};
+        cfg.loadEnv();
+        EXPECT_EQ(cfg.getInt("seed"), 1);
+        EXPECT_EQ(cfg.origin("seed"), ConfigLayer::Default);
+    }
 }
 
 } // namespace

@@ -255,9 +255,10 @@ class PersistChaos : public ::testing::Test
         EXPECT_EQ(into->stats().candidateRows, 0u);
         EXPECT_EQ(into->stats().wordMaskRows, 0u);
         // inspectSnapshot agrees, without throwing.
-        if (inspect_detects)
+        if (inspect_detects) {
             EXPECT_FALSE(
                 inspectSnapshot(blob.data(), blob.size()).valid);
+        }
     }
 
     std::shared_ptr<const ThresholdStore> store_;

@@ -17,8 +17,8 @@ D1  No wall-clock / ambient-randomness calls (rand, random,
     std::random_device, time(), gettimeofday,
     std::chrono::*_clock::now) outside the allowlist.  Seeded hashes
     (common/rng.h) are the only sanctioned randomness; wall-clock time
-    is allowed only where it never reaches a result (bench timing,
-    deadline monitor, retry backoff).
+    is allowed only where it never reaches a result (deadline monitor,
+    retry backoff).
 D2  No iteration over std::unordered_map/std::unordered_set in a file
     that emits datasets/artifacts (contains `.emit(` / `dataset(`):
     hash-order leaks straight into result rows.  Iterate a sorted
@@ -62,8 +62,6 @@ D1_ALLOWLIST = {
     "src/api/service.cc":
         "job deadlines, retry backoff, elapsed-ms metadata: wall "
         "clock feeds scheduling and status only, never result rows",
-    "bench/bench_perf.cc":
-        "benchmark timing is the measurement itself",
 }
 
 D1_PATTERNS = [
