@@ -88,18 +88,4 @@ envInt(const char *name, int def, long long min_value)
     return int(parsed);
 }
 
-double
-envDouble(const char *name, double def, double min_value)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return def;
-    const double parsed = parseDouble(v, name);
-    if (parsed < min_value)
-        throw ConfigError(std::string(name) + ": value " +
-                          std::to_string(parsed) + " is below the "
-                          "minimum of " + std::to_string(min_value));
-    return parsed;
-}
-
 } // namespace rp::api

@@ -44,9 +44,6 @@ bool parseBool(const std::string &text, const std::string &what);
  */
 int envInt(const char *name, int def, long long min_value = 0);
 
-/** Floating-point counterpart of envInt. */
-double envDouble(const char *name, double def, double min_value = 0.0);
-
 } // namespace rp::api
 
 #endif // ROWPRESS_API_ENV_H

@@ -162,20 +162,6 @@ runPressAttemptOn(bender::TestPlatform &platform,
     return res;
 }
 
-AttemptResult
-runOnOffAttempt(bender::TestPlatform &platform, const RowLayout &layout,
-                DataPattern pattern, Time t_agg_on, Time t_agg_off,
-                std::uint64_t total_acts, bool full_scan)
-{
-    initLayout(platform, layout, pattern);
-    auto program = makeOnOffProgram(layout, t_agg_on, t_agg_off,
-                                    total_acts, platform.timing());
-    const Time elapsed = platform.run(program);
-    AttemptResult res;
-    collectVictims(platform, layout, full_scan, elapsed, res);
-    return res;
-}
-
 AcminResult
 findAcmin(bender::TestPlatform &platform, const RowLayout &layout,
           DataPattern pattern, Time t_agg_on, const SearchConfig &cfg)

@@ -74,13 +74,6 @@ AttemptResult runPressAttemptOn(bender::TestPlatform &platform,
                                 std::uint64_t total_acts,
                                 const std::vector<int> &victims);
 
-/** Same, for the RowPress-ONOFF pattern (section 5.4). */
-AttemptResult runOnOffAttempt(bender::TestPlatform &platform,
-                              const RowLayout &layout, DataPattern pattern,
-                              Time t_agg_on, Time t_agg_off,
-                              std::uint64_t total_acts,
-                              bool full_scan = false);
-
 /** Search configuration (paper defaults). */
 struct SearchConfig
 {

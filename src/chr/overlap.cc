@@ -187,39 +187,6 @@ overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
 }
 
 std::vector<OverlapResult>
-overlapAtMaxAc(Module &module, const std::vector<Time> &t_agg_ons,
-               AccessKind kind)
-{
-    const Time t_rh = module.platform().timing().tRAS;
-
-    auto flips_at_max = [&](Time t) {
-        std::vector<VictimFlip> flips;
-        for (int i = 0; i < int(module.baseRows().size()); ++i) {
-            auto attempt = maxActivationAttempt(
-                module, i, kind, DataPattern::CheckerBoard, t);
-            flips.insert(flips.end(), attempt.flips.begin(),
-                         attempt.flips.end());
-        }
-        return flips;
-    };
-
-    auto rh_ids = flipIdSet(flips_at_max(t_rh));
-    auto ret_ids = flipIdSet(retentionFailures(module, 4.0, 80.0));
-
-    std::vector<OverlapResult> results;
-    for (Time t : t_agg_ons) {
-        auto rp_ids = flipIdSet(flips_at_max(t));
-        OverlapResult r;
-        r.tAggOn = t;
-        r.rpCells = rp_ids.size();
-        r.withRowHammer = overlapFraction(rp_ids, rh_ids);
-        r.withRetention = overlapFraction(rp_ids, ret_ids);
-        results.push_back(r);
-    }
-    return results;
-}
-
-std::vector<OverlapResult>
 overlapAtMaxAc(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const std::vector<Time> &t_agg_ons, AccessKind kind)
 {

@@ -49,13 +49,9 @@ overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
 
 /**
  * Overlap at maximum activation count (Fig. 11): same comparison with
- * all patterns driven as hard as the 60 ms budget allows.
+ * all patterns driven as hard as the 60 ms budget allows, every
+ * (tAggON, location) point as an engine task.
  */
-std::vector<OverlapResult>
-overlapAtMaxAc(Module &module, const std::vector<Time> &t_agg_ons,
-               AccessKind kind);
-
-/** Engine-parallel form of overlapAtMaxAc. */
 std::vector<OverlapResult>
 overlapAtMaxAc(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const std::vector<Time> &t_agg_ons, AccessKind kind);

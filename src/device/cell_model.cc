@@ -168,22 +168,6 @@ CellModel::cellProps(int bank, int row, int bit) const
     return computeCellProps(params_, seed_, bank, row, bit);
 }
 
-bool
-CellModel::isAnti(int bank, int row, int bit) const
-{
-    HashRng cell(hashU64(seed_, std::uint64_t(bank), std::uint64_t(row),
-                         std::uint64_t(bit)));
-    return cell.uniform(celltags::TAG_ANTI) < params_.antiFraction;
-}
-
-int
-CellModel::dominantSide(int bank, int row, int bit) const
-{
-    HashRng cell(hashU64(seed_, std::uint64_t(bank), std::uint64_t(row),
-                         std::uint64_t(bit)));
-    return cell.uniform(celltags::TAG_DOM) < 0.5 ? 0 : 1;
-}
-
 double
 CellModel::thetaHammer(int bank, int row, int bit) const
 {
@@ -194,18 +178,6 @@ double
 CellModel::thetaPress(int bank, int row, int bit) const
 {
     return cellProps(bank, row, bit).thetaP;
-}
-
-double
-CellModel::tauRetention(int bank, int row, int bit) const
-{
-    return cellProps(bank, row, bit).tauRet;
-}
-
-double
-CellModel::retentionQuantile(double u) const
-{
-    return std::exp(params_.muRet + params_.sigmaRet * probit(u));
 }
 
 const RowCandidates &

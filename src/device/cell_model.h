@@ -56,17 +56,6 @@ enum class Mechanism
     Retention,
 };
 
-constexpr const char *
-mechanismName(Mechanism m)
-{
-    switch (m) {
-      case Mechanism::RowHammer: return "RowHammer";
-      case Mechanism::RowPress: return "RowPress";
-      case Mechanism::Retention: return "Retention";
-    }
-    return "?";
-}
-
 /**
  * Disturbance accumulated by one victim row since its charge was last
  * restored (by refresh, by its own activation, or by a write).
@@ -177,14 +166,8 @@ class CellModel
 
     // --- per-cell properties (deterministic in (seed,bank,row,bit)) ---
 
-    bool isAnti(int bank, int row, int bit) const;
-    int dominantSide(int bank, int row, int bit) const;
     double thetaHammer(int bank, int row, int bit) const;
     double thetaPress(int bank, int row, int bit) const;
-    double tauRetention(int bank, int row, int bit) const;
-
-    /** Retention-time quantile function (seconds at 80C). */
-    double retentionQuantile(double u) const;
 
     // --- evaluation ---
 

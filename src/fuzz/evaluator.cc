@@ -4,10 +4,9 @@
 #include <memory>
 #include <unordered_map>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "mitigation/defaults.h"
-#include "sys/trr.h"
+#include "mitigation/trr.h"
 
 namespace rp::fuzz {
 
@@ -35,18 +34,6 @@ allMitigationKinds()
     return all;
 }
 
-MitigationKind
-mitigationKindByName(const std::string &name)
-{
-    for (auto kind : allMitigationKinds()) {
-        if (name == mitigationKindName(kind))
-            return kind;
-    }
-    fatal("unknown mitigation '%s' (expected none|trr|graphene|para)",
-          name.c_str());
-    return MitigationKind::None;
-}
-
 bool
 betterScore(const Score &a, const Score &b)
 {
@@ -67,13 +54,37 @@ namespace {
 using RefreshSchedule =
     std::unordered_map<std::uint64_t, std::vector<int>>;
 
+/** A fresh mechanism of @p kind for one evaluation (null for None). */
+std::unique_ptr<mitigation::Mitigation>
+makeMitigation(const EvalConfig &cfg, MitigationKind kind,
+               const PatternSpec &spec)
+{
+    switch (kind) {
+      case MitigationKind::None:
+        return nullptr;
+      case MitigationKind::Trr:
+        return std::make_unique<mitigation::Trr>();
+      case MitigationKind::Graphene:
+        return std::make_unique<mitigation::Graphene>(
+            mitigation::standardGrapheneFor(cfg.trh));
+      case MitigationKind::Para:
+        // The draw stream is keyed to (module seed, genome), so each
+        // candidate's evaluation is self-contained and reproducible.
+        return std::make_unique<mitigation::Para>(mitigation::paraFor(
+            cfg.trh, hashU64(cfg.module.seed, spec.hash(),
+                             0x50415241ULL /* "PARA" */)));
+    }
+    return nullptr;
+}
+
 /**
  * Feed the genome's act stream to the configured mitigation model and
  * collect the victim rows it wants refreshed, keyed by the pattern
  * period the request fell in.  Wall time is tracked analytically
- * (chr::pressActPeriod per activation) for the TRR REF schedule and
- * the Graphene reset window; everything here is a pure function of
- * (cfg, kind, spec), so the schedule is identical on every thread.
+ * (chr::pressActPeriod per activation) for the REF schedule (every
+ * tREFI) and the refresh window (every 64 ms); everything here is a
+ * pure function of (cfg, kind, spec), so the schedule is identical on
+ * every thread.
  */
 RefreshSchedule
 simulateMitigation(const EvalConfig &cfg, MitigationKind kind,
@@ -82,23 +93,9 @@ simulateMitigation(const EvalConfig &cfg, MitigationKind kind,
                    std::uint64_t total_periods)
 {
     RefreshSchedule schedule;
-    if (kind == MitigationKind::None)
+    const auto mit = makeMitigation(cfg, kind, spec);
+    if (!mit)
         return schedule;
-
-    std::unique_ptr<mitigation::Mitigation> mit;
-    if (kind == MitigationKind::Graphene) {
-        mit = std::make_unique<mitigation::Graphene>(
-            mitigation::standardGrapheneFor(cfg.trh));
-    } else if (kind == MitigationKind::Para) {
-        // The draw stream is keyed to (module seed, genome), so each
-        // candidate's evaluation is self-contained and reproducible.
-        auto pcfg = mitigation::paraFor(
-            cfg.trh, hashU64(cfg.module.seed, spec.hash(),
-                             0x50415241ULL /* "PARA" */));
-        mit = std::make_unique<mitigation::Para>(pcfg);
-    }
-    sys::TrrEngine trr;
-    const bool use_trr = kind == MitigationKind::Trr;
 
     const auto acts = periodActs(spec);
     Time cursor = 0;
@@ -107,20 +104,13 @@ simulateMitigation(const EvalConfig &cfg, MitigationKind kind,
     std::vector<int> victims;
     for (std::uint64_t p = 0; p < total_periods; ++p) {
         for (const auto &[row, t_on] : acts) {
-            if (mit)
-                mit->onActivate(spec.bank, row, victims);
-            if (use_trr)
-                trr.onActivate(row);
+            mit->onActivate(spec.bank, row, victims);
             cursor += chr::pressActPeriod(t_on, timing, cmd_gap);
-            while (use_trr && cursor >= next_ref) {
-                auto v = trr.onRefresh();
-                victims.insert(victims.end(), v.begin(), v.end());
-                next_ref += timing.tREFI;
-            }
-            while (mit && cursor >= next_window) {
+            for (; cursor >= next_ref; next_ref += timing.tREFI)
+                mit->onRefresh(spec.bank, victims);
+            for (; cursor >= next_window;
+                 next_window += mitigation::kGrapheneResetWindow)
                 mit->onRefreshWindow();
-                next_window += mitigation::kGrapheneResetWindow;
-            }
         }
         if (!victims.empty()) {
             schedule[p] = std::move(victims);

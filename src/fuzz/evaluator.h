@@ -50,9 +50,6 @@ const char *mitigationKindName(MitigationKind kind);
 /** All kinds, in bypass-matrix presentation order. */
 const std::vector<MitigationKind> &allMitigationKinds();
 
-/** mitigationKindName's inverse; fatal()s on a miss. */
-MitigationKind mitigationKindByName(const std::string &name);
-
 /** Evaluation parameters shared by every trial of a search. */
 struct EvalConfig
 {

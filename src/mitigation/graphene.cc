@@ -20,7 +20,6 @@ Graphene::Graphene(GrapheneConfig cfg) : cfg_(cfg)
     tables_.resize(std::size_t(cfg_.banks));
     for (auto &t : tables_)
         t.resize(std::size_t(cfg_.tableEntries));
-    spill_.resize(std::size_t(cfg_.banks), 0);
 }
 
 void
@@ -68,7 +67,6 @@ Graphene::onRefreshWindow()
         for (auto &e : table)
             e = Entry{};
     }
-    std::fill(spill_.begin(), spill_.end(), 0u);
 }
 
 } // namespace rp::mitigation

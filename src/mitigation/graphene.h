@@ -11,8 +11,6 @@
 #ifndef ROWPRESS_MITIGATION_GRAPHENE_H
 #define ROWPRESS_MITIGATION_GRAPHENE_H
 
-#include <unordered_map>
-
 #include "common/units.h"
 #include "mitigation/mitigation.h"
 
@@ -60,7 +58,6 @@ class Graphene : public Mitigation
 
     GrapheneConfig cfg_;
     std::vector<std::vector<Entry>> tables_; ///< Per bank.
-    std::vector<std::uint32_t> spill_;       ///< Per-bank spill counter.
 };
 
 } // namespace rp::mitigation

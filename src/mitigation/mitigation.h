@@ -1,12 +1,13 @@
 /**
  * @file
- * Read-disturbance mitigation interface used by the performance
- * simulator's memory controller (paper section 7).
+ * Read-disturbance mitigation interface: the one way every memory
+ * controller model (sys::MemCtrl, sim::Controller) and the fuzz
+ * pre-simulation drive a mitigation (paper sections 6 and 7).
  *
- * A mitigation observes every row activation and may request
- * *preventive refreshes* of potential victim rows; the controller
- * models their cost (the bank is busy for one row cycle per refreshed
- * row).
+ * A mitigation observes every row activation and every per-bank REF,
+ * and may request *preventive refreshes* of potential victim rows at
+ * either; the host decides what a refresh costs (sim::Controller
+ * charges one row cycle per refreshed row).
  */
 
 #ifndef ROWPRESS_MITIGATION_MITIGATION_H
@@ -18,7 +19,7 @@
 
 namespace rp::mitigation {
 
-/** Base class for activation-triggered mitigation mechanisms. */
+/** Base class for activation- and refresh-triggered mechanisms. */
 class Mitigation
 {
   public:
@@ -32,6 +33,17 @@ class Mitigation
      */
     virtual void onActivate(int flat_bank, int row,
                             std::vector<int> &victims) = 0;
+
+    /**
+     * A REF command reached @p flat_bank; append any victim rows to
+     * refresh alongside it to @p victims (in-DRAM TRR's hook).
+     */
+    virtual void
+    onRefresh(int flat_bank, std::vector<int> &victims)
+    {
+        (void)flat_bank;
+        (void)victims;
+    }
 
     /** Called at every refresh-window (tREFW) boundary. */
     virtual void onRefreshWindow() {}

@@ -16,18 +16,20 @@
  *    slot and a REF lands in the middle of it (Obsv. 21);
  *  - a small Misra-Gries counter table that catches rows hammered at a
  *    sustained high rate even if they dodge the recency sampler.
+ *
+ * Each bank has its own sampler; victims are only ever returned from
+ * the REF hook, never at activation time.
  */
 
-#ifndef ROWPRESS_SYS_TRR_H
-#define ROWPRESS_SYS_TRR_H
+#ifndef ROWPRESS_MITIGATION_TRR_H
+#define ROWPRESS_MITIGATION_TRR_H
 
-#include <cstdint>
-#include <vector>
+#include "mitigation/mitigation.h"
 
-namespace rp::sys {
+namespace rp::mitigation {
 
-/** Sampler-based in-DRAM TRR engine for one bank. */
-class TrrEngine
+/** Sampler-based in-DRAM TRR, one sampler per bank. */
+class Trr : public Mitigation
 {
   public:
     struct Config
@@ -39,21 +41,21 @@ class TrrEngine
         std::uint32_t actThreshold = 48;
     };
 
-    TrrEngine();
-    explicit TrrEngine(Config cfg);
+    Trr() : Trr(Config{}) {}
+    explicit Trr(Config cfg) : cfg_(cfg) {}
 
-    /** Observe an activation (called by the DRAM chip on every ACT). */
-    void onActivate(int row);
+    std::string name() const override { return "TRR"; }
+
+    /** Observe an activation; TRR never refreshes at ACT time. */
+    void onActivate(int flat_bank, int row,
+                    std::vector<int> &victims) override;
 
     /**
-     * A REF command arrived: return the victim rows to refresh (the
-     * neighbors of the recency-sampled rows, plus the neighbors of any
-     * counter-table candidate past the threshold).
+     * A REF reached @p flat_bank: append the neighbors of its
+     * recency-sampled rows, plus those of the counter-table candidate
+     * past the threshold, sorted and deduplicated.
      */
-    std::vector<int> onRefresh();
-
-    /** Number of REFs that performed at least one victim refresh. */
-    std::uint64_t targetedRefreshes() const { return targeted_; }
+    void onRefresh(int flat_bank, std::vector<int> &victims) override;
 
   private:
     struct Entry
@@ -62,14 +64,20 @@ class TrrEngine
         std::uint32_t count = 0;
     };
 
+    /** One bank's sampler state. */
+    struct Sampler
+    {
+        std::vector<Entry> table;
+        std::vector<int> recent; ///< Most recent distinct rows, newest first.
+    };
+
     void appendNeighbors(int row, std::vector<int> &out) const;
 
     Config cfg_;
-    std::vector<Entry> table_;
-    std::vector<int> recent_;   ///< Most recent distinct rows, newest first.
-    std::uint64_t targeted_ = 0;
+    /** Indexed by flat bank; a bank's sampler starts at its first ACT. */
+    std::vector<Sampler> banks_;
 };
 
-} // namespace rp::sys
+} // namespace rp::mitigation
 
-#endif // ROWPRESS_SYS_TRR_H
+#endif // ROWPRESS_MITIGATION_TRR_H

@@ -64,12 +64,18 @@ Controller::issueAct(BankState &bs, int flat_bank, int row, Time at,
         return;
     }
     if (cfg_.mitigation) {
-        std::vector<int> victims;
-        cfg_.mitigation->onActivate(flat_bank, row, victims);
-        for (int v : victims) {
-            if (v >= 0 && v < cfg_.org.rows)
-                bs.victimQueue.push_back(v);
-        }
+        victims_.clear();
+        cfg_.mitigation->onActivate(flat_bank, row, victims_);
+        queueVictims(bs);
+    }
+}
+
+void
+Controller::queueVictims(BankState &bs)
+{
+    for (int v : victims_) {
+        if (v >= 0 && v < cfg_.org.rows)
+            bs.victimQueue.push_back(v);
     }
 }
 
@@ -109,8 +115,15 @@ Controller::tickRefresh(Time now)
         if (!all_closed || ref_ready > now)
             return true; // waiting on PRE/tRP; rank blocked.
 
-        for (int b = base; b < base + cfg_.org.banksPerRank(); ++b)
-            banks_[std::size_t(b)].bank.ref(now);
+        for (int b = base; b < base + cfg_.org.banksPerRank(); ++b) {
+            auto &bs = banks_[std::size_t(b)];
+            bs.bank.ref(now);
+            if (cfg_.mitigation) {
+                victims_.clear();
+                cfg_.mitigation->onRefresh(b, victims_);
+                queueVictims(bs);
+            }
+        }
         ++stats_.refreshes;
         rank.refPending = false;
         rank.nextRef += cfg_.timing.tREFI;

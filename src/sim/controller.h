@@ -3,7 +3,7 @@
  * Trace-driven DDR4 memory controller for the mitigation evaluation
  * (paper section 7 / Appendix D): FR-FCFS scheduling, open-row /
  * capped / minimally-open row policies (t_mro), rank-level refresh,
- * and activation-triggered mitigation hooks with modeled
+ * and ACT- and REF-triggered mitigation hooks with modeled
  * preventive-refresh cost.
  */
 
@@ -123,6 +123,8 @@ class Controller
     bool tickMro(Time now);
     bool tickQueue(std::deque<Request> &queue, Time now);
     void recordAct(int flat_bank, int row);
+    /** Queue the in-range rows of victims_ for preventive refresh. */
+    void queueVictims(BankState &bs);
     void issueAct(BankState &bs, int flat_bank, int row, Time at,
                   bool preventive);
 
@@ -135,6 +137,7 @@ class Controller
     std::deque<Request> writeQ_;
     bool drainingWrites_ = false;
     Time nextRefWindow_ = 0;
+    std::vector<int> victims_; ///< Reused victim buffer of the hooks.
 
     std::unordered_map<std::uint64_t, std::uint64_t> rowActs_;
 };

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "dram/timing.h"
+#include "mitigation/trr.h"
 #include "sys/cache.h"
 
 namespace rp::sys {
@@ -40,8 +41,9 @@ runDemo(const DemoConfig &cfg)
                       cfg.seed);
     chip.setTemperature(cfg.temperatureC);
 
+    mitigation::Trr trr;
     MemCtrl::Config mc_cfg;
-    mc_cfg.trrEnabled = cfg.trrEnabled;
+    mc_cfg.mitigation = &trr;
     MemCtrl mc(chip, mc_cfg);
     CacheModel cache;
 
@@ -157,7 +159,9 @@ rowOpenLatencyProbe(int trials, double cpu_ghz, std::uint64_t seed)
     dram::Organization org;
     device::Chip chip(device::dieById("S-8Gb-C"), org, dram::ddr4_2400(),
                       seed);
+    mitigation::Trr trr;
     MemCtrl::Config mc_cfg;
+    mc_cfg.mitigation = &trr;
     MemCtrl mc(chip, mc_cfg);
     Rng rng(seed);
 

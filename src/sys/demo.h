@@ -35,7 +35,6 @@ struct DemoConfig
 
     /** Algorithm 2: flush each block right after reading it. */
     bool interleavedFlush = false;
-    bool trrEnabled = true;
     bool syncWithRefresh = true;
 
     // Core-side timing.  The effective per-read row-open contribution

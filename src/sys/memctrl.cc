@@ -7,18 +7,8 @@ namespace rp::sys {
 MemCtrl::MemCtrl(device::Chip &chip, Config cfg)
     : chip_(chip), cfg_(cfg)
 {
-    trr_.resize(std::size_t(chip_.org().totalBanks()),
-                TrrEngine(cfg_.trr));
     nextRef_ = chip_.timing().tREFI;
-}
-
-std::uint64_t
-MemCtrl::targetedRefreshes() const
-{
-    std::uint64_t total = 0;
-    for (const auto &t : trr_)
-        total += t.targetedRefreshes();
-    return total;
+    nextWindow_ = chip_.timing().tREFW;
 }
 
 void
@@ -32,7 +22,6 @@ MemCtrl::trackRow(int bank, int row)
 void
 MemCtrl::recordInterval(int bank, const dram::Bank::OpenInterval &iv)
 {
-    openTimeSum_ += iv.onTime();
     ++pres_;
     const std::uint64_t key = device::packRowKey(bank, iv.row);
     if (std::find(tracked_.begin(), tracked_.end(), key) != tracked_.end()) {
@@ -57,6 +46,15 @@ MemCtrl::closeOpenRows(Time t)
 }
 
 void
+MemCtrl::refreshVictims(int bank, Time t)
+{
+    for (int victim : victims_) {
+        if (victim >= 0 && victim < chip_.org().rows)
+            chip_.refreshRow(bank, victim, t);
+    }
+}
+
+void
 MemCtrl::doRefresh(Time t)
 {
     closeOpenRows(t);
@@ -68,21 +66,26 @@ MemCtrl::doRefresh(Time t)
     now_ = ref_at + chip_.timing().tRFC;
     ++refs_;
 
-    if (cfg_.trrEnabled) {
-        // TRR piggybacks victim refreshes on the REF.
-        for (int b = 0; b < chip_.org().totalBanks(); ++b) {
-            for (int victim : trr_[std::size_t(b)].onRefresh()) {
-                if (victim >= 0 && victim < chip_.org().rows)
-                    chip_.refreshRow(b, victim, now_);
-            }
-        }
+    if (!cfg_.mitigation)
+        return;
+    // The mitigation piggybacks victim refreshes on each bank's REF.
+    for (int b = 0; b < chip_.org().totalBanks(); ++b) {
+        victims_.clear();
+        cfg_.mitigation->onRefresh(b, victims_);
+        if (!victims_.empty())
+            ++targeted_;
+        refreshVictims(b, now_);
+    }
+    if (t >= nextWindow_) {
+        cfg_.mitigation->onRefreshWindow();
+        nextWindow_ += chip_.timing().tREFW;
     }
 }
 
 void
 MemCtrl::advanceTo(Time t)
 {
-    while (cfg_.autoRefresh && nextRef_ <= t) {
+    while (nextRef_ <= t) {
         doRefresh(nextRef_);
         nextRef_ += chip_.timing().tREFI;
     }
@@ -106,8 +109,11 @@ MemCtrl::readBlock(int bank, int row, int column, Time arrive)
         const Time act_at = std::max(t, bk.earliest(dram::Command::ACT));
         chip_.act(bank, row, act_at);
         ++acts_;
-        if (cfg_.trrEnabled)
-            trr_[std::size_t(bank)].onActivate(row);
+        if (cfg_.mitigation) {
+            victims_.clear();
+            cfg_.mitigation->onActivate(bank, row, victims_);
+            refreshVictims(bank, act_at);
+        }
         t = act_at;
     }
     const Time rd_at = std::max(t + cfg_.columnOverhead,

@@ -5,8 +5,9 @@
  * Models the behaviour the paper verifies in section 6.3: the
  * controller keeps a DRAM row open while requests keep hitting it, so
  * a program that reads many cache blocks of the same row stretches the
- * aggressor's tAggON.  Auto-refresh fires every tREFI and drives the
- * in-DRAM TRR engine.
+ * aggressor's tAggON.  Auto-refresh fires every tREFI; an optional
+ * mitigation (the demo's in-DRAM TRR) sees every ACT and every bank's
+ * REF, and the victims it returns are refreshed on the spot.
  */
 
 #ifndef ROWPRESS_SYS_MEMCTRL_H
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "device/chip.h"
-#include "sys/trr.h"
+#include "mitigation/mitigation.h"
 
 namespace rp::sys {
 
@@ -26,9 +27,8 @@ class MemCtrl
   public:
     struct Config
     {
-        bool autoRefresh = true;
-        bool trrEnabled = true;
-        TrrEngine::Config trr;
+        /** Optional mitigation (not owned). */
+        mitigation::Mitigation *mitigation = nullptr;
         /** Extra on-die queuing/arbitration cost per column access. */
         Time columnOverhead = 4 * units::NS;
     };
@@ -41,16 +41,14 @@ class MemCtrl
     std::uint64_t refreshesIssued() const { return refs_; }
     std::uint64_t activates() const { return acts_; }
     std::uint64_t precharges() const { return pres_; }
-    /** Cumulative row-open time across all precharged intervals. */
-    Time openTimeSum() const { return openTimeSum_; }
 
     /** Track a row's open intervals (e.g., the demo's aggressors). */
     void trackRow(int bank, int row);
     Time trackedOpenTime() const { return trackedOpenTime_; }
     std::uint64_t trackedPrecharges() const { return trackedPres_; }
 
-    /** Total targeted (TRR) refreshes across banks. */
-    std::uint64_t targetedRefreshes() const;
+    /** Per-bank REFs whose mitigation hook returned any victim. */
+    std::uint64_t targetedRefreshes() const { return targeted_; }
 
     /**
      * Serve a cache-block read arriving at @p arrive; returns the
@@ -65,16 +63,19 @@ class MemCtrl
   private:
     void doRefresh(Time t);
     void closeOpenRows(Time t);
+    /** Refresh the in-range rows of victims_ in @p bank. */
+    void refreshVictims(int bank, Time t);
 
     device::Chip &chip_;
     Config cfg_;
-    std::vector<TrrEngine> trr_;
     Time now_ = 0;
     Time nextRef_ = 0;
+    Time nextWindow_ = 0;
     std::uint64_t refs_ = 0;
     std::uint64_t acts_ = 0;
     std::uint64_t pres_ = 0;
-    Time openTimeSum_ = 0;
+    std::uint64_t targeted_ = 0;
+    std::vector<int> victims_; ///< Reused victim buffer of the hooks.
     /** device::packRowKey of each tracked row (a handful per demo). */
     std::vector<std::uint64_t> tracked_;
     Time trackedOpenTime_ = 0;

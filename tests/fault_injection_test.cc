@@ -604,7 +604,7 @@ class TcpClient
 #endif
     }
 
-    /** False on EOF or timeout. */
+    /** False on EOF (which sets sawEof_) or timeout. */
     bool
     readLine(std::string &out, int timeout_ms = 20000)
     {
@@ -622,6 +622,7 @@ class TcpClient
                 return false;
             char tmp[4096];
             const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
+            sawEof_ = n == 0;
             if (n <= 0)
                 return false;
             buf_.append(tmp, std::size_t(n));
@@ -655,6 +656,7 @@ class TcpClient
 
     int fd_ = -1;
     std::string buf_;
+    bool sawEof_ = false;
 };
 
 struct ServerHandle
@@ -889,25 +891,28 @@ TEST(FaultTcp, IdleSessionTimesOutWithoutKillingItsJobs)
     Service service(Service::Options{/*workers=*/1});
     ServeOptions opts;
     opts.port = freePort();
-    opts.idleTimeoutMs = 200;
+    // The idle budget runs from accept: it needs headroom over
+    // scheduler jitter before the submit line arrives.
+    opts.idleTimeoutMs = 1000;
     std::ostringstream log;
     ServerHandle server = startServer(service, opts, log);
 
+    const std::string submit =
+        submitLine("zzflt_gate", tempDir("rp_flt_tcp_idle") / "gate");
     TcpClient idler;
     ASSERT_TRUE(idler.connectTo(opts.port));
-    const fs::path out = tempDir("rp_flt_tcp_idle");
-    idler.sendLine(submitLine("zzflt_gate", out / "gate"));
+    idler.sendLine(submit);
     JsonValue submitted;
     ASSERT_TRUE(idler.readResponse(submitted));
     const std::string job = submitted.find("job")->text;
     g_gate.waitEntered();
 
-    // Silent past the idle budget: the server disconnects us.
+    // Silent past the idle budget: the server disconnects us (event
+    // lines of the gated job may arrive first).
     std::string line;
-    bool eof = false;
-    for (int i = 0; i < 50 && !eof; ++i)
-        eof = !idler.readLine(line, 200);
-    EXPECT_TRUE(eof);
+    while (idler.readLine(line, 10000)) {
+    }
+    EXPECT_TRUE(idler.sawEof_);
     idler.closeNow();
 
     g_gate.open();

@@ -2,7 +2,8 @@
  * @file
  * Tests of the src/fuzz/ attack-pattern search engine: genome
  * compilation pinned byte-identical to the fixed paper patterns,
- * shared aggressor placement, per-operator mutation validity, search
+ * shared aggressor placement, per-operator mutation validity, every
+ * Score field pinned on fixed genomes against each mitigation, search
  * determinism at 1 vs 4 threads, the Graphene-bypass acceptance
  * property, and the fuzz.bypass_matrix CLI smoke path.
  */
@@ -249,6 +250,70 @@ TEST(FuzzEvaluator, ScoreOrderingIsLexicographic)
     EXPECT_TRUE(betterScore(cheap, costly)); // cost beats flip count
     EXPECT_FALSE(betterScore(none, cheap));
     EXPECT_FALSE(betterScore(cheap, cheap));
+}
+
+/** Every Score field of one evaluation, as recorded on a fixed genome. */
+struct PinnedScore
+{
+    MitigationKind kind;
+    bool flipped;
+    std::uint64_t minCostActs;
+    std::uint64_t flipCount;
+    int rowsCovered;
+    std::uint64_t totalActs;
+    std::uint64_t preventiveRefreshes;
+};
+
+void
+expectPinnedScores(const PatternSpec &spec, Time budget,
+                   const std::vector<PinnedScore> &pins)
+{
+    for (const PinnedScore &pin : pins) {
+        SCOPED_TRACE(mitigationKindName(pin.kind));
+        const Score s =
+            Evaluator(tinyEvalConfig(budget), pin.kind).evaluate(spec);
+        EXPECT_EQ(s.flipped, pin.flipped);
+        EXPECT_EQ(s.minCostActs, pin.minCostActs);
+        EXPECT_EQ(s.flipCount, pin.flipCount);
+        EXPECT_EQ(s.rowsCovered, pin.rowsCovered);
+        EXPECT_EQ(s.totalActs, pin.totalActs);
+        EXPECT_EQ(s.preventiveRefreshes, pin.preventiveRefreshes);
+    }
+}
+
+// Golden scores: any change to the evaluator, the platform, or a
+// mitigation model that moves one count shows up here.
+
+TEST(FuzzEvaluator, PinnedScoresOfDoubleSidedDeepDwell)
+{
+    // Flips unmitigated; TRR, Graphene and PARA each refresh it away.
+    constexpr std::uint64_t no_flip = Score::kNoFlip;
+    expectPinnedScores(
+        fixedDoubleSided(1, 64, /*dwell_idx=*/3), 30_ms,
+        {
+            {MitigationKind::None, true, 19342, 1, 1, 19342, 0},
+            {MitigationKind::Trr, false, no_flip, 0, 0, 19342, 26943},
+            {MitigationKind::Graphene, false, no_flip, 0, 0, 19342, 232},
+            {MitigationKind::Para, false, no_flip, 0, 0, 19342, 584},
+        });
+}
+
+TEST(FuzzEvaluator, PinnedScoresOfMultiSlotGenome)
+{
+    // Flips under every mitigation; TRR doubles its cost.
+    PatternSpec spec;
+    spec.dataPattern = chr::DataPattern::RowStripeI;
+    spec.slots = {{2, 8, 5, 3, 7}, {7, 2, 1, 4, 1}, {4, 2, 0, 4, 7}};
+    ASSERT_EQ(spec.key(),
+              "b1@64:RSI|o2.f8.p5.i3.d7|o7.f2.p1.i4.d1|o4.f2.p0.i4.d7");
+    expectPinnedScores(
+        spec, 30_ms,
+        {
+            {MitigationKind::None, true, 70, 263, 1, 175, 0},
+            {MitigationKind::Trr, true, 140, 1, 1, 175, 426},
+            {MitigationKind::Graphene, true, 70, 263, 1, 175, 0},
+            {MitigationKind::Para, true, 70, 263, 1, 175, 6},
+        });
 }
 
 TEST(FuzzSearch, RandomSearchDeterministicAcrossThreadCounts)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Ideal (exact) per-row activation tracker.
+ * Ideal (exact) per-row activation tracker, a test-only reference
+ * mechanism.
  *
  * Keeps one precise counter per activated row and preventively
  * refreshes neighbors every time a row crosses the threshold.  Not
@@ -9,14 +10,14 @@
  *
  *  - a security reference: any approximate tracker must refresh *no
  *    later* than the ideal tracker (Graphene's overestimate
- *    guarantee, checked in mitigation_test.cc);
+ *    guarantee, checked in ideal_mitigation_test.cc);
  *  - a lower bound on preventive-refresh overhead for a given
  *    (adapted) threshold, demonstrating that the section 7.4
  *    methodology applies to any activation-triggered mechanism.
  */
 
-#ifndef ROWPRESS_MITIGATION_IDEAL_H
-#define ROWPRESS_MITIGATION_IDEAL_H
+#ifndef ROWPRESS_TESTS_IDEAL_H
+#define ROWPRESS_TESTS_IDEAL_H
 
 #include <unordered_map>
 
@@ -74,4 +75,4 @@ class IdealCounter : public Mitigation
 
 } // namespace rp::mitigation
 
-#endif // ROWPRESS_MITIGATION_IDEAL_H
+#endif // ROWPRESS_TESTS_IDEAL_H

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ideal.h"
 #include "mitigation/graphene.h"
-#include "mitigation/ideal.h"
 
 namespace rp::mitigation {
 namespace {

@@ -2,15 +2,19 @@
  * @file
  * Mitigation tests: the section 7.4 adaptation methodology (threshold
  * derivation, security monotonicity), Graphene tracking guarantees,
- * and PARA's probabilistic behaviour.
+ * PARA's probabilistic behaviour, and in-DRAM TRR (recency sampling,
+ * counter table, dummy-row bypass, per-bank samplers).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "mitigation/adapter.h"
 #include "mitigation/defaults.h"
 #include "mitigation/graphene.h"
 #include "mitigation/para.h"
+#include "mitigation/trr.h"
 
 namespace rp::mitigation {
 namespace {
@@ -217,6 +221,102 @@ TEST(Para, VictimsAreAdjacentRows)
     }
     EXPECT_TRUE(minus);
     EXPECT_TRUE(plus);
+}
+
+bool
+contains(const std::vector<int> &rows, int row)
+{
+    return std::find(rows.begin(), rows.end(), row) != rows.end();
+}
+
+TEST(Trr, RecencySamplerCatchesLastActivatedRows)
+{
+    Trr trr;
+    std::vector<int> victims;
+    trr.onActivate(0, 100, victims);
+    trr.onActivate(0, 200, victims);
+    EXPECT_TRUE(victims.empty()); // TRR never refreshes at ACT time
+    trr.onRefresh(0, victims);
+    // Neighbors of rows 200 and 100 at distance 1 and 2.
+    for (int v : {98, 99, 101, 102, 198, 199, 201, 202})
+        EXPECT_TRUE(contains(victims, v)) << v;
+    EXPECT_EQ(trr.preventiveRefreshes(), 8u);
+}
+
+TEST(Trr, DummyRowsShadowAggressorsFromRecency)
+{
+    Trr trr;
+    std::vector<int> victims;
+    trr.onActivate(0, 500, victims); // aggressor
+    trr.onActivate(0, 501, victims); // aggressor
+    for (int d = 0; d < 16; ++d)
+        trr.onActivate(0, 1000 + d * 8, victims); // dummy phase before REF
+    trr.onRefresh(0, victims);
+    for (int v : victims) {
+        EXPECT_GT(v, 900); // only dummy neighbors refreshed
+    }
+}
+
+TEST(Trr, CounterTableCatchesSustainedHammering)
+{
+    Trr::Config cfg;
+    cfg.actThreshold = 16;
+    Trr trr(cfg);
+    bool caught = false;
+    for (int ref = 0; ref < 20 && !caught; ++ref) {
+        std::vector<int> victims;
+        for (int i = 0; i < 8; ++i)
+            trr.onActivate(0, 321, victims);
+        // A couple of other rows that do not crowd it out.
+        trr.onActivate(0, 900, victims);
+        trr.onRefresh(0, victims);
+        caught = contains(victims, 322);
+    }
+    EXPECT_TRUE(caught);
+}
+
+TEST(Trr, RecencyResetsAfterRefresh)
+{
+    Trr trr;
+    std::vector<int> victims;
+    trr.onActivate(0, 100, victims);
+    trr.onRefresh(0, victims);
+    // No activations since the last REF: nothing recency-sampled and
+    // no counter above threshold.
+    victims.clear();
+    trr.onRefresh(0, victims);
+    EXPECT_TRUE(victims.empty());
+}
+
+TEST(Trr, BanksAreIndependent)
+{
+    Trr trr;
+    std::vector<int> victims;
+    // Bank 0's row is recency-sampled and past the counter threshold.
+    for (int i = 0; i < 100; ++i)
+        trr.onActivate(0, 500, victims);
+    trr.onActivate(1, 700, victims);
+    trr.onRefresh(2, victims); // never activated
+    EXPECT_TRUE(victims.empty());
+    trr.onRefresh(1, victims);
+    EXPECT_EQ(victims, (std::vector<int>{698, 699, 701, 702}));
+    victims.clear();
+    trr.onRefresh(0, victims);
+    EXPECT_EQ(victims, (std::vector<int>{498, 499, 501, 502}));
+}
+
+TEST(Trr, RefreshAppendsSortedUniqueNeighbors)
+{
+    Trr trr;
+    std::vector<int> victims = {1000}; // a request made earlier
+    trr.onActivate(0, 101, victims);
+    trr.onActivate(0, 100, victims);
+    trr.onRefresh(0, victims);
+    // The neighborhoods of rows 100 and 101 overlap; the earlier
+    // request stays in front, untouched.
+    EXPECT_EQ(victims,
+              (std::vector<int>{1000, 98, 99, 100, 101, 102, 103}));
+    EXPECT_EQ(trr.preventiveRefreshes(), 6u);
 }
 
 /**

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "mitigation/para.h"
+#include "mitigation/trr.h"
 #include "sim/system.h"
 
 namespace rp::sim {
@@ -145,6 +146,35 @@ TEST(Controller, MitigationVictimsCostPreventiveActs)
     EXPECT_GE(mc.stats().preventiveActs, 1u);
     // Preventive refreshes never recurse into the mitigation.
     EXPECT_LE(mc.stats().preventiveActs, 2u);
+}
+
+TEST(Controller, TrrVictimsArriveThroughTheRefreshHook)
+{
+    mitigation::Trr trr;
+    ControllerConfig cfg;
+    cfg.mitigation = &trr;
+    Controller mc(cfg);
+    // Alternate two rows of one bank, so every write is an ACT.
+    Time now = 0;
+    std::uint64_t preventive_before_ref = 0;
+    for (int i = 0; now < 3 * cfg.timing.tREFI; ++i) {
+        Request a;
+        a.addr.row = i % 2 ? 150 : 100;
+        a.write = true;
+        if (mc.canEnqueue(true))
+            mc.enqueue(a);
+        for (int t = 0; t < 100; ++t) {
+            mc.tick(now);
+            now += cfg.timing.tCK;
+        }
+        if (mc.stats().refreshes == 0)
+            preventive_before_ref = mc.stats().preventiveActs;
+    }
+    EXPECT_GT(mc.stats().refreshes, 0u);
+    // TRR returns nothing at ACT time, only at each bank's REF.
+    EXPECT_EQ(preventive_before_ref, 0u);
+    EXPECT_GT(mc.stats().preventiveActs, 0u);
+    EXPECT_LE(mc.stats().preventiveActs, trr.preventiveRefreshes());
 }
 
 TEST(Controller, RowActCountsAreTracked)

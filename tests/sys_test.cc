@@ -1,8 +1,8 @@
 /**
  * @file
- * Real-system substrate tests: the TRR engine (recency sampling,
- * counter table, dummy-row bypass), the adaptive-open-row memory
- * controller, and the cache model.
+ * Real-system substrate tests: the adaptive-open-row memory
+ * controller, its mitigation hooks (in-DRAM TRR and a stub that
+ * refreshes at ACT time), and the cache model.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,9 @@
 
 #include "common/rng.h"
 #include "dram/timing.h"
+#include "mitigation/trr.h"
 #include "sys/cache.h"
 #include "sys/memctrl.h"
-#include "sys/trr.h"
 
 namespace rp::sys {
 namespace {
@@ -73,62 +73,6 @@ TEST(Cache, MatchesReferenceSetUnderRandomLoadFlushClear)
     }
 }
 
-TEST(Trr, RecencySamplerCatchesLastActivatedRows)
-{
-    TrrEngine trr;
-    trr.onActivate(100);
-    trr.onActivate(200);
-    auto victims = trr.onRefresh();
-    // Neighbors of rows 200 and 100 at distance 1 and 2.
-    for (int v : {98, 99, 101, 102, 198, 199, 201, 202})
-        EXPECT_NE(std::find(victims.begin(), victims.end(), v),
-                  victims.end())
-            << v;
-    EXPECT_EQ(trr.targetedRefreshes(), 1u);
-}
-
-TEST(Trr, DummyRowsShadowAggressorsFromRecency)
-{
-    TrrEngine trr;
-    trr.onActivate(500); // aggressor
-    trr.onActivate(501); // aggressor
-    for (int d = 0; d < 16; ++d)
-        trr.onActivate(1000 + d * 8); // dummy phase before REF
-    auto victims = trr.onRefresh();
-    for (int v : victims) {
-        EXPECT_GT(v, 900); // only dummy neighbors refreshed
-    }
-}
-
-TEST(Trr, CounterTableCatchesSustainedHammering)
-{
-    TrrEngine::Config cfg;
-    cfg.actThreshold = 16;
-    TrrEngine trr(cfg);
-    bool caught = false;
-    for (int ref = 0; ref < 20 && !caught; ++ref) {
-        for (int i = 0; i < 8; ++i)
-            trr.onActivate(321);
-        // A couple of other rows that do not crowd it out.
-        trr.onActivate(900);
-        auto victims = trr.onRefresh();
-        caught = std::find(victims.begin(), victims.end(), 322) !=
-                 victims.end();
-    }
-    EXPECT_TRUE(caught);
-}
-
-TEST(Trr, RecencyResetsAfterRefresh)
-{
-    TrrEngine trr;
-    trr.onActivate(100);
-    trr.onRefresh();
-    // No activations since the last REF: nothing recency-sampled and
-    // no counter above threshold.
-    auto victims = trr.onRefresh();
-    EXPECT_TRUE(victims.empty());
-}
-
 device::Chip
 makeChip()
 {
@@ -141,9 +85,7 @@ makeChip()
 TEST(MemCtrl, AdaptiveOpenRowServesHitsWithoutReactivation)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, MemCtrl::Config{});
     mc.readBlock(1, 100, 0, 1_us);
     const auto acts_after_first = mc.activates();
     for (int c = 1; c < 8; ++c)
@@ -156,9 +98,7 @@ TEST(MemCtrl, AdaptiveOpenRowServesHitsWithoutReactivation)
 TEST(MemCtrl, RowConflictLatencyExceedsRowHit)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, MemCtrl::Config{});
     mc.readBlock(1, 100, 0, 1_us);
     const Time t0 = mc.now() + 1_us;
     const Time hit = mc.readBlock(1, 100, 1, t0) - t0;
@@ -170,8 +110,7 @@ TEST(MemCtrl, RowConflictLatencyExceedsRowHit)
 TEST(MemCtrl, AutoRefreshFiresEveryTrefi)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, MemCtrl::Config{});
     mc.advanceTo(10 * chip.timing().tREFI + 1_us);
     EXPECT_EQ(mc.refreshesIssued(), 10u);
 }
@@ -179,8 +118,7 @@ TEST(MemCtrl, AutoRefreshFiresEveryTrefi)
 TEST(MemCtrl, RefreshClosesOpenRow)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, MemCtrl::Config{});
     mc.readBlock(1, 100, 0, 1_us);
     EXPECT_TRUE(chip.bank(1).isOpen());
     mc.advanceTo(chip.timing().tREFI + 1_us);
@@ -191,9 +129,7 @@ TEST(MemCtrl, RefreshClosesOpenRow)
 TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
 {
     auto chip = makeChip();
-    MemCtrl::Config cfg;
-    cfg.trrEnabled = false;
-    MemCtrl mc(chip, cfg);
+    MemCtrl mc(chip, MemCtrl::Config{});
     mc.trackRow(1, 100);
     mc.readBlock(1, 100, 0, 1_us);
     for (int c = 1; c < 16; ++c)
@@ -209,8 +145,11 @@ TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
 TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
 {
     auto chip = makeChip();
+    mitigation::Trr::Config trr_cfg;
+    trr_cfg.actThreshold = 8;
+    mitigation::Trr trr(trr_cfg);
     MemCtrl::Config cfg;
-    cfg.trr.actThreshold = 8;
+    cfg.mitigation = &trr;
     MemCtrl mc(chip, cfg);
     // Hammer a row continuously across several REF windows with no
     // dummy cover: TRR must target it.
@@ -221,9 +160,68 @@ TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
         t = mc.now() + 5_ns;
     }
     EXPECT_GT(mc.targetedRefreshes(), 0u);
-    // The victim's accumulated dose was cleared by TRR along the way.
-    EXPECT_TRUE(chip.fault().dose(1, 4001).hammer[0] <
-                double(mc.activates()));
+    EXPECT_GE(trr.preventiveRefreshes(), mc.targetedRefreshes());
+    // TRR cleared the victim's dose at every REF, so it holds at most
+    // one tREFI slot's worth of hammer dose.
+    EXPECT_LT(chip.fault().dose(1, 4001).hammer[0],
+              double(mc.activates()) / double(mc.refreshesIssued()));
+}
+
+/** Refreshes row + 1 at every ACT and counts every hook it sees. */
+class ActTimeStub : public mitigation::Mitigation
+{
+  public:
+    std::string name() const override { return "stub"; }
+
+    void
+    onActivate(int flat_bank, int row, std::vector<int> &victims) override
+    {
+        acts.push_back({flat_bank, row});
+        victims.push_back(row + 1);
+    }
+
+    void onRefresh(int, std::vector<int> &) override { ++refs; }
+
+    void onRefreshWindow() override { ++windows; }
+
+    std::vector<std::pair<int, int>> acts;
+    int refs = 0;
+    int windows = 0;
+};
+
+TEST(MemCtrl, RefreshesVictimsAMitigationReturnsAtActivation)
+{
+    auto chip = makeChip();
+    ActTimeStub stub;
+    MemCtrl::Config cfg;
+    cfg.mitigation = &stub;
+    MemCtrl mc(chip, cfg);
+
+    // Hammer row 4000 with no REF in between: only the ACT-time victim
+    // refreshes can clear its upper neighbour's dose.
+    Time t = 1_us;
+    for (int i = 0; i < 20; ++i) {
+        mc.readBlock(1, 4000, 0, t);
+        mc.readBlock(1, 4100, 0, mc.now() + 5_ns);
+        t = mc.now() + 5_ns;
+    }
+    ASSERT_LT(mc.now(), chip.timing().tREFI);
+    EXPECT_EQ(stub.acts.size(), mc.activates());
+    EXPECT_EQ(stub.acts.front(), std::make_pair(1, 4000));
+    // Row 4001 was refreshed after each ACT of 4000, so it holds no
+    // hammer dose from it; row 3999 was never refreshed.
+    EXPECT_EQ(chip.fault().dose(1, 4001).hammer[0], 0.0);
+    EXPECT_GT(chip.fault().dose(1, 3999).hammer[1], 0.0);
+    // No victim was returned from a REF, so no targeted refresh.
+    EXPECT_EQ(mc.targetedRefreshes(), 0u);
+    EXPECT_EQ(stub.refs, 0);
+
+    // Every REF reaches every bank; the first REF past tREFW ends the
+    // refresh window.
+    mc.advanceTo(chip.timing().tREFW + chip.timing().tREFI);
+    EXPECT_EQ(stub.refs,
+              int(mc.refreshesIssued()) * chip.org().totalBanks());
+    EXPECT_EQ(stub.windows, 1);
 }
 
 } // namespace
