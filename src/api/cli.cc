@@ -181,7 +181,7 @@ selectExperiments(const ParsedArgs &parsed)
 
     std::vector<const Experiment *> selected;
     for (const auto &pattern : patterns) {
-        const auto matches = registry.match(pattern);
+        const auto matches = registry.match({pattern});
         if (matches.empty())
             throw ConfigError("no experiment matches '" + pattern +
                               "' (see 'rowpress list')");
@@ -235,14 +235,9 @@ cmdList(const std::vector<std::string> &args, std::ostream &out)
     Dataset table("Registered experiments");
     table.header({"id", "category", "title", "paper reference"});
     for (const Experiment *exp :
-         ExperimentRegistry::instance().list()) {
-        bool matched = false;
-        for (const auto &pattern : patterns)
-            matched = matched || globMatch(pattern, exp->info.id);
-        if (matched)
-            table.row({exp->info.id, exp->info.category,
-                       exp->info.title, exp->info.paperRef});
-    }
+         ExperimentRegistry::instance().match(patterns))
+        table.row({exp->info.id, exp->info.category, exp->info.title,
+                   exp->info.paperRef});
     out << table.renderAscii();
     out << table.rows.size() << " experiment(s)\n";
     return 0;
@@ -263,7 +258,8 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
 
     // Peel the job-policy flags off before the rest becomes the
     // config overlay: deadline/retry are service semantics, not
-    // experiment options, so no experiment schema declares them.
+    // experiment options, so no experiment schema declares them
+    // (Service::submit range-checks them).
     int deadline_ms = 0;
     RetryPolicy retry;
     {
@@ -272,19 +268,12 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
             if (flag.key == "deadline-ms") {
                 deadline_ms =
                     int(parseInt(flag.value, "--deadline-ms"));
-                if (deadline_ms < 0)
-                    throw ConfigError("--deadline-ms: must be >= 0");
             } else if (flag.key == "max-attempts") {
                 retry.maxAttempts =
                     int(parseInt(flag.value, "--max-attempts"));
-                if (retry.maxAttempts < 1)
-                    throw ConfigError("--max-attempts: must be >= 1");
             } else if (flag.key == "retry-backoff-ms") {
                 retry.backoffBaseMs =
                     int(parseInt(flag.value, "--retry-backoff-ms"));
-                if (retry.backoffBaseMs < 1)
-                    throw ConfigError(
-                        "--retry-backoff-ms: must be >= 1");
             } else {
                 config_flags.push_back(flag);
             }

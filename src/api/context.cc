@@ -72,12 +72,6 @@ std::vector<device::DieConfig>
 ExperimentContext::dies(const std::vector<device::DieConfig> &dflt) const
 {
     const std::string &spec = config_.getString("dies");
-    if (config_.origin("dies") == ConfigLayer::Default) {
-        // Legacy switch: ROWPRESS_ALL_DIES=1 selects the full set.
-        if (envInt("ROWPRESS_ALL_DIES", 0) != 0)
-            return device::allDies();
-        return dflt;
-    }
     if (spec == "default")
         return dflt;
     if (spec == "all")
@@ -108,8 +102,6 @@ ExperimentContext::dies(const std::vector<device::DieConfig> &dflt) const
 bool
 ExperimentContext::allDiesSelected() const
 {
-    if (config_.origin("dies") == ConfigLayer::Default)
-        return envInt("ROWPRESS_ALL_DIES", 0) != 0;
     return config_.getString("dies") == "all";
 }
 

@@ -66,24 +66,23 @@ class ExperimentContext
     std::uint64_t seed() const;
 
     /**
-     * Die set from --dies: "default" -> the three representative
+     * Die set from the resolved "dies" option (--dies or
+     * ROWPRESS_DIES): "default" -> the three representative
      * manufacturers, "all" -> all twelve revisions, otherwise a
-     * comma-separated list of die ids.  The legacy ROWPRESS_ALL_DIES=1
-     * env switch still selects "all" when --dies is not given.
+     * comma-separated list of die ids.
      */
     std::vector<device::DieConfig> dies() const;
 
     /**
      * Same, but with an experiment-specific default set (used by the
-     * figures that compare die revisions); an explicit --dies or
-     * ROWPRESS_ALL_DIES=1 overrides it.
+     * figures that compare die revisions); any "dies" value other
+     * than "default" overrides it.
      */
     std::vector<device::DieConfig>
     dies(const std::vector<device::DieConfig> &dflt) const;
 
     /**
-     * True when the full twelve-die set was explicitly selected
-     * (`--dies all` or legacy ROWPRESS_ALL_DIES=1) — the switch the
+     * True when the resolved "dies" option is "all" — the switch the
      * figures with an extra all-dies variant key their extended
      * sweeps on.
      */

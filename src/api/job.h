@@ -67,17 +67,16 @@ const char *jobStateName(JobState state);
  */
 struct RetryPolicy
 {
-    /** Total attempts (1 = no retry). */
+    /** Total attempts (1 = no retry); Service::submit requires >= 1. */
     int maxAttempts = 1;
-    /** Backoff before attempt k+1: min(base << (k-1), max) ms ... */
-    int backoffBaseMs = 100;
-    int backoffMaxMs = 5000;
     /**
-     * ... plus a deterministic jitter in [0, backoff/2) derived from
-     * (job seed, attempt) — decorrelates retry storms across jobs
-     * without making any single job's schedule nondeterministic.
+     * Backoff before attempt k+1: min(base << (k-1), 5000) ms plus a
+     * deterministic jitter in [0, backoff/2) derived from (job seed,
+     * attempt) — decorrelates retry storms across jobs without making
+     * any single job's schedule nondeterministic.  Service::submit
+     * requires base >= 1.
      */
-    bool jitter = true;
+    int backoffBaseMs = 100;
 };
 
 /** One experiment run, as submitted by a client. */
@@ -111,9 +110,10 @@ struct JobRequest
 
     /**
      * Wall-clock budget in ms from submission (spanning queue time
-     * and every retry attempt); 0 = none.  On expiry the service
-     * fires the job's cancel token and the job terminates
-     * DeadlineExceeded at the engine's next task boundary.
+     * and every retry attempt); 0 = none, and Service::submit
+     * rejects a negative one.  On expiry the service fires the job's
+     * cancel token and the job terminates DeadlineExceeded at the
+     * engine's next task boundary.
      */
     int deadlineMs = 0;
 

@@ -5,16 +5,13 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <deque>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "api/context.h"
 #include "api/service.h"
-#include "api/sink.h"
 #include "core/fault.h"
 #include "core/thread_annotations.h"
 #include "persist/cache.h"
@@ -30,464 +27,15 @@
 
 namespace rp::api {
 
-// ---- JsonValue -------------------------------------------------------
-
-JsonValue
-JsonValue::makeNull()
-{
-    return JsonValue{};
-}
-
-JsonValue
-JsonValue::makeBool(bool b)
-{
-    JsonValue v;
-    v.kind = Kind::Bool;
-    v.boolean = b;
-    return v;
-}
-
-JsonValue
-JsonValue::number(const std::string &raw_text)
-{
-    JsonValue v;
-    v.kind = Kind::Number;
-    v.text = raw_text;
-    return v;
-}
-
-JsonValue
-JsonValue::number(long long n)
-{
-    return number(std::to_string(n));
-}
-
-JsonValue
-JsonValue::number(double d)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.10g", d);
-    return number(std::string(buf));
-}
-
-JsonValue
-JsonValue::string(const std::string &s)
-{
-    JsonValue v;
-    v.kind = Kind::String;
-    v.text = s;
-    return v;
-}
-
-JsonValue
-JsonValue::array()
-{
-    JsonValue v;
-    v.kind = Kind::Array;
-    return v;
-}
-
-JsonValue
-JsonValue::object()
-{
-    JsonValue v;
-    v.kind = Kind::Object;
-    return v;
-}
-
-const JsonValue *
-JsonValue::find(const std::string &key) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    for (const auto &[k, v] : members)
-        if (k == key)
-            return &v;
-    return nullptr;
-}
-
-JsonValue &
-JsonValue::add(const std::string &key, JsonValue v)
-{
-    members.emplace_back(key, std::move(v));
-    return *this;
-}
-
-JsonValue &
-JsonValue::push(JsonValue v)
-{
-    items.push_back(std::move(v));
-    return *this;
-}
-
-std::string
-JsonValue::scalarText(const std::string &what) const
-{
-    switch (kind) {
-    case Kind::String:
-    case Kind::Number:
-        return text;
-    case Kind::Bool:
-        return boolean ? "1" : "0";
-    default:
-        throw ConfigError(what +
-                          ": expected a scalar (string/number/bool)");
-    }
-}
-
-// ---- parser ----------------------------------------------------------
-
-namespace {
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : text_(text) {}
-
-    JsonValue
-    parse()
-    {
-        JsonValue v = value(0);
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after JSON document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw ConfigError("protocol: malformed JSON at offset " +
-                          std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    literal(const char *word)
-    {
-        for (const char *p = word; *p; ++p) {
-            if (pos_ >= text_.size() || text_[pos_] != *p)
-                fail(std::string("expected '") + word + "'");
-            ++pos_;
-        }
-    }
-
-    unsigned
-    hex4()
-    {
-        unsigned out = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = peek();
-            out <<= 4;
-            if (c >= '0' && c <= '9')
-                out |= unsigned(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                out |= unsigned(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                out |= unsigned(c - 'A' + 10);
-            else
-                fail("bad \\u escape");
-            ++pos_;
-        }
-        return out;
-    }
-
-    void
-    appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out += char(cp);
-        } else if (cp < 0x800) {
-            out += char(0xC0 | (cp >> 6));
-            out += char(0x80 | (cp & 0x3F));
-        } else if (cp < 0x10000) {
-            out += char(0xE0 | (cp >> 12));
-            out += char(0x80 | ((cp >> 6) & 0x3F));
-            out += char(0x80 | (cp & 0x3F));
-        } else {
-            out += char(0xF0 | (cp >> 18));
-            out += char(0x80 | ((cp >> 12) & 0x3F));
-            out += char(0x80 | ((cp >> 6) & 0x3F));
-            out += char(0x80 | (cp & 0x3F));
-        }
-    }
-
-    std::string
-    stringBody()
-    {
-        expect('"');
-        std::string out;
-        for (;;) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            const unsigned char c = (unsigned char)text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return out;
-            }
-            if (c == '\\') {
-                ++pos_;
-                const char e = peek();
-                ++pos_;
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    unsigned cp = hex4();
-                    if (cp >= 0xD800 && cp <= 0xDBFF) {
-                        // Surrogate pair.
-                        if (!consume('\\') || !consume('u'))
-                            fail("unpaired surrogate");
-                        const unsigned lo = hex4();
-                        if (lo < 0xDC00 || lo > 0xDFFF)
-                            fail("bad low surrogate");
-                        cp = 0x10000 + ((cp - 0xD800) << 10) +
-                             (lo - 0xDC00);
-                    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-                        // A lone low surrogate would encode to
-                        // invalid UTF-8; reject like a lone high one.
-                        fail("unpaired surrogate");
-                    }
-                    appendUtf8(out, cp);
-                    break;
-                }
-                default:
-                    fail("bad escape");
-                }
-                continue;
-            }
-            if (c < 0x20)
-                fail("raw control character in string");
-            out += char(c);
-            ++pos_;
-        }
-    }
-
-    JsonValue
-    numberValue()
-    {
-        const std::size_t start = pos_;
-        consume('-');
-        while (pos_ < text_.size() &&
-               ((text_[pos_] >= '0' && text_[pos_] <= '9') ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        const std::string raw = text_.substr(start, pos_ - start);
-        if (!looksNumeric(raw))
-            fail("bad number '" + raw + "'");
-        return JsonValue::number(raw);
-    }
-
-    JsonValue
-    value(int depth)
-    {
-        if (depth > 32)
-            fail("nesting too deep");
-        skipWs();
-        const char c = peek();
-        if (c == '{') {
-            ++pos_;
-            JsonValue obj = JsonValue::object();
-            skipWs();
-            if (consume('}'))
-                return obj;
-            for (;;) {
-                skipWs();
-                std::string key = stringBody();
-                skipWs();
-                expect(':');
-                obj.add(std::move(key), value(depth + 1));
-                skipWs();
-                if (consume(','))
-                    continue;
-                expect('}');
-                return obj;
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            JsonValue arr = JsonValue::array();
-            skipWs();
-            if (consume(']'))
-                return arr;
-            for (;;) {
-                arr.push(value(depth + 1));
-                skipWs();
-                if (consume(','))
-                    continue;
-                expect(']');
-                return arr;
-            }
-        }
-        if (c == '"')
-            return JsonValue::string(stringBody());
-        if (c == 't') {
-            literal("true");
-            return JsonValue::makeBool(true);
-        }
-        if (c == 'f') {
-            literal("false");
-            return JsonValue::makeBool(false);
-        }
-        if (c == 'n') {
-            literal("null");
-            return JsonValue::makeNull();
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return numberValue();
-        fail("unexpected character");
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-JsonValue
-parseJson(const std::string &text)
-{
-    return JsonParser(text).parse();
-}
-
-// ---- serializer ------------------------------------------------------
-
-namespace {
-
-void
-writeJsonTo(std::ostream &os, const JsonValue &v, int indent, int depth)
-{
-    const bool pretty = indent >= 0;
-    const std::string pad =
-        pretty ? std::string(std::size_t(indent) * std::size_t(depth + 1),
-                             ' ')
-               : "";
-    const std::string closing =
-        pretty ? std::string(std::size_t(indent) * std::size_t(depth),
-                             ' ')
-               : "";
-    const char *nl = pretty ? "\n" : "";
-    const char *colon = pretty ? ": " : ":";
-
-    switch (v.kind) {
-    case JsonValue::Kind::Null:
-        os << "null";
-        break;
-    case JsonValue::Kind::Bool:
-        os << (v.boolean ? "true" : "false");
-        break;
-    case JsonValue::Kind::Number:
-        os << (looksNumeric(v.text) ? v.text : "0");
-        break;
-    case JsonValue::Kind::String:
-        os << '"' << jsonEscape(v.text) << '"';
-        break;
-    case JsonValue::Kind::Array:
-        if (v.items.empty()) {
-            os << "[]";
-            break;
-        }
-        os << '[' << nl;
-        for (std::size_t i = 0; i < v.items.size(); ++i) {
-            os << pad;
-            writeJsonTo(os, v.items[i], indent, depth + 1);
-            os << (i + 1 < v.items.size() ? "," : "") << nl;
-        }
-        os << closing << ']';
-        break;
-    case JsonValue::Kind::Object:
-        if (v.members.empty()) {
-            os << "{}";
-            break;
-        }
-        os << '{' << nl;
-        for (std::size_t i = 0; i < v.members.size(); ++i) {
-            os << pad << '"' << jsonEscape(v.members[i].first) << '"'
-               << colon;
-            writeJsonTo(os, v.members[i].second, indent, depth + 1);
-            os << (i + 1 < v.members.size() ? "," : "") << nl;
-        }
-        os << closing << '}';
-        break;
-    }
-}
-
-} // namespace
-
-void
-writeJson(std::ostream &os, const JsonValue &value, int indent)
-{
-    writeJsonTo(os, value, indent, 0);
-}
-
-std::string
-toJson(const JsonValue &value, int indent)
-{
-    std::ostringstream os;
-    writeJson(os, value, indent);
-    return os.str();
-}
-
 // ---- experiment listing ----------------------------------------------
 
 JsonValue
 experimentListJson(const std::vector<std::string> &patterns)
 {
-    std::vector<std::string> pats = patterns;
-    if (pats.empty())
-        pats.push_back("*");
-
     JsonValue arr = JsonValue::array();
-    for (const Experiment *exp : ExperimentRegistry::instance().list()) {
-        bool matched = false;
-        for (const auto &pattern : pats)
-            matched = matched || globMatch(pattern, exp->info.id);
-        if (!matched)
-            continue;
-
+    for (const Experiment *exp : ExperimentRegistry::instance().match(
+             patterns.empty() ? std::vector<std::string>{"*"}
+                              : patterns)) {
         JsonValue e = JsonValue::object();
         e.add("id", JsonValue::string(exp->info.id));
         e.add("category", JsonValue::string(exp->info.category));
@@ -874,6 +422,15 @@ class ProtocolSession
         return v->boolean;
     }
 
+    /** Integer (or integer-text) member into @p out, when present. */
+    static void
+    intMember(const JsonValue &request, const char *key, int *out)
+    {
+        const std::string what = std::string("protocol: \"") + key + "\"";
+        if (const JsonValue *v = request.find(key))
+            *out = int(parseInt(v->scalarText(what), what));
+    }
+
     /**
      * The same hard unknown-key rejection the Config layer applies:
      * a typo'd member ("format" for "formats", "outdir" for "out")
@@ -936,30 +493,9 @@ class ProtocolSession
             job.outDir = out->text;
         }
         job.time = boolMember(request, "time");
-        if (const JsonValue *v = request.find("deadline_ms")) {
-            job.deadlineMs = int(parseInt(
-                v->scalarText("protocol: \"deadline_ms\""),
-                "protocol: \"deadline_ms\""));
-            if (job.deadlineMs < 0)
-                throw ConfigError(
-                    "protocol: \"deadline_ms\" must be >= 0");
-        }
-        if (const JsonValue *v = request.find("max_attempts")) {
-            job.retry.maxAttempts = int(parseInt(
-                v->scalarText("protocol: \"max_attempts\""),
-                "protocol: \"max_attempts\""));
-            if (job.retry.maxAttempts < 1)
-                throw ConfigError(
-                    "protocol: \"max_attempts\" must be >= 1");
-        }
-        if (const JsonValue *v = request.find("backoff_ms")) {
-            job.retry.backoffBaseMs = int(parseInt(
-                v->scalarText("protocol: \"backoff_ms\""),
-                "protocol: \"backoff_ms\""));
-            if (job.retry.backoffBaseMs < 1)
-                throw ConfigError(
-                    "protocol: \"backoff_ms\" must be >= 1");
-        }
+        intMember(request, "deadline_ms", &job.deadlineMs);
+        intMember(request, "max_attempts", &job.retry.maxAttempts);
+        intMember(request, "backoff_ms", &job.retry.backoffBaseMs);
         job.clientId = clientId_;
         if (maxInflight_ > 0 && inflight_.load() >= maxInflight_)
             throw AdmissionError(
@@ -984,14 +520,9 @@ class ProtocolSession
     {
         const std::uint64_t id = jobIdOf(request);
         int timeout_ms = 60000;
-        if (const JsonValue *v = request.find("timeout_ms")) {
-            timeout_ms = int(parseInt(
-                v->scalarText("protocol: \"timeout_ms\""),
-                "protocol: \"timeout_ms\""));
-            if (timeout_ms < 0)
-                throw ConfigError(
-                    "protocol: \"timeout_ms\" must be >= 0");
-        }
+        intMember(request, "timeout_ms", &timeout_ms);
+        if (timeout_ms < 0)
+            throw ConfigError("protocol: \"timeout_ms\" must be >= 0");
         JobStatus st;
         const Service::WaitOutcome outcome =
             service_.waitFor(id, timeout_ms, st);

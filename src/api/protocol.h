@@ -19,12 +19,7 @@
  * asynchronously as event lines ({"event":"queued"|"started"|
  * "progress"|"dataset"|"note"|"artifact"|"finished",...}) interleaved
  * between responses; lines are atomic, so a line-oriented client
- * never sees a torn message.
- *
- * This header also hosts the minimal JSON value model the protocol
- * parses into / serializes from — deliberately tiny (objects, arrays,
- * strings, raw-text numbers, bools, null) so the repo takes no
- * dependency for it.
+ * never sees a torn message.  Messages are api/json.h JsonValues.
  */
 
 #ifndef ROWPRESS_API_PROTOCOL_H
@@ -32,74 +27,14 @@
 
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/job.h"
+#include "api/json.h"
 
 namespace rp::api {
 
 class Service;
-
-/** Minimal JSON document value (parse result / response builder). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    /**
-     * String contents (Kind::String) or the raw numeric text exactly
-     * as parsed/given (Kind::Number) — numbers round-trip textually,
-     * so "65" never turns into "65.000000" on the way to a Config.
-     */
-    std::string text;
-    std::vector<JsonValue> items; ///< Kind::Array
-    std::vector<std::pair<std::string, JsonValue>> members; ///< Object
-
-    static JsonValue makeNull();
-    static JsonValue makeBool(bool b);
-    static JsonValue number(const std::string &raw_text);
-    static JsonValue number(long long v);
-    static JsonValue number(double v);
-    static JsonValue string(const std::string &s);
-    static JsonValue array();
-    static JsonValue object();
-
-    /** Object member by key; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    JsonValue &add(const std::string &key, JsonValue v); ///< Object.
-    JsonValue &push(JsonValue v);                        ///< Array.
-
-    /**
-     * Scalar as the text a Config accepts: string/number text,
-     * "1"/"0" for bools.  Throws ConfigError for arrays/objects/null.
-     */
-    std::string scalarText(const std::string &what) const;
-};
-
-/**
- * Parse one complete JSON document from @p text (trailing whitespace
- * allowed, nothing else).  Throws ConfigError on malformed input.
- */
-JsonValue parseJson(const std::string &text);
-
-/**
- * Serialize: compact single-line form when @p indent < 0 (the wire
- * format), pretty-printed with @p indent spaces per level otherwise.
- */
-void writeJson(std::ostream &os, const JsonValue &value,
-               int indent = -1);
-std::string toJson(const JsonValue &value, int indent = -1);
 
 /**
  * Machine-readable experiment/option listing: every registered

@@ -57,26 +57,19 @@ ExperimentRegistry::find(const std::string &id) const
 }
 
 std::vector<const Experiment *>
-ExperimentRegistry::list() const
+ExperimentRegistry::match(const std::vector<std::string> &patterns) const
 {
     std::vector<const Experiment *> out;
-    out.reserve(experiments_.size());
     for (const auto &exp : experiments_)
-        out.push_back(&exp);
+        if (std::any_of(patterns.begin(), patterns.end(),
+                        [&exp](const std::string &pattern) {
+                            return globMatch(pattern, exp.info.id);
+                        }))
+            out.push_back(&exp);
     std::sort(out.begin(), out.end(),
               [](const Experiment *a, const Experiment *b) {
                   return a->info.id < b->info.id;
               });
-    return out;
-}
-
-std::vector<const Experiment *>
-ExperimentRegistry::match(const std::string &pattern) const
-{
-    std::vector<const Experiment *> out;
-    for (const Experiment *exp : list())
-        if (globMatch(pattern, exp->info.id))
-            out.push_back(exp);
     return out;
 }
 

@@ -58,11 +58,12 @@ class ExperimentRegistry
     /** nullptr when @p id is not registered. */
     const Experiment *find(const std::string &id) const;
 
-    /** All experiments, sorted by id. */
-    std::vector<const Experiment *> list() const;
-
-    /** Experiments whose id matches the exact name or glob @p pattern. */
-    std::vector<const Experiment *> match(const std::string &pattern) const;
+    /**
+     * Experiments whose id matches any of @p patterns (exact names or
+     * globs), in id order, each once.
+     */
+    std::vector<const Experiment *>
+    match(const std::vector<std::string> &patterns) const;
 
   private:
     std::vector<Experiment> experiments_;

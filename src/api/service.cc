@@ -88,6 +88,15 @@ Service::submit(const JobRequest &request)
     const Experiment &exp = findExperiment(request.experiment);
     Config config = resolveConfig(exp, request.overlay);
 
+    // The job policy is range-checked here, once, for every
+    // front-end (`run` flags and protocol members alike).
+    if (request.deadlineMs < 0)
+        throw ConfigError("job deadline must be >= 0 ms");
+    if (request.retry.maxAttempts < 1)
+        throw ConfigError("job max attempts must be >= 1");
+    if (request.retry.backoffBaseMs < 1)
+        throw ConfigError("job retry backoff must be >= 1 ms");
+
     // Build the sinks up front so a bad format (or "table" without a
     // stream to render on) fails the submission, not the run.
     if (request.formats.empty())
@@ -666,14 +675,14 @@ Service::deadlineLoop()
 int
 Service::retryDelayMs(const Job &job, int failed_attempt)
 {
-    const RetryPolicy &policy = job.req.retry;
-    const long long base = std::max(1, policy.backoffBaseMs);
-    const long long cap = std::max(base, (long long)policy.backoffMaxMs);
+    constexpr long long kBackoffMaxMs = 5000; // cap before jitter
+    const long long base = job.req.retry.backoffBaseMs;
+    const long long cap = std::max(base, kBackoffMaxMs);
     long long delay = base;
     for (int i = 1; i < failed_attempt && delay < cap; ++i)
         delay *= 2;
     delay = std::min(delay, cap);
-    if (policy.jitter && delay > 1) {
+    if (delay > 1) {
         // Deterministic jitter in [0, delay/2): a pure function of
         // (job seed, attempt), so one job's schedule replays exactly
         // while concurrent jobs' retries decorrelate.
@@ -705,7 +714,7 @@ void
 Service::executeJob(Job &job)
 {
     const auto start = std::chrono::steady_clock::now();
-    const int max_attempts = std::max(1, job.req.retry.maxAttempts);
+    const int max_attempts = job.req.retry.maxAttempts;
 
     JobState final_state = JobState::Finished;
     std::string error;

@@ -126,83 +126,14 @@ CsvSink::rawCsv(const std::string &name,
 
 // ---- JsonSink --------------------------------------------------------
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    return out;
-}
-
-bool
-looksNumeric(const std::string &text)
-{
-    // Exact RFC 8259 number grammar:
-    //   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    // (strtod would also accept hex, "1.", "007", inf/nan — all of
-    // which are invalid JSON and must stay quoted).
-    std::size_t i = 0;
-    const std::size_t n = text.size();
-    auto digits = [&]() {
-        const std::size_t start = i;
-        while (i < n && text[i] >= '0' && text[i] <= '9')
-            ++i;
-        return i > start;
-    };
-    if (i < n && text[i] == '-')
-        ++i;
-    if (i >= n)
-        return false;
-    if (text[i] == '0') {
-        ++i;
-    } else if (text[i] >= '1' && text[i] <= '9') {
-        digits();
-    } else {
-        return false;
-    }
-    if (i < n && text[i] == '.') {
-        ++i;
-        if (!digits())
-            return false;
-    }
-    if (i < n && (text[i] == 'e' || text[i] == 'E')) {
-        ++i;
-        if (i < n && (text[i] == '+' || text[i] == '-'))
-            ++i;
-        if (!digits())
-            return false;
-    }
-    return i == n;
-}
-
 namespace {
 
-void
-writeJsonValue(std::ostream &os, const std::string &text)
+/** A table cell or config value: bare when numeric, else quoted. */
+JsonValue
+jsonCell(const std::string &text)
 {
-    if (looksNumeric(text))
-        os << text;
-    else
-        os << '"' << jsonEscape(text) << '"';
+    return looksNumeric(text) ? JsonValue::number(text)
+                              : JsonValue::string(text);
 }
 
 } // namespace
@@ -210,98 +141,74 @@ writeJsonValue(std::ostream &os, const std::string &text)
 void
 JsonSink::beginExperiment(const ExperimentInfo &info)
 {
-    info_ = info;
-    config_.clear();
-    datasets_.clear();
-    notes_.clear();
+    expDir_ = outDir_ / info.id;
+    doc_ = JsonValue::object();
+    doc_.add("experiment", JsonValue::string(info.id));
+    doc_.add("title", JsonValue::string(info.title));
+    doc_.add("paper_ref", JsonValue::string(info.paperRef));
+    doc_.add("category", JsonValue::string(info.category));
+    datasets_ = JsonValue::array();
+    notes_ = JsonValue::array();
 }
 
 void
 JsonSink::resolvedConfig(const std::vector<ConfigValue> &config)
 {
-    config_ = config;
+    // The fully resolved config (defaults < env < overlay): the
+    // values this run actually used, so the artifact reproduces
+    // with `rowpress run <experiment>` plus the non-default keys.
+    JsonValue resolved = JsonValue::object();
+    for (const ConfigValue &kv : config) {
+        JsonValue entry = JsonValue::object();
+        entry.add("value", jsonCell(kv.value));
+        entry.add("origin", JsonValue::string(kv.origin));
+        resolved.add(kv.key, std::move(entry));
+    }
+    doc_.add("config", std::move(resolved));
 }
 
 void
 JsonSink::dataset(const Dataset &d)
 {
-    datasets_.push_back(d);
+    JsonValue columns = JsonValue::array();
+    for (const std::string &column : d.columns)
+        columns.push(JsonValue::string(column));
+    JsonValue rows = JsonValue::array();
+    for (const auto &row : d.rows) {
+        JsonValue cells = JsonValue::array();
+        for (const std::string &cell : row)
+            cells.push(jsonCell(cell));
+        rows.push(std::move(cells));
+    }
+    JsonValue entry = JsonValue::object();
+    entry.add("name", JsonValue::string(d.name));
+    entry.add("columns", std::move(columns));
+    entry.add("rows", std::move(rows));
+    datasets_.push(std::move(entry));
 }
 
 void
 JsonSink::note(const std::string &text)
 {
-    notes_.push_back(text);
+    notes_.push(JsonValue::string(text));
 }
 
 void
 JsonSink::endExperiment()
 {
-    const auto dir = outDir_ / info_.id;
-    std::filesystem::create_directories(dir);
-    const auto path = dir / "result.json";
+    std::filesystem::create_directories(expDir_);
+    const auto path = expDir_ / "result.json";
     std::ofstream os(path);
     if (!os)
         throw ConfigError("cannot write " + path.string());
-
-    os << "{\n";
-    os << "  \"experiment\": \"" << jsonEscape(info_.id) << "\",\n";
-    os << "  \"title\": \"" << jsonEscape(info_.title) << "\",\n";
-    os << "  \"paper_ref\": \"" << jsonEscape(info_.paperRef)
-       << "\",\n";
-    os << "  \"category\": \"" << jsonEscape(info_.category)
-       << "\",\n";
-    if (!config_.empty()) {
-        // The fully resolved config (defaults < env < overlay): the
-        // values this run actually used, so the artifact reproduces
-        // with `rowpress run <experiment>` plus the non-default keys.
-        os << "  \"config\": {";
-        for (std::size_t i = 0; i < config_.size(); ++i) {
-            const ConfigValue &kv = config_[i];
-            os << (i ? ",\n             " : "\n             ");
-            os << '"' << jsonEscape(kv.key) << "\": {\"value\": ";
-            writeJsonValue(os, kv.value);
-            os << ", \"origin\": \"" << jsonEscape(kv.origin)
-               << "\"}";
-        }
-        os << "\n  },\n";
-    }
-    os << "  \"datasets\": [";
-    for (std::size_t di = 0; di < datasets_.size(); ++di) {
-        const Dataset &d = datasets_[di];
-        os << (di ? ",\n" : "\n");
-        os << "    {\n      \"name\": \"" << jsonEscape(d.name)
-           << "\",\n      \"columns\": [";
-        for (std::size_t i = 0; i < d.columns.size(); ++i) {
-            os << (i ? ", " : "") << '"' << jsonEscape(d.columns[i])
-               << '"';
-        }
-        os << "],\n      \"rows\": [";
-        for (std::size_t ri = 0; ri < d.rows.size(); ++ri) {
-            os << (ri ? ",\n                " : "") << "[";
-            const auto &row = d.rows[ri];
-            for (std::size_t i = 0; i < row.size(); ++i) {
-                if (i)
-                    os << ", ";
-                writeJsonValue(os, row[i]);
-            }
-            os << "]";
-        }
-        os << "]\n    }";
-    }
-    os << "\n  ],\n";
-    os << "  \"notes\": [";
-    for (std::size_t i = 0; i < notes_.size(); ++i) {
-        os << (i ? ",\n            " : "") << '"'
-           << jsonEscape(notes_[i]) << '"';
-    }
-    os << "]\n}\n";
+    doc_.add("datasets", std::move(datasets_));
+    doc_.add("notes", std::move(notes_));
+    writeJson(os, doc_, 2);
+    os << "\n";
     // The artifact is on disk; keeping the collected results alive
     // for the sink's remaining lifetime would only hold memory (a
     // long-lived service finishes many experiments per process).
-    config_.clear();
-    datasets_.clear();
-    notes_.clear();
+    doc_ = JsonValue();
 }
 
 // ---- event dispatch --------------------------------------------------

@@ -31,6 +31,7 @@
 
 #include "api/dataset.h"
 #include "api/job.h"
+#include "api/json.h"
 #include "api/registry.h"
 
 namespace rp::api {
@@ -118,7 +119,12 @@ class CsvSink : public ResultSink
     std::set<std::string> usedStems_;
 };
 
-/** JSON collector: one result.json per experiment. */
+/**
+ * JSON collector: one result.json per experiment, built as one
+ * JsonValue document and written by writeJson (indent 2).  A cell or
+ * config value is a JSON number when looksNumeric() holds and a
+ * string otherwise.
+ */
 class JsonSink : public ResultSink
 {
   public:
@@ -134,10 +140,11 @@ class JsonSink : public ResultSink
 
   private:
     std::filesystem::path outDir_;
-    ExperimentInfo info_;
-    std::vector<ConfigValue> config_;
-    std::vector<Dataset> datasets_;
-    std::vector<std::string> notes_;
+    std::filesystem::path expDir_;
+    /** Header members, then "config" once resolvedConfig() ran. */
+    JsonValue doc_;
+    JsonValue datasets_;
+    JsonValue notes_;
 };
 
 /**
@@ -149,15 +156,6 @@ class JsonSink : public ResultSink
  * Queued and Progress events render nothing.
  */
 void applyJobEvent(ResultSink &sink, const JobEvent &event);
-
-/** JSON string escaping (exposed for tests). */
-std::string jsonEscape(const std::string &s);
-
-/**
- * True when @p text is a complete finite number (JSON emits it
- * unquoted, preserving the exact formatted value).
- */
-bool looksNumeric(const std::string &text);
 
 /**
  * Build the sink for @p format ("table" | "csv" | "json"); file sinks

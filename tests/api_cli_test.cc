@@ -129,6 +129,29 @@ TEST(ApiCli, UnknownFlagRejectedWithExitCode2)
     EXPECT_EQ(cli({"run", "zzztest_a", "--knob"}), 2);
 }
 
+TEST(ApiCli, JobPolicyOutOfRangeExitCode2)
+{
+    // Rejected by Service::submit before the job runs.
+    const int before = g_runs_a;
+    std::string text;
+    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1", "--deadline-ms",
+                   "-1"},
+                  &text),
+              2);
+    EXPECT_NE(text.find("deadline"), std::string::npos);
+    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1",
+                   "--max-attempts", "0"},
+                  &text),
+              2);
+    EXPECT_NE(text.find("attempts"), std::string::npos);
+    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1",
+                   "--retry-backoff-ms", "0"},
+                  &text),
+              2);
+    EXPECT_NE(text.find("backoff"), std::string::npos);
+    EXPECT_EQ(g_runs_a, before);
+}
+
 TEST(ApiCli, RunExecutesAndReportsCompletion)
 {
     const int before = g_runs_a;

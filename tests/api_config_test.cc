@@ -215,5 +215,39 @@ TEST(ApiContext, BaseSchemaHasLegacyEnvAliases)
     }
 }
 
+TEST(ApiContext, DieSetComesFromResolvedConfigOnly)
+{
+    // The die set is a function of the resolved config alone, so the
+    // "dies" entry result.json records reproduces it.
+    ScopedEnv dies("ROWPRESS_DIES", nullptr);
+    ScopedEnv retired("ROWPRESS_ALL_DIES", "1");
+    core::ExperimentEngine::Options opts;
+    opts.numThreads = 1;
+    core::ExperimentEngine engine(opts);
+    const ExperimentInfo info{"zzctx", "Context", "none", "test"};
+    auto context = [&](Config cfg) {
+        return ExperimentContext(info, std::move(cfg), engine,
+                                 [](JobEvent &&) {});
+    };
+
+    Config dflt{baseSchema()};
+    dflt.loadEnv();
+    const ExperimentContext by_default = context(dflt);
+    EXPECT_EQ(by_default.dies().size(), 3u);
+    EXPECT_FALSE(by_default.allDiesSelected());
+
+    Config flag{baseSchema()};
+    flag.set("dies", "all", ConfigLayer::Cli);
+    const ExperimentContext by_flag = context(flag);
+    EXPECT_EQ(by_flag.dies().size(), device::allDies().size());
+    EXPECT_TRUE(by_flag.allDiesSelected());
+
+    ScopedEnv all("ROWPRESS_DIES", "all");
+    Config env{baseSchema()};
+    env.loadEnv();
+    EXPECT_EQ(env.origin("dies"), ConfigLayer::Env);
+    EXPECT_TRUE(context(env).allDiesSelected());
+}
+
 } // namespace
 } // namespace rp::api

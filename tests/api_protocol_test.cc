@@ -112,6 +112,62 @@ TEST(ApiJson, SerializeRoundTripsAndScalarText)
     EXPECT_THROW(parseJson("[1]").scalarText("x"), ConfigError);
 }
 
+TEST(ApiJson, PrettyWriterInlinesScalarArrays)
+{
+    JsonValue row = JsonValue::array();
+    row.push(JsonValue::string("36ns"));
+    row.push(JsonValue::number("1.25"));
+    row.push(JsonValue::makeBool(true));
+    row.push(JsonValue::makeNull());
+    JsonValue rows = JsonValue::array();
+    rows.push(row);
+    rows.push(JsonValue::array().push(JsonValue::number("2")));
+    JsonValue mixed = JsonValue::array();
+    mixed.push(JsonValue::number("1"));
+    mixed.push(JsonValue::object().add("a", JsonValue::number("2")));
+    JsonValue nested = JsonValue::object();
+    nested.add("k", JsonValue::string("v"));
+    nested.add("inner", JsonValue::object().add(
+                            "x", JsonValue::number("1")));
+
+    JsonValue doc = JsonValue::object();
+    doc.add("row", row);
+    doc.add("rows", std::move(rows));
+    doc.add("empty", JsonValue::array());
+    doc.add("mixed", std::move(mixed));
+    doc.add("nested", std::move(nested));
+
+    // Pretty: an all-scalar array is one line; any other array (of
+    // arrays, or mixing in an object) puts one item per line.
+    EXPECT_EQ(toJson(doc, 2),
+              "{\n"
+              "  \"row\": [\"36ns\", 1.25, true, null],\n"
+              "  \"rows\": [\n"
+              "    [\"36ns\", 1.25, true, null],\n"
+              "    [2]\n"
+              "  ],\n"
+              "  \"empty\": [],\n"
+              "  \"mixed\": [\n"
+              "    1,\n"
+              "    {\n"
+              "      \"a\": 2\n"
+              "    }\n"
+              "  ],\n"
+              "  \"nested\": {\n"
+              "    \"k\": \"v\",\n"
+              "    \"inner\": {\n"
+              "      \"x\": 1\n"
+              "    }\n"
+              "  }\n"
+              "}");
+    // Compact (the wire format) is unaffected by the rule.
+    EXPECT_EQ(toJson(doc),
+              "{\"row\":[\"36ns\",1.25,true,null],"
+              "\"rows\":[[\"36ns\",1.25,true,null],[2]],"
+              "\"empty\":[],\"mixed\":[1,{\"a\":2}],"
+              "\"nested\":{\"k\":\"v\",\"inner\":{\"x\":1}}}");
+}
+
 TEST(ApiProtocol, ExperimentListingSharedWithCli)
 {
     const JsonValue listing = experimentListJson({"zzproto_*"});
@@ -281,6 +337,35 @@ TEST(ApiProtocol, RequestsRejectUnknownMembers)
     }
     EXPECT_EQ(errors, 2u);
     // Nothing ran.
+    EXPECT_TRUE(service.jobs().empty());
+}
+
+TEST(ApiProtocol, SubmitRejectsOutOfRangeJobPolicy)
+{
+    std::istringstream in(
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"deadline_ms\":-1}\n"
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"max_attempts\":0}\n"
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"backoff_ms\":0}\n");
+    std::ostringstream out;
+    Service service;
+    EXPECT_EQ(serveSession(service, in, out), 0);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    std::vector<std::string> errors;
+    while (std::getline(lines, line)) {
+        const JsonValue v = parseJson(line);
+        ASSERT_EQ(v.find("event"), nullptr) << line;
+        EXPECT_FALSE(v.find("ok")->boolean);
+        errors.push_back(v.find("error")->text);
+    }
+    ASSERT_EQ(errors.size(), 3u);
+    EXPECT_NE(errors[0].find("deadline"), std::string::npos);
+    EXPECT_NE(errors[1].find("attempts"), std::string::npos);
+    EXPECT_NE(errors[2].find("backoff"), std::string::npos);
     EXPECT_TRUE(service.jobs().empty());
 }
 

@@ -2,7 +2,7 @@
  * @file
  * ResultSink tests: ASCII rendering, CSV artifact layout (slug
  * collisions, raw chr/export artifacts), JSON escaping and numeric
- * detection.
+ * detection, and result.json parsed back through api/json.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "api/env.h"
+#include "api/json.h"
 #include "api/sink.h"
 #include "chr/export.h"
 
@@ -174,6 +175,68 @@ TEST(ApiSink, JsonSinkWritesWellFormedResult)
     EXPECT_NE(text.find("[\"x\", 1.25]"), std::string::npos);
     EXPECT_NE(text.find("note with \\\"quotes\\\""),
               std::string::npos);
+}
+
+TEST(ApiSink, JsonSinkResultParsesBack)
+{
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "rp_json_sink_parse";
+    fs::remove_all(dir);
+    JsonSink sink(dir);
+    sink.beginExperiment(info());
+    sink.resolvedConfig({{"locations", "4", "cli"},
+                         {"dies", "default", "default"},
+                         {"scale", "0.25", "env"}});
+    Dataset d("data");
+    d.header({"name", "value"});
+    d.row({"36ns", "381.7K"});
+    d.row({"x", "1.25"});
+    sink.dataset(d);
+    sink.note("first\n");
+    sink.note("second");
+    sink.endExperiment();
+
+    const JsonValue doc =
+        parseJson(slurp(dir / "sink_test" / "result.json"));
+    EXPECT_EQ(doc.find("experiment")->text, "sink_test");
+    EXPECT_EQ(doc.find("category")->text, "test");
+
+    // Config values follow the cell rule; origins are strings.
+    const JsonValue *config = doc.find("config");
+    ASSERT_NE(config, nullptr);
+    ASSERT_EQ(config->members.size(), 3u);
+    EXPECT_EQ(config->members[0].first, "locations");
+    EXPECT_EQ(config->find("locations")->find("value")->kind,
+              JsonValue::Kind::Number);
+    EXPECT_EQ(config->find("locations")->find("origin")->text, "cli");
+    EXPECT_EQ(config->find("dies")->find("value")->kind,
+              JsonValue::Kind::String);
+    EXPECT_EQ(config->find("scale")->find("value")->text, "0.25");
+    EXPECT_EQ(config->find("scale")->find("value")->kind,
+              JsonValue::Kind::Number);
+
+    const JsonValue *datasets = doc.find("datasets");
+    ASSERT_NE(datasets, nullptr);
+    ASSERT_EQ(datasets->items.size(), 1u);
+    const JsonValue &data = datasets->items[0];
+    EXPECT_EQ(data.find("name")->text, "data");
+    ASSERT_EQ(data.find("columns")->items.size(), 2u);
+    EXPECT_EQ(data.find("columns")->items[1].kind,
+              JsonValue::Kind::String);
+    const JsonValue *rows = data.find("rows");
+    ASSERT_EQ(rows->items.size(), 2u);
+    EXPECT_EQ(rows->items[0].items[0].kind, JsonValue::Kind::String);
+    EXPECT_EQ(rows->items[0].items[0].text, "36ns");
+    EXPECT_EQ(rows->items[0].items[1].kind, JsonValue::Kind::String);
+    EXPECT_EQ(rows->items[0].items[1].text, "381.7K");
+    EXPECT_EQ(rows->items[1].items[1].kind, JsonValue::Kind::Number);
+    EXPECT_EQ(rows->items[1].items[1].text, "1.25");
+
+    const JsonValue *notes = doc.find("notes");
+    ASSERT_NE(notes, nullptr);
+    ASSERT_EQ(notes->items.size(), 2u);
+    EXPECT_EQ(notes->items[0].text, "first\n");
+    EXPECT_EQ(notes->items[1].text, "second");
 }
 
 TEST(ApiSink, MakeSinkFactory)
