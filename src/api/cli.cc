@@ -29,7 +29,7 @@ const char *const kUsage =
     "  list [glob]          list registered experiments\n"
     "  run <id|glob>...     run experiments by name\n"
     "  serve                long-lived service: jobs over NDJSON on\n"
-    "                       stdin/stdout (see --port for TCP)\n"
+    "                       stdin/stdout\n"
     "  cache <verb>         snapshot-cache maintenance: ls | gc |\n"
     "                       export DEST | import FILE...\n"
     "  help                 show this message\n"
@@ -69,15 +69,9 @@ const char *const kUsage =
     "\n"
     "serve options:\n"
     "  --jobs N             concurrent jobs in flight (default: 2)\n"
-    "  --port P             serve on TCP 127.0.0.1:P instead of stdio\n"
     "  --queue-max N        pending-queue admission bound; a full\n"
     "                       queue rejects with queue_full (default:\n"
     "                       64, 0 = unbounded)\n"
-    "  --session-max-inflight N\n"
-    "                       per-TCP-session cap on non-terminal jobs\n"
-    "                       (default: 8, 0 = uncapped)\n"
-    "  --idle-timeout-ms N  disconnect a TCP session silent for N ms\n"
-    "                       (default: 0 = never)\n"
     "  --grace-ms N         SIGTERM/SIGINT drain budget before\n"
     "                       in-flight jobs are cancelled (default:\n"
     "                       5000; exit 3 = drained, 4 = cancelled)\n"
@@ -266,14 +260,13 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
         std::vector<Flag> config_flags;
         for (const Flag &flag : parsed.flags) {
             if (flag.key == "deadline-ms") {
-                deadline_ms =
-                    int(parseInt(flag.value, "--deadline-ms"));
+                deadline_ms = parseInt32(flag.value, "--deadline-ms");
             } else if (flag.key == "max-attempts") {
                 retry.maxAttempts =
-                    int(parseInt(flag.value, "--max-attempts"));
+                    parseInt32(flag.value, "--max-attempts");
             } else if (flag.key == "retry-backoff-ms") {
                 retry.backoffBaseMs =
-                    int(parseInt(flag.value, "--retry-backoff-ms"));
+                    parseInt32(flag.value, "--retry-backoff-ms");
             } else {
                 config_flags.push_back(flag);
             }
@@ -532,19 +525,12 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     if (parsed.time || parsed.all)
         throw ConfigError(std::string("serve does not accept --") +
                           (parsed.time ? "time" : "all"));
-    int port = -1;
     int jobs = 2;
     std::size_t queue_max = 64;
-    ServeOptions serve_opts;
+    int grace_ms = 5000;
     for (const Flag &flag : parsed.flags) {
-        if (flag.key == "port") {
-            port = int(parseInt(flag.value, "--port"));
-            // 0 would bind an ephemeral port the log line cannot
-            // announce; require an explicit one.
-            if (port < 1 || port > 65535)
-                throw ConfigError("--port: expected 1..65535");
-        } else if (flag.key == "jobs") {
-            jobs = int(parseInt(flag.value, "--jobs"));
+        if (flag.key == "jobs") {
+            jobs = parseInt32(flag.value, "--jobs");
             if (jobs < 1)
                 throw ConfigError("--jobs: must be >= 1");
         } else if (flag.key == "queue-max") {
@@ -552,40 +538,21 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
             if (v < 0)
                 throw ConfigError("--queue-max: must be >= 0");
             queue_max = std::size_t(v);
-        } else if (flag.key == "session-max-inflight") {
-            serve_opts.sessionMaxInflight =
-                int(parseInt(flag.value, "--session-max-inflight"));
-            if (serve_opts.sessionMaxInflight < 0)
-                throw ConfigError(
-                    "--session-max-inflight: must be >= 0");
-        } else if (flag.key == "idle-timeout-ms") {
-            serve_opts.idleTimeoutMs =
-                int(parseInt(flag.value, "--idle-timeout-ms"));
-            if (serve_opts.idleTimeoutMs < 0)
-                throw ConfigError("--idle-timeout-ms: must be >= 0");
         } else if (flag.key == "grace-ms") {
-            serve_opts.graceMs =
-                int(parseInt(flag.value, "--grace-ms"));
-            if (serve_opts.graceMs < 0)
+            grace_ms = parseInt32(flag.value, "--grace-ms");
+            if (grace_ms < 0)
                 throw ConfigError("--grace-ms: must be >= 0");
         } else {
             throw ConfigError("serve does not accept --" + flag.key);
         }
     }
 
-#if defined(SIGPIPE)
     // A client that stops reading (e.g. `... | rowpress serve |
     // head`) must surface as a stream error, not kill the server
-    // mid-job by the default SIGPIPE action.  (TCP writes are
-    // additionally covered by MSG_NOSIGNAL/SO_NOSIGPIPE.)
+    // mid-job by the default SIGPIPE action.
     std::signal(SIGPIPE, SIG_IGN);
-#endif
     Service service(Service::Options{jobs, queue_max});
-    if (port >= 0) {
-        serve_opts.port = port;
-        return serveTcp(service, serve_opts, out);
-    }
-    return serveSession(service, std::cin, out);
+    return serveFd(service, /*in_fd=*/0, out, grace_ms);
 }
 
 } // namespace

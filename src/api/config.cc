@@ -38,16 +38,13 @@ Config::validate(const OptionSpec &spec, const std::string &value,
 {
     switch (spec.type) {
     case OptionType::Int: {
-        const long long v = parseInt(value, what);
+        // getInt() returns int, so an oversized value is rejected
+        // here rather than silently truncated.
+        const int v = parseInt32(value, what);
         if (spec.hasMin && double(v) < spec.minValue)
             throw ConfigError(what + ": value " + std::to_string(v) +
                               " is below the minimum of " +
                               std::to_string((long long)spec.minValue));
-        // getInt() returns int; reject here so an oversized value
-        // never silently truncates.
-        if (v > 2147483647LL || v < -2147483648LL)
-            throw ConfigError(what + ": value " + std::to_string(v) +
-                              " does not fit an int");
         break;
     }
     case OptionType::Double: {
@@ -119,7 +116,7 @@ int
 Config::getInt(const std::string &key) const
 {
     specOf(key, OptionType::Int);
-    return int(parseInt(values_.at(key).value, "--" + key));
+    return parseInt32(values_.at(key).value, "--" + key);
 }
 
 double

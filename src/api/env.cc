@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace rp::api {
 
@@ -37,6 +38,17 @@ parseInt(const std::string &text, const std::string &what)
     if (end == t.c_str() || *end != '\0')
         throw ConfigError(what + ": not an integer: '" + text + "'");
     return v;
+}
+
+int
+parseInt32(const std::string &text, const std::string &what)
+{
+    const long long v = parseInt(text, what);
+    if (v > std::numeric_limits<int>::max() ||
+        v < std::numeric_limits<int>::min())
+        throw ConfigError(what + ": value " + std::to_string(v) +
+                          " does not fit an int");
+    return int(v);
 }
 
 double
@@ -76,16 +88,12 @@ envInt(const char *name, int def, long long min_value)
     const char *v = std::getenv(name);
     if (!v)
         return def;
-    const long long parsed = parseInt(v, name);
+    const int parsed = parseInt32(v, name);
     if (parsed < min_value)
         throw ConfigError(std::string(name) + ": value " +
                           std::to_string(parsed) + " is below the "
                           "minimum of " + std::to_string(min_value));
-    if (parsed > 0x7fffffffLL)
-        throw ConfigError(std::string(name) + ": value " +
-                          std::to_string(parsed) + " does not fit an "
-                          "int");
-    return int(parsed);
+    return parsed;
 }
 
 } // namespace rp::api

@@ -32,6 +32,12 @@ class ConfigError : public std::runtime_error
  */
 long long parseInt(const std::string &text, const std::string &what);
 
+/**
+ * parseInt for a value stored as an int: one outside int's range
+ * raises ConfigError ("does not fit an int") instead of wrapping.
+ */
+int parseInt32(const std::string &text, const std::string &what);
+
 /** Parse @p text as a whole-string floating-point number. */
 double parseDouble(const std::string &text, const std::string &what);
 

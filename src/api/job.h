@@ -119,14 +119,6 @@ struct JobRequest
 
     /** Transient-failure retry policy (default: no retries). */
     RetryPolicy retry;
-
-    /**
-     * Client/session scope tag, echoed on every JobEvent of this job
-     * (JobEvent::client).  Protocol sessions set a unique nonzero id
-     * and filter the observer stream on it, so one session never
-     * sees another session's events; 0 = unscoped (in-process API).
-     */
-    std::uint64_t clientId = 0;
 };
 
 /** Type of a streamed job event. */
@@ -158,8 +150,6 @@ struct JobEvent
     JobEventType type = JobEventType::Queued;
     std::uint64_t job = 0;
     std::string experiment;
-    /** JobRequest::clientId of the owning job (session scoping). */
-    std::uint64_t client = 0;
 
     // Retrying
     int attempt = 0;     ///< The attempt (1-based) that just failed.

@@ -1,9 +1,11 @@
 #include "api/protocol.h"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <poll.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <deque>
 #include <istream>
@@ -12,18 +14,8 @@
 
 #include "api/context.h"
 #include "api/service.h"
-#include "core/fault.h"
 #include "core/thread_annotations.h"
 #include "persist/cache.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ROWPRESS_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 namespace rp::api {
 
@@ -159,91 +151,74 @@ class ProtocolSession
 {
   public:
     /**
-     * @p client_id scopes the event stream: nonzero ids (one per TCP
-     * session) see only their own jobs' events; 0 (the stdio
-     * session, necessarily alone in its process) sees everything.
-     * @p max_inflight bounds this session's non-terminal jobs
-     * (0 = uncapped).
+     * @p stopped, when given, is asked before each request line; true
+     * ends the request loop as EOF does, even with lines still
+     * buffered.
      */
     ProtocolSession(Service &service, std::istream &in,
-                    std::ostream &out, std::uint64_t client_id = 0,
-                    int max_inflight = 0)
-        : service_(service), in_(in), out_(out), clientId_(client_id),
-          maxInflight_(max_inflight)
+                    std::ostream &out, bool (*stopped)() = nullptr)
+        : service_(service), in_(in), out_(out), stopped_(stopped)
     {
     }
 
-    /** Returns true when the client requested service shutdown. */
+    /**
+     * Answer request lines until EOF, a shutdown op, a failed write
+     * on the output, or the stop predicate, streaming job events
+     * meanwhile.  Returns true for {"op":"shutdown","force":true}.
+     * The event stream stays attached, so the caller's drain still
+     * reaches the output; close() detaches it.
+     */
     bool
-    run(bool eof_is_shutdown)
+    serve()
     {
         // Events are enqueued by the service's dispatch path and
         // written by a dedicated writer thread: the observer must
-        // never block on client I/O, or one client that stops
-        // reading its socket would stall every job in the service
-        // (event dispatch is serialized process-wide).
-        std::thread writer([this] { writerLoop(); });
-        const std::uint64_t observer =
-            service_.addObserver([this](const JobEvent &event) {
-                if (clientId_ != 0 && event.client != clientId_)
-                    return; // another session's job
-                if (event.type == JobEventType::Finished)
-                    --inflight_; // balances opSubmit's increment
-                enqueue(jobEventLine(event),
-                        /*critical=*/event.type ==
-                            JobEventType::Finished);
-            });
+        // never block on client I/O, or a client that stops reading
+        // would stall every job in the service (event dispatch is
+        // serialized process-wide).
+        writer_ = std::thread([this] { writerLoop(); });
+        observer_ = service_.addObserver([this](const JobEvent &event) {
+            enqueue(jobEventLine(event),
+                    /*critical=*/event.type == JobEventType::Finished);
+        });
 
         bool shutdown_requested = false;
         bool force = false;
         std::string text;
-        while (std::getline(in_, text)) {
+        while (!(stopped_ && stopped_()) && std::getline(in_, text)) {
             if (text.empty() ||
                 text.find_first_not_of(" \t\r") == std::string::npos)
                 continue;
             JsonValue response = JsonValue::object();
-            if (handle(text, response, &shutdown_requested, &force))
-                writeLine(toJson(response));
+            handle(text, response, &shutdown_requested, &force);
+            writeLine(toJson(response));
             if (shutdown_requested)
                 break;
-            // A session whose responses can no longer be delivered
-            // (peer hung up mid-write) is dead: stop consuming its
-            // requests.  Its in-flight jobs keep running — only the
-            // event stream ends.
+            // Responses that can no longer be delivered (the reader
+            // of the output went away) end the request loop; the
+            // jobs already submitted still drain.
             if (outFailed())
                 break;
         }
+        return force;
+    }
 
-        if (shutdown_requested || eof_is_shutdown) {
-            // Drain before detaching so every submitted job's event
-            // stream (and artifacts) completes — `printf ... | serve`
-            // runs everything it was fed.  A forced shutdown cancels
-            // instead.
-            if (force)
-                service_.shutdownNow();
-            else
-                service_.shutdown();
-        }
-        service_.removeObserver(observer);
+    /**
+     * Detach from the service and write every queued event line.
+     * Returns true when writing the output failed.
+     */
+    bool
+    close()
+    {
+        service_.removeObserver(observer_);
         // No more producers: flush what is queued, then stop.
         {
             core::LockGuard lock(queueMutex_);
             writerStop_ = true;
         }
         queueCv_.notify_all();
-        writer.join();
-        return shutdown_requested;
-    }
-
-    bool
-    failed() const
-    {
-        // The writer thread is joined by the time callers ask, but
-        // take the stream lock anyway — it documents that out_ is
-        // shared with the writer and keeps the read race-free even
-        // if a caller ever probes mid-session.
-        core::LockGuard lock(outMutex_);
-        return out_.fail();
+        writer_.join();
+        return outFailed();
     }
 
   private:
@@ -321,8 +296,7 @@ class ProtocolSession
         return out_.fail();
     }
 
-    /** Returns false when no response should be written (never today). */
-    bool
+    void
     handle(const std::string &text, JsonValue &response,
            bool *shutdown_requested, bool *force)
     {
@@ -371,9 +345,6 @@ class ProtocolSession
             } else if (op == "cache") {
                 rejectUnknownMembers(request, {"op", "tag", "evict"});
                 opCache(request, response);
-            } else if (op == "shed") {
-                rejectUnknownMembers(request, {"op", "tag", "on"});
-                opShed(request, response);
             } else if (op == "shutdown") {
                 rejectUnknownMembers(request, {"op", "tag", "force"});
                 *force = boolMember(request, "force");
@@ -403,7 +374,6 @@ class ProtocolSession
                 response.add("tag", tag);
             response.add("error", JsonValue::string(e.what()));
         }
-        return true;
     }
 
     /**
@@ -428,7 +398,7 @@ class ProtocolSession
     {
         const std::string what = std::string("protocol: \"") + key + "\"";
         if (const JsonValue *v = request.find(key))
-            *out = int(parseInt(v->scalarText(what), what));
+            *out = parseInt32(v->scalarText(what), what);
     }
 
     /**
@@ -496,23 +466,8 @@ class ProtocolSession
         intMember(request, "deadline_ms", &job.deadlineMs);
         intMember(request, "max_attempts", &job.retry.maxAttempts);
         intMember(request, "backoff_ms", &job.retry.backoffBaseMs);
-        job.clientId = clientId_;
-        if (maxInflight_ > 0 && inflight_.load() >= maxInflight_)
-            throw AdmissionError(
-                "session_limit",
-                "session has " + std::to_string(maxInflight_) +
-                    " jobs in flight; wait for one to finish");
-        // Count before submitting: the decrement rides the job's
-        // Finished event, which cannot precede the submit.
-        ++inflight_;
-        std::uint64_t id = 0;
-        try {
-            id = service_.submit(job);
-        } catch (...) {
-            --inflight_;
-            throw;
-        }
-        response.add("job", JsonValue::number((long long)id));
+        response.add("job",
+                     JsonValue::number((long long)service_.submit(job)));
     }
 
     void
@@ -533,19 +488,6 @@ class ProtocolSession
                              : "timeout"));
         for (auto &member : statusJson(st).members)
             response.add(member.first, std::move(member.second));
-    }
-
-    void
-    opShed(const JsonValue &request, JsonValue &response)
-    {
-        if (const JsonValue *on = request.find("on")) {
-            if (on->kind != JsonValue::Kind::Bool)
-                throw ConfigError(
-                    "protocol: \"on\" must be true or false");
-            service_.setLoadShed(on->boolean);
-        }
-        response.add("shedding",
-                     JsonValue::makeBool(service_.loadShedding()));
     }
 
     static JsonValue
@@ -665,12 +607,12 @@ class ProtocolSession
     Service &service_;
     std::istream &in_;
     std::ostream &out_;
-    const std::uint64_t clientId_;
-    const int maxInflight_;
-    std::atomic<int> inflight_{0};
+    bool (*const stopped_)();
+    std::thread writer_;
+    std::uint64_t observer_ = 0;
     /// Serializes request-loop and writer-thread access to out_
-    /// (stream writes and state probes); mutable for failed() const.
-    mutable core::Mutex outMutex_;
+    /// (stream writes and state probes).
+    core::Mutex outMutex_;
 
     core::Mutex queueMutex_;
     core::CondVar queueCv_;
@@ -685,25 +627,88 @@ int
 serveSession(Service &service, std::istream &in, std::ostream &out)
 {
     ProtocolSession session(service, in, out);
-    session.run(/*eof_is_shutdown=*/true);
-    return session.failed() ? 1 : 0;
+    // EOF and plain shutdown drain before returning, so every
+    // submitted job's event stream and artifacts complete — `printf
+    // ... | serve` runs everything it was fed.
+    if (session.serve())
+        service.shutdownNow();
+    else
+        service.shutdown();
+    return session.close() ? 1 : 0;
 }
 
-// ---- TCP front-end ---------------------------------------------------
-
-#if ROWPRESS_HAVE_SOCKETS
+// ---- stdio serve under SIGTERM/SIGINT supervision --------------------
 
 namespace {
 
-/** Minimal read/write streambuf over a connected socket fd. */
+/**
+ * SIGTERM/SIGINT latch.  A lock-free atomic, not volatile
+ * sig_atomic_t: the handler may run on any thread of the process
+ * (raise() in tests, a signal delivered to a worker), so the latch
+ * must be data-race-free across threads as well as
+ * async-signal-safe — lock-free std::atomic is both.
+ */
+std::atomic<int> g_serveSignal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "signal handler requires a lock-free latch");
+
+/** Write end of the wake pipe, for the handler (-1 = none yet). */
+std::atomic<int> g_wakeFd{-1};
+
+extern "C" void
+serveSignalHandler(int)
+{
+    const int saved_errno = errno;
+    g_serveSignal.store(1, std::memory_order_relaxed);
+    // Wake the request reader's poll(), whichever thread this runs on.
+    const int fd = g_wakeFd.load(std::memory_order_relaxed);
+    if (fd >= 0) {
+        const ssize_t n = ::write(fd, "!", 1);
+        (void)n; // a full pipe is already readable
+    }
+    errno = saved_errno;
+}
+
+bool
+serveSignalled()
+{
+    return g_serveSignal.load(std::memory_order_relaxed) != 0;
+}
+
+/**
+ * Read end of the self-pipe the handler writes to (g_wakeFd holds the
+ * write end).  Created once and never closed, so a handler that runs
+ * late can never write into a descriptor number that was reused.
+ * Both ends are non-blocking: the handler must not block, and serveFd
+ * empties the read end of bytes left by an earlier signal.
+ */
+int
+wakeReadFd()
+{
+    static const int read_fd = [] {
+        int p[2];
+        if (::pipe(p) != 0)
+            throw std::runtime_error("serve: cannot create a pipe");
+        for (const int fd : p) {
+            ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+            ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+        }
+        g_wakeFd.store(p[1], std::memory_order_relaxed);
+        return p[0];
+    }();
+    return read_fd;
+}
+
+/**
+ * Read-only streambuf over a file descriptor whose input also ends
+ * when the signal latch fires: underflow() polls the descriptor
+ * together with the wake pipe, so input wakes it at once and so does
+ * a signal.
+ */
 class FdStreamBuf : public std::streambuf
 {
   public:
-    explicit FdStreamBuf(int fd, int idle_timeout_ms = 0)
-        : fd_(fd), idleTimeoutMs_(idle_timeout_ms)
-    {
-        setg(inBuf_, inBuf_, inBuf_);
-    }
+    explicit FdStreamBuf(int fd) : fd_(fd) { setg(inBuf_, inBuf_, inBuf_); }
 
   protected:
     int_type
@@ -711,26 +716,12 @@ class FdStreamBuf : public std::streambuf
     {
         if (gptr() < egptr())
             return traits_type::to_int_type(*gptr());
-        // Fault point: the peer vanishing mid-read (ECONNRESET and
-        // friends read as EOF — the session ends, the service lives).
-        if (const int e = core::faultPoint("protocol.socket.read")) {
-            errno = e;
-            return traits_type::eof();
-        }
-        if (idleTimeoutMs_ > 0) {
-            // Idle supervision: a client that goes silent past the
-            // budget is disconnected (reads as EOF), freeing its
-            // session thread; its in-flight jobs keep running.
-            pollfd pfd{};
-            pfd.fd = fd_;
-            pfd.events = POLLIN;
-            int r;
-            do {
-                r = ::poll(&pfd, 1, idleTimeoutMs_);
-            } while (r < 0 && errno == EINTR);
-            if (r <= 0)
+        pollfd pfds[2] = {{fd_, POLLIN, 0}, {wakeReadFd(), POLLIN, 0}};
+        while (::poll(pfds, 2, -1) < 0)
+            if (errno != EINTR)
                 return traits_type::eof();
-        }
+        if (serveSignalled())
+            return traits_type::eof();
         ssize_t n;
         do {
             n = ::read(fd_, inBuf_, sizeof(inBuf_));
@@ -741,286 +732,51 @@ class FdStreamBuf : public std::streambuf
         return traits_type::to_int_type(*gptr());
     }
 
-    int_type
-    overflow(int_type ch) override
-    {
-        if (ch == traits_type::eof())
-            return traits_type::not_eof(ch);
-        const char c = char(ch);
-        return writeAll(&c, 1) ? ch : traits_type::eof();
-    }
-
-    std::streamsize
-    xsputn(const char *data, std::streamsize n) override
-    {
-        return writeAll(data, std::size_t(n)) ? n : 0;
-    }
-
   private:
-    bool
-    writeAll(const char *data, std::size_t n)
-    {
-        // Fault point: a peer hang-up surfacing on the write side
-        // (EPIPE); the writer thread sees a failed stream and the
-        // session winds down without touching other sessions' jobs.
-        if (const int e = core::faultPoint("protocol.socket.write")) {
-            errno = e;
-            return false;
-        }
-        while (n > 0) {
-            // MSG_NOSIGNAL: a peer that hung up must produce EPIPE
-            // (ending this session), not SIGPIPE (whose default
-            // action would kill the whole long-lived server).
-#if defined(MSG_NOSIGNAL)
-            const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL);
-#else
-            const ssize_t w = ::write(fd_, data, n);
-#endif
-            if (w < 0 && errno == EINTR)
-                continue;
-            if (w <= 0)
-                return false;
-            data += std::size_t(w);
-            n -= std::size_t(w);
-        }
-        return true;
-    }
-
     int fd_;
-    int idleTimeoutMs_;
     char inBuf_[4096];
-};
-
-/**
- * SIGTERM/SIGINT latch for the accept loop.  A lock-free atomic, not
- * volatile sig_atomic_t: the handler may run on any thread of the
- * process (raise() in tests, a signal delivered to a worker), so the
- * latch must be data-race-free across threads as well as
- * async-signal-safe — lock-free std::atomic is both.
- */
-std::atomic<int> g_serveSignal{0};
-static_assert(std::atomic<int>::is_always_lock_free,
-              "signal handler requires a lock-free latch");
-
-extern "C" void
-serveSignalHandler(int)
-{
-    g_serveSignal.store(1, std::memory_order_relaxed);
-}
-
-bool
-serveSignalled()
-{
-    return g_serveSignal.load(std::memory_order_relaxed) != 0;
-}
-
-/** One live TCP session: its socket, thread, and completion flag. */
-struct TcpSession
-{
-    int fd = -1;
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
 };
 
 } // namespace
 
 int
-serveTcp(Service &service, const ServeOptions &opts, std::ostream &log)
+serveFd(Service &service, int in_fd, std::ostream &out, int grace_ms)
 {
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0)
-        throw ConfigError("serve: cannot create socket");
-    const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(std::uint16_t(opts.port));
-    if (::bind(listener, (const sockaddr *)&addr, sizeof(addr)) != 0 ||
-        ::listen(listener, 16) != 0) {
-        ::close(listener);
-        throw ConfigError("serve: cannot bind 127.0.0.1:" +
-                          std::to_string(opts.port));
+    const int wake_fd = wakeReadFd();
+    char stale[64];
+    while (::read(wake_fd, stale, sizeof(stale)) > 0) {
     }
-    log << "[rowpress] serving on 127.0.0.1:" << opts.port << "\n";
-    log.flush();
-
-    // Graceful-drain signals: latch and finish the loop iteration
-    // instead of dying mid-job.  Handlers are restored on exit so a
-    // caller embedding serveTcp gets its own disposition back.
     g_serveSignal.store(0, std::memory_order_relaxed);
-    struct sigaction sa
-    {
-    };
+    struct sigaction sa = {}, old_term = {}, old_int = {};
     sa.sa_handler = serveSignalHandler;
     sigemptyset(&sa.sa_mask);
-    struct sigaction old_term
-    {
-    }, old_int{};
     ::sigaction(SIGTERM, &sa, &old_term);
     ::sigaction(SIGINT, &sa, &old_int);
 
-    std::vector<TcpSession> sessions; // touched only by this thread
-    std::atomic<bool> shutdown_op{false};
-    std::uint64_t next_client = 0;
-    bool accept_failed = false;
-    int accept_backoff_ms = 0;
-
-    while (!shutdown_op.load(std::memory_order_acquire) &&
-           !serveSignalled()) {
-        // Reap finished sessions so a long-lived server's thread and
-        // fd counts track live clients, not total connections ever.
-        for (auto it = sessions.begin(); it != sessions.end();) {
-            if (it->done->load(std::memory_order_acquire)) {
-                it->thread.join();
-                ::close(it->fd);
-                it = sessions.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
-        // Poll with a bounded tick so signal/shutdown latches are
-        // noticed without a connection arriving.
-        pollfd pfd{};
-        pfd.fd = listener;
-        pfd.events = POLLIN;
-        const int pr = ::poll(&pfd, 1, 200);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            log << "[rowpress] poll failed; server exiting\n";
-            accept_failed = true;
-            break;
-        }
-        if (pr == 0)
-            continue;
-
-        // Fault point: accept-path errno emulation (fd exhaustion
-        // drills without actually exhausting the process's table).
-        int err = core::faultPoint("protocol.accept");
-        int conn = -1;
-        if (err == 0) {
-            conn = ::accept(listener, nullptr, nullptr);
-            if (conn < 0)
-                err = errno;
-        }
-        if (conn < 0) {
-            // A harmless signal (profiler timer, window resize) must
-            // not take the whole long-lived server down.
-            if (err == EINTR)
-                continue;
-            if (err == EMFILE || err == ENFILE || err == ENOBUFS) {
-                // Transient resource exhaustion: back off (bounded,
-                // doubling) and retry — sessions closing will free
-                // fds.  Exiting here would turn a burst of clients
-                // into an outage.
-                accept_backoff_ms =
-                    accept_backoff_ms == 0
-                        ? 10
-                        : std::min(accept_backoff_ms * 2, 1000);
-                log << "[rowpress] accept: out of descriptors (errno "
-                    << err << "); retrying in " << accept_backoff_ms
-                    << " ms\n";
-                log.flush();
-                for (int slept = 0;
-                     slept < accept_backoff_ms && !serveSignalled() &&
-                     !shutdown_op.load(std::memory_order_acquire);
-                     slept += 20)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(20));
-                continue;
-            }
-            log << "[rowpress] accept failed (errno " << err
-                << "); server exiting\n";
-            accept_failed = true;
-            break;
-        }
-        accept_backoff_ms = 0;
-#if defined(SO_NOSIGPIPE)
-        // BSD/macOS equivalent of MSG_NOSIGNAL.
-        const int no_sigpipe = 1;
-        ::setsockopt(conn, SOL_SOCKET, SO_NOSIGPIPE, &no_sigpipe,
-                     sizeof(no_sigpipe));
-#endif
-        // One concurrent session per connection, each with a unique
-        // nonzero client id: its submits are tagged with it and its
-        // event stream filtered on it, so sessions never see each
-        // other's jobs.  A client hang-up only ends its session; the
-        // service (warm caches, job history) persists.
-        const std::uint64_t client = ++next_client;
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        const int idle_ms = opts.idleTimeoutMs;
-        const int inflight_cap = opts.sessionMaxInflight;
-        std::thread thread([&service, conn, client, idle_ms,
-                            inflight_cap, done, &shutdown_op] {
-            FdStreamBuf buf(conn, idle_ms);
-            std::istream in(&buf);
-            std::ostream out(&buf);
-            ProtocolSession session(service, in, out, client,
-                                    inflight_cap);
-            if (session.run(/*eof_is_shutdown=*/false))
-                shutdown_op.store(true, std::memory_order_release);
-            // Unblock nothing-in-particular: the accept loop owns
-            // the close; signalling both directions down lets any
-            // straggling peer write fail fast.
-            ::shutdown(conn, SHUT_RDWR);
-            done->store(true, std::memory_order_release);
-        });
-        sessions.push_back(
-            TcpSession{conn, std::move(thread), std::move(done)});
-    }
-    ::close(listener); // stop accepting before any drain below
-
-    int exit_code = accept_failed ? 1 : 0;
-    if (serveSignalled() &&
-        !shutdown_op.load(std::memory_order_acquire)) {
-        // Signal drain: shed new submissions, give in-flight work the
-        // grace budget, then cancel whatever remains.  The exit code
-        // tells a supervisor which of the two happened.
-        log << "[rowpress] signal received; draining (grace "
-            << opts.graceMs << " ms)\n";
-        log.flush();
-        service.setLoadShed(true);
-        const bool drained = service.drainFor(opts.graceMs);
-        if (drained) {
-            service.shutdown();
-            exit_code = 3;
-        } else {
-            service.shutdownNow();
-            exit_code = 4;
-        }
-        log << "[rowpress] drain "
-            << (drained ? "complete" : "expired; in-flight jobs "
-                                       "cancelled")
-            << "\n";
-        log.flush();
-    }
-
-    // Wake every session reader off its socket, then join.  Sessions
-    // end at their next read; their in-flight jobs already drained
-    // (shutdown op / signal path) or were cancelled.
-    for (TcpSession &session : sessions)
-        ::shutdown(session.fd, SHUT_RDWR);
-    for (TcpSession &session : sessions) {
-        session.thread.join();
-        ::close(session.fd);
-    }
+    FdStreamBuf buf(in_fd);
+    std::istream in(&buf);
+    ProtocolSession session(service, in, out, serveSignalled);
+    const bool force = session.serve();
+    // Reading has stopped: from here on a signal gets the caller's
+    // disposition again.  The latch is read after the restore, so a
+    // signal is either seen below or handled by that disposition.
     ::sigaction(SIGTERM, &old_term, nullptr);
     ::sigaction(SIGINT, &old_int, nullptr);
-    return exit_code;
+
+    // After a signal, shed new submissions and give in-flight work
+    // the grace budget; the exit code tells a supervisor whether it
+    // drained (3) or had to be cancelled (4).
+    int code = 0;
+    if (serveSignalled()) {
+        service.setLoadShed(true);
+        code = service.drainFor(grace_ms) ? 3 : 4;
+    }
+    if (force || code == 4)
+        service.shutdownNow();
+    else
+        service.shutdown();
+    const bool failed = session.close();
+    return code != 0 ? code : failed ? 1 : 0;
 }
-
-#else // !ROWPRESS_HAVE_SOCKETS
-
-int
-serveTcp(Service &, const ServeOptions &, std::ostream &)
-{
-    throw ConfigError("serve: --port is not supported on this platform "
-                      "(no POSIX sockets); use stdin/stdout mode");
-}
-
-#endif
 
 } // namespace rp::api

@@ -1,13 +1,14 @@
 /**
  * @file
  * The `rowpress serve` wire protocol: line-delimited JSON over
- * stdin/stdout (and, optionally, a TCP socket).
+ * stdin/stdout.
  *
  * Requests are one JSON object per line with an "op" member:
  *
  *   {"op":"submit","experiment":"fig06","config":{"temp":"65"},
  *    "formats":["csv","json"],"out":"artifacts/job1"}
  *   {"op":"status"}            {"op":"status","job":3}
+ *   {"op":"wait","job":3}      {"op":"wait","job":3,"timeout_ms":500}
  *   {"op":"list","glob":"fig*"}
  *   {"op":"cancel","job":3}
  *   {"op":"cache"}             {"op":"cache","evict":true}
@@ -17,7 +18,8 @@
  * "ok" (and "error" when false); an optional "tag" member is echoed
  * verbatim for client-side correlation.  Job lifecycle is streamed
  * asynchronously as event lines ({"event":"queued"|"started"|
- * "progress"|"dataset"|"note"|"artifact"|"finished",...}) interleaved
+ * "progress"|"dataset"|"note"|"artifact"|"timing"|"retrying"|
+ * "finished",...}) interleaved
  * between responses; lines are atomic, so a line-oriented client
  * never sees a torn message.  Messages are api/json.h JsonValues.
  */
@@ -57,55 +59,24 @@ std::string jobEventLine(const JobEvent &event);
  */
 int serveSession(Service &service, std::istream &in, std::ostream &out);
 
-/** Supervision knobs of the TCP front-end (`rowpress serve` flags). */
-struct ServeOptions
-{
-    /** Listen port on 127.0.0.1. */
-    int port = 0;
-
-    /**
-     * Per-session cap on jobs submitted and not yet terminal; a
-     * submit past it is rejected with AdmissionError
-     * ("session_limit").  0 = uncapped.  Bounds what one client can
-     * pin in the service regardless of the global queue bound.
-     */
-    int sessionMaxInflight = 8;
-
-    /**
-     * Disconnect a session whose client sends nothing for this long
-     * (its in-flight jobs keep running; only the event stream ends).
-     * 0 = never.
-     */
-    int idleTimeoutMs = 0;
-
-    /**
-     * SIGTERM/SIGINT drain budget: the server stops accepting, sheds
-     * new submissions, and gives in-flight jobs this long to finish
-     * before cancelling whatever remains.
-     */
-    int graceMs = 5000;
-};
-
 /**
- * Serve over TCP: accept connections on 127.0.0.1:opts.port, one
- * concurrent protocol session per connection, each on its own thread
- * with its own client id (a session streams only its own jobs'
- * events).  The Service outlives sessions, so warm caches and job
- * history persist across them.  accept() fd exhaustion (EMFILE/
- * ENFILE/ENOBUFS) retries with bounded backoff instead of exiting.
+ * `rowpress serve`: serveSession over the file descriptor @p in_fd
+ * (stdin), supervised by SIGTERM/SIGINT.  A signal wakes the request
+ * reader at once, whichever thread received it; serveFd then stops
+ * reading, turns load-shed on, gives in-flight jobs @p grace_ms,
+ * cancels whatever remains, and writes every queued event line.  The
+ * caller's handlers are restored as soon as reading stops, so a
+ * second signal acts as it would without serve.  A `wait` request in
+ * progress is answered (after at most its timeout_ms) before the
+ * drain starts.
  *
- * Returns the process exit code:
- *   0 — a client's shutdown op drained the service cleanly;
- *   1 — unrecoverable socket/accept failure;
- *   3 — SIGTERM/SIGINT, and in-flight jobs drained within graceMs;
- *   4 — SIGTERM/SIGINT, and the grace expired (remaining jobs were
- *       cancelled).
- *
- * Only built on POSIX; throws ConfigError elsewhere or when the port
- * cannot be bound.
+ * Returns the process exit code: 0 or 1 as serveSession does after
+ * EOF or a shutdown op; after a signal, 3 when in-flight jobs drained
+ * within @p grace_ms, 4 when the grace expired and the rest were
+ * cancelled.
  */
-int serveTcp(Service &service, const ServeOptions &opts,
-             std::ostream &log);
+int serveFd(Service &service, int in_fd, std::ostream &out,
+            int grace_ms);
 
 } // namespace rp::api
 

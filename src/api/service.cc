@@ -420,13 +420,6 @@ Service::setLoadShed(bool on)
     shedding_ = on;
 }
 
-bool
-Service::loadShedding() const
-{
-    core::LockGuard lock(mutex_);
-    return shedding_;
-}
-
 void
 Service::shutdown()
 {
@@ -508,7 +501,6 @@ Service::dispatch(Job &job, JobEvent &&event)
 {
     event.job = job.id;
     event.experiment = job.req.experiment;
-    event.client = job.req.clientId;
     // A job emits its events sequentially (the scheduler worker, or
     // its engine's progress hook while that worker blocks in run()),
     // so per-job order is inherent; the locks only serialize sink

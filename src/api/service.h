@@ -52,9 +52,8 @@ namespace rp::api {
  * A submission the service refused by *policy* (not by validation):
  * the pending queue is full, or the service is shedding load while it
  * drains.  Distinct from ConfigError so front-ends can answer with a
- * machine-readable rejection ("queue_full" / "load_shed" /
- * "session_limit") that tells the client to back off and retry,
- * rather than to fix its request.
+ * machine-readable rejection ("queue_full" / "load_shed") that tells
+ * the client to back off and retry, rather than to fix its request.
  */
 class AdmissionError : public std::runtime_error
 {
@@ -64,7 +63,7 @@ class AdmissionError : public std::runtime_error
     {
     }
 
-    /** "queue_full" | "load_shed" | "session_limit". */
+    /** "queue_full" | "load_shed". */
     const std::string &reason() const { return reason_; }
 
   private:
@@ -158,7 +157,7 @@ class Service
      * wait() with a timeout: returns Done with the final status once
      * the job is terminal, or TimedOut with a point-in-time snapshot
      * after @p timeout_ms — so a wedged job can never hang a caller
-     * (a serve session thread) forever.  Throws like wait() on an
+     * (a serve request loop) forever.  Throws like wait() on an
      * unknown/pruned id.
      */
     WaitOutcome waitFor(std::uint64_t id, int timeout_ms,
@@ -177,11 +176,9 @@ class Service
     /**
      * Load-shed mode: while set, submissions are rejected with
      * AdmissionError("load_shed") but queued and running jobs keep
-     * draining.  The graceful-signal drain uses it; operators can
-     * toggle it over the protocol (`{"op":"shed"}`).
+     * draining.  The signal drain of `rowpress serve` turns it on.
      */
     void setLoadShed(bool on);
-    bool loadShedding() const;
 
     /** Stop accepting submissions, then drain (graceful shutdown). */
     void shutdown();

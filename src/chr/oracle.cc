@@ -36,8 +36,12 @@ AttemptOracle::AttemptOracle(bender::TestPlatform &module,
     actRows_.erase(std::unique(actRows_.begin(), actRows_.end()),
                    actRows_.end());
 
+    // The module's cell model, edited parameters included: they set
+    // the dose deposits the scratch platform records.
     scratch_ =
         std::make_unique<bender::TestPlatform>(module_.config());
+    scratch_->chip().fault().cells().adoptModelOf(
+        module_.chip().fault().cells());
     scratch_->setTemperature(module_.temperature());
 }
 

@@ -55,13 +55,8 @@ int
 errnoValueOf(const std::string &name)
 {
     // The errno families the instrumented layers emulate: interrupted
-    // syscalls, dead peers, and accept-loop resource exhaustion.
+    // or would-block syscalls and I/O errors.
     if (name == "EINTR") return EINTR;
-    if (name == "EPIPE") return EPIPE;
-    if (name == "ECONNRESET") return ECONNRESET;
-    if (name == "EMFILE") return EMFILE;
-    if (name == "ENFILE") return ENFILE;
-    if (name == "ENOBUFS") return ENOBUFS;
     if (name == "EAGAIN") return EAGAIN;
     if (name == "EIO") return EIO;
     // Numeric fallback for anything else.
@@ -74,9 +69,8 @@ errnoValueOf(const std::string &name)
     }
     if (used != name.size() || name.empty() || v <= 0)
         throw std::invalid_argument("unknown errno name '" + name +
-                                    "' (use EINTR/EPIPE/ECONNRESET/"
-                                    "EMFILE/ENFILE/ENOBUFS/EAGAIN/EIO "
-                                    "or a positive number)");
+                                    "' (use EINTR/EAGAIN/EIO or a "
+                                    "positive number)");
     return v;
 }
 
@@ -91,9 +85,6 @@ FaultInjector::knownPoints()
         "service.submit.admit",       // submit(), after validation
         "service.worker.pre_dispatch",// attempt start, before Started
         "sink.render",                // per-sink event delivery
-        "protocol.socket.read",       // TCP session reads
-        "protocol.socket.write",      // TCP session writes
-        "protocol.accept",            // serveTcp accept loop
         "persist.snapshot.read",      // warm-start snapshot loads
         "persist.snapshot.write",     // snapshot cache publication
     };

@@ -3,10 +3,10 @@
  * Deterministic fault injection for the serve/robustness stack.
  *
  * Real serving failures — a worker thread throwing mid-job, a sink
- * that cannot render, a peer that vanishes mid-write, an accept loop
- * starved of file descriptors — are rare and timing-dependent, which
- * makes the code paths that handle them the least-tested code in the
- * system.  The FaultInjector turns them into ordinary ctest suites:
+ * that cannot render, a snapshot cache that cannot be written — are
+ * rare and timing-dependent, which makes the code paths that handle
+ * them the least-tested code in the system.  The FaultInjector turns
+ * them into ordinary ctest suites:
  * production code is instrumented with *named fault points*
  * (`faultPoint("sink.render")`), which cost one relaxed atomic load
  * when the injector is disarmed (the production state) and, when
@@ -26,7 +26,7 @@
  *  - Throw: throws InjectedFault (optionally transient — the
  *    Service's RetryPolicy retries transient-classified failures);
  *  - Errno: faultPoint() returns a nonzero errno value (EINTR,
- *    EPIPE, EMFILE, ...) for call sites that emulate syscall
+ *    EAGAIN, EIO, ...) for call sites that emulate syscall
  *    failures; sites with no errno semantics treat it as a throw
  *    (faultPointThrow);
  *  - Delay: sleeps a bounded number of milliseconds, for exercising
@@ -37,7 +37,7 @@
  * of `point=kind[:arg][@skip][xcount][~prob]`, e.g.
  *
  *   RP_FAULT_POINTS='service.worker.pre_dispatch=transient x1,
- *                    protocol.socket.write=errno:EPIPE@2'
+ *                    persist.snapshot.write=errno:EIO@2'
  *
  * Point names are validated against a fixed registry (knownPoints),
  * so a typo'd point errors instead of silently injecting nothing.
@@ -213,7 +213,7 @@ faultPoint(const char *point)
  */
 void faultPointThrow(const char *point);
 
-/** Symbolic errno name ("EPIPE") to value; throws on unknown names. */
+/** Symbolic errno name ("EIO") to value; throws on unknown names. */
 int errnoValueOf(const std::string &name);
 
 } // namespace rp::core

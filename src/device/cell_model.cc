@@ -211,6 +211,16 @@ CellModel::invalidateCaches()
     store_ = ThresholdStore::makePrivate(params_, bitsPerRow_, seed_);
 }
 
+void
+CellModel::adoptModelOf(const CellModel &other)
+{
+    params_ = other.params_;
+    store_ = other.store_;
+    rowMemo_.clear();
+    wordMemo_.clear();
+    tempMemo_.tempC = std::numeric_limits<double>::quiet_NaN();
+}
+
 namespace {
 
 /** Value of one bit of a row represented as fill byte + overrides. */

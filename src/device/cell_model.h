@@ -235,6 +235,14 @@ class CellModel
      */
     void invalidateCaches();
 
+    /**
+     * Answer as @p other does: take its (possibly mutated) parameters
+     * and share its ThresholdStore.  The per-model row memos are not
+     * copied; they refill from the store on first use.  @p other must
+     * model the same die, row width and seed.
+     */
+    void adoptModelOf(const CellModel &other);
+
   private:
     /**
      * Conservative per-mechanism damage numerators of one (dose,

