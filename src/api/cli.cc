@@ -42,9 +42,9 @@ const char *const kUsage =
     "  --all                select every registered experiment\n"
     "  --out DIR            artifact directory (default: artifacts)\n"
     "  --format LIST        comma list of table, csv, json (default: table)\n"
-    "  --time               per-experiment elapsed-time output and a\n"
-    "                       total summary line (off by default: timing\n"
-    "                       output is non-deterministic)\n"
+    "  --time               an elapsed-time line per experiment and a\n"
+    "                       total summary line, in any format (off by\n"
+    "                       default: timing output is non-deterministic)\n"
     "  --locations N        tested row locations per module (default: 10)\n"
     "  --dies SET           default | all | comma-separated die ids\n"
     "  --seed S             root seed for module construction\n"
@@ -52,10 +52,6 @@ const char *const kUsage =
     "  --scale X            effort multiplier for heavy experiments\n"
     "  --deadline-ms N      wall budget per job; exceeding it ends the\n"
     "                       run as deadline_exceeded (0 = none)\n"
-    "  --max-attempts N     retry transient failures up to N attempts\n"
-    "                       (default: 1 = no retry)\n"
-    "  --retry-backoff-ms N base of the exponential retry backoff\n"
-    "                       (default: 100)\n"
     "  --cache-dir DIR      on-disk ThresholdStore snapshot cache\n"
     "                       shared across runs and processes (also\n"
     "                       RP_CACHE_DIR; empty = no persistence)\n"
@@ -250,26 +246,18 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
     ParsedArgs parsed = parseArgs(args, 1);
     const auto selected = selectExperiments(parsed);
 
-    // Peel the job-policy flags off before the rest becomes the
-    // config overlay: deadline/retry are service semantics, not
-    // experiment options, so no experiment schema declares them
-    // (Service::submit range-checks them).
+    // Peel the job-policy flag off before the rest becomes the
+    // config overlay: a deadline is service semantics, not an
+    // experiment option, so no experiment schema declares it
+    // (Service::submit range-checks it).
     int deadline_ms = 0;
-    RetryPolicy retry;
     {
         std::vector<Flag> config_flags;
         for (const Flag &flag : parsed.flags) {
-            if (flag.key == "deadline-ms") {
+            if (flag.key == "deadline-ms")
                 deadline_ms = parseInt32(flag.value, "--deadline-ms");
-            } else if (flag.key == "max-attempts") {
-                retry.maxAttempts =
-                    parseInt32(flag.value, "--max-attempts");
-            } else if (flag.key == "retry-backoff-ms") {
-                retry.backoffBaseMs =
-                    parseInt32(flag.value, "--retry-backoff-ms");
-            } else {
+            else
                 config_flags.push_back(flag);
-            }
         }
         parsed.flags = std::move(config_flags);
     }
@@ -296,9 +284,7 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
         request.formats = formats;
         request.outDir = parsed.out;
         request.tableStream = &out;
-        request.time = parsed.time;
         request.deadlineMs = deadline_ms;
-        request.retry = retry;
 
         const JobStatus status = service.wait(service.submit(request));
         if (status.state == JobState::Failed) {
@@ -319,6 +305,11 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
         total_secs += status.elapsedMs / 1e3;
         threads = status.engineThreads;
         char line[160];
+        if (parsed.time) {
+            std::snprintf(line, sizeof(line), "elapsed: %.1f ms\n",
+                          status.elapsedMs);
+            out << line;
+        }
         std::snprintf(line, sizeof(line),
                       "[rowpress] %s completed in %.2f s on %d engine "
                       "thread(s)\n\n",
@@ -359,6 +350,8 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out,
                           (parsed.all    ? "all"
                            : parsed.time ? "time"
                                          : "out"));
+    if (parsed.formatSet && verb != "ls")
+        throw ConfigError("cache " + verb + " does not accept --format");
 
     std::string dir;
     if (const char *env = std::getenv("RP_CACHE_DIR"))

@@ -44,11 +44,11 @@ enum class JobState
     Failed,    ///< The experiment threw; see JobStatus::error.
     Cancelled, ///< Cancelled before or during execution.
     /**
-     * The job's deadline_ms budget (measured from submission, across
-     * every retry attempt) expired: its cancel token fired and the
-     * engine unwound at the next task boundary.  Terminal, like
-     * Cancelled, but distinguishable — a deadline is the service
-     * enforcing policy, not a client changing its mind.
+     * The job's deadline_ms budget (measured from submission)
+     * expired: its cancel token fired and the engine unwound at the
+     * next task boundary.  Terminal, like Cancelled, but
+     * distinguishable — a deadline is the service enforcing policy,
+     * not a client changing its mind.
      */
     DeadlineExceeded,
 };
@@ -57,29 +57,10 @@ enum class JobState
 const char *jobStateName(JobState state);
 
 /**
- * Per-job retry policy: how often a *transient* failure (one thrown
- * as core::TransientError, e.g. an injected transient fault) is
- * retried, and how long to back off between attempts.  Every attempt
- * re-runs with the same resolved config and seed, so a success after
- * retries is byte-identical to a first-try success — the sinks
- * restart from beginExperiment on each attempt and rewrite the same
- * artifact bytes.  Non-transient failures never retry.
+ * One experiment run, as submitted by a client.  A job runs once: a
+ * failure is final, and since the results are a pure function of the
+ * request, resubmitting it reproduces a clean run's artifacts.
  */
-struct RetryPolicy
-{
-    /** Total attempts (1 = no retry); Service::submit requires >= 1. */
-    int maxAttempts = 1;
-    /**
-     * Backoff before attempt k+1: min(base << (k-1), 5000) ms plus a
-     * deterministic jitter in [0, backoff/2) derived from (job seed,
-     * attempt) — decorrelates retry storms across jobs without making
-     * any single job's schedule nondeterministic.  Service::submit
-     * requires base >= 1.
-     */
-    int backoffBaseMs = 100;
-};
-
-/** One experiment run, as submitted by a client. */
 struct JobRequest
 {
     /** Exact experiment id (no globs — one job is one experiment). */
@@ -105,20 +86,14 @@ struct JobRequest
      */
     std::ostream *tableStream = nullptr;
 
-    /** Emit a Timing event after the run (`rowpress run --time`). */
-    bool time = false;
-
     /**
      * Wall-clock budget in ms from submission (spanning queue time
-     * and every retry attempt); 0 = none, and Service::submit
-     * rejects a negative one.  On expiry the service fires the job's
-     * cancel token and the job terminates DeadlineExceeded at the
-     * engine's next task boundary.
+     * and the run); 0 = none, and Service::submit rejects a negative
+     * one.  On expiry the service fires the job's cancel token and
+     * the job terminates DeadlineExceeded at the engine's next task
+     * boundary.
      */
     int deadlineMs = 0;
-
-    /** Transient-failure retry policy (default: no retries). */
-    RetryPolicy retry;
 };
 
 /** Type of a streamed job event. */
@@ -130,14 +105,6 @@ enum class JobEventType
     Dataset,  ///< The experiment emitted a Dataset.
     Note,     ///< The experiment emitted commentary text.
     RawCsv,   ///< The experiment emitted a raw tidy-CSV artifact.
-    Timing,   ///< Opt-in elapsed-time report (JobRequest::time).
-    /**
-     * A transient failure is about to be retried: carries the attempt
-     * number that failed, the backoff delay, and the error.  The next
-     * attempt re-opens the stream with a fresh Started event (sinks
-     * restart rendering from scratch).
-     */
-    Retrying,
     Finished, ///< Terminal: Finished/Failed/Cancelled/DeadlineExceeded.
 };
 
@@ -150,10 +117,6 @@ struct JobEvent
     JobEventType type = JobEventType::Queued;
     std::uint64_t job = 0;
     std::string experiment;
-
-    // Retrying
-    int attempt = 0;     ///< The attempt (1-based) that just failed.
-    int backoffMs = 0;   ///< Delay before the next attempt.
 
     // Started
     ExperimentInfo info;
@@ -183,10 +146,8 @@ struct JobEvent
     std::string name;
     std::function<void(std::ostream &)> bodyWriter;
 
-    // Timing / Finished
-    double elapsedMs = 0.0;
-
     // Finished
+    double elapsedMs = 0.0;
     JobState state = JobState::Queued;
     std::string error;
 };
@@ -206,7 +167,6 @@ struct JobStatus
     std::size_t total = 0;
     double elapsedMs = 0.0;  ///< Wall clock of the finished run.
     int engineThreads = 0;   ///< Resolved engine worker count.
-    int attempts = 0;        ///< Execution attempts so far (retry).
 };
 
 } // namespace rp::api

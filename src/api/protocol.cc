@@ -117,19 +117,6 @@ jobEventLine(const JobEvent &event)
         stamp("artifact");
         line.add("name", JsonValue::string(event.name));
         break;
-    case JobEventType::Timing:
-        stamp("timing");
-        line.add("elapsed_ms", JsonValue::number(event.elapsedMs));
-        break;
-    case JobEventType::Retrying:
-        stamp("retrying");
-        line.add("attempt",
-                 JsonValue::number((long long)event.attempt));
-        line.add("backoff_ms",
-                 JsonValue::number((long long)event.backoffMs));
-        if (!event.error.empty())
-            line.add("error", JsonValue::string(event.error));
-        break;
     case JobEventType::Finished:
         stamp("finished");
         line.add("state",
@@ -325,8 +312,7 @@ class ProtocolSession
                 rejectUnknownMembers(request,
                                      {"op", "tag", "experiment",
                                       "config", "formats", "out",
-                                      "time", "deadline_ms",
-                                      "max_attempts", "backoff_ms"});
+                                      "deadline_ms"});
                 opSubmit(request, response);
             } else if (op == "status") {
                 rejectUnknownMembers(request, {"op", "tag", "job"});
@@ -462,10 +448,7 @@ class ProtocolSession
                 throw ConfigError("protocol: \"out\" must be a string");
             job.outDir = out->text;
         }
-        job.time = boolMember(request, "time");
         intMember(request, "deadline_ms", &job.deadlineMs);
-        intMember(request, "max_attempts", &job.retry.maxAttempts);
-        intMember(request, "backoff_ms", &job.retry.backoffBaseMs);
         response.add("job",
                      JsonValue::number((long long)service_.submit(job)));
     }
@@ -503,7 +486,6 @@ class ProtocolSession
         v.add("total", JsonValue::number((long long)st.total));
         v.add("elapsed_ms", JsonValue::number(st.elapsedMs));
         v.add("threads", JsonValue::number((long long)st.engineThreads));
-        v.add("attempts", JsonValue::number((long long)st.attempts));
         return v;
     }
 

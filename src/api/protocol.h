@@ -18,10 +18,10 @@
  * "ok" (and "error" when false); an optional "tag" member is echoed
  * verbatim for client-side correlation.  Job lifecycle is streamed
  * asynchronously as event lines ({"event":"queued"|"started"|
- * "progress"|"dataset"|"note"|"artifact"|"timing"|"retrying"|
- * "finished",...}) interleaved
- * between responses; lines are atomic, so a line-oriented client
- * never sees a torn message.  Messages are api/json.h JsonValues.
+ * "progress"|"dataset"|"note"|"artifact"|"finished",...})
+ * interleaved between responses; lines are atomic, so a
+ * line-oriented client never sees a torn message.  Messages are
+ * api/json.h JsonValues.
  */
 
 #ifndef ROWPRESS_API_PROTOCOL_H

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "api/context.h"
-#include "common/rng.h"
 #include "core/fault.h"
 #include "persist/cache.h"
 
@@ -92,10 +91,6 @@ Service::submit(const JobRequest &request)
     // front-end (`run` flags and protocol members alike).
     if (request.deadlineMs < 0)
         throw ConfigError("job deadline must be >= 0 ms");
-    if (request.retry.maxAttempts < 1)
-        throw ConfigError("job max attempts must be >= 1");
-    if (request.retry.backoffBaseMs < 1)
-        throw ConfigError("job retry backoff must be >= 1 ms");
 
     // Build the sinks up front so a bad format (or "table" without a
     // stream to render on) fails the submission, not the run.
@@ -115,13 +110,6 @@ Service::submit(const JobRequest &request)
             request.tableStream ? *request.tableStream : null_stream;
         sinks.push_back(makeSink(format, request.outDir, os));
     }
-
-    // Fault point: submission-path failures after validation (tests
-    // of the admission/rejection plumbing).
-    if (const int err = core::faultPoint("service.submit.admit"))
-        throw core::TransientError(
-            "injected submit fault (errno " + std::to_string(err) +
-            ")");
 
     Job *job_ptr = nullptr;
     std::uint64_t id = 0;
@@ -247,7 +235,6 @@ Service::statusOf(const Job &job) const
     st.total = job.total.load(std::memory_order_relaxed);
     st.elapsedMs = job.elapsedMs;
     st.engineThreads = job.engineThreads;
-    st.attempts = job.attempts;
     return st;
 }
 
@@ -309,9 +296,7 @@ Service::cancel(std::uint64_t id)
         case JobState::Running:
             // Fires at the job engine's next task boundary; the
             // worker reports Cancelled when CancelledError unwinds.
-            // The notify wakes a worker sleeping in a retry backoff.
             job.cancelToken->store(true);
-            jobsCv_.notify_all();
             return true;
         default:
             return false;
@@ -652,157 +637,29 @@ Service::deadlineLoop()
             } else {
                 // Running: fire the token; the worker maps the
                 // CancelledError unwind to DeadlineExceeded via
-                // deadlineHit (also wakes a retry-backoff sleep).
+                // deadlineHit.
                 job->cancelToken->store(true);
             }
         }
         lock.unlock();
-        jobsCv_.notify_all();
         for (Job *job : expired_queued)
             deliverAbortedFinish(*job);
         lock.lock();
     }
 }
 
-int
-Service::retryDelayMs(const Job &job, int failed_attempt)
-{
-    constexpr long long kBackoffMaxMs = 5000; // cap before jitter
-    const long long base = job.req.retry.backoffBaseMs;
-    const long long cap = std::max(base, kBackoffMaxMs);
-    long long delay = base;
-    for (int i = 1; i < failed_attempt && delay < cap; ++i)
-        delay *= 2;
-    delay = std::min(delay, cap);
-    if (delay > 1) {
-        // Deterministic jitter in [0, delay/2): a pure function of
-        // (job seed, attempt), so one job's schedule replays exactly
-        // while concurrent jobs' retries decorrelate.
-        const std::uint64_t h =
-            hashU64(std::uint64_t(job.config.getInt("seed")),
-                    std::uint64_t(failed_attempt), 0x4a495454ULL);
-        delay += (long long)(h % std::uint64_t(delay / 2));
-    }
-    return int(delay);
-}
-
-bool
-Service::backoffBeforeRetry(Job &job, int delay_ms)
-{
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(delay_ms);
-    core::UniqueLock lock(mutex_);
-    // An interruptible sleep: cancel(), the deadline monitor, and
-    // shutdownNow() all fire the token and notify jobsCv_.
-    while (!job.cancelToken->load()) {
-        if (jobsCv_.wait_until(lock, until) ==
-            std::cv_status::timeout)
-            return !job.cancelToken->load();
-    }
-    return false;
-}
-
 void
 Service::executeJob(Job &job)
 {
     const auto start = std::chrono::steady_clock::now();
-    const int max_attempts = job.req.retry.maxAttempts;
-
     JobState final_state = JobState::Finished;
     std::string error;
     bool config_error = false;
 
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        {
-            core::LockGuard lock(mutex_);
-            job.attempts = attempt;
-        }
-        final_state = JobState::Finished;
-        error.clear();
-        config_error = false;
-        bool transient = false;
-        runAttempt(job, &final_state, &error, &config_error,
-                   &transient);
-        if (final_state != JobState::Failed)
-            break; // success, cancelled, or deadline: never retry
-        if (!transient || attempt == max_attempts)
-            break;
-        const int delay_ms = retryDelayMs(job, attempt);
-        JobEvent retrying;
-        retrying.type = JobEventType::Retrying;
-        retrying.attempt = attempt;
-        retrying.backoffMs = delay_ms;
-        retrying.error = error;
-        try {
-            dispatch(job, std::move(retrying));
-        } catch (const std::exception &) {
-            // A sink choking on the retry notice is survivable: the
-            // next attempt's Started event resets every sink anyway.
-        }
-        if (!backoffBeforeRetry(job, delay_ms)) {
-            bool deadline_hit = false;
-            {
-                core::LockGuard lock(mutex_);
-                deadline_hit = job.deadlineHit;
-            }
-            final_state = deadline_hit ? JobState::DeadlineExceeded
-                                       : JobState::Cancelled;
-            error.clear();
-            config_error = false;
-            break;
-        }
-    }
-
-    {
-        core::LockGuard lock(mutex_);
-        job.elapsedMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-    }
-
-    // Publish freshly built tiers to the snapshot cache (a no-op
-    // when no cache directory is configured; never throws).  Only
-    // successful jobs publish: a failed/cancelled run may have
-    // partially built tiers, which the monotone rule would happily
-    // accept, but publishing work we could not finish buys nothing.
-    if (final_state == JobState::Finished)
-        persist::SnapshotCache::instance().publishRegistry();
-
-    if (final_state == JobState::Finished && job.req.time) {
-        JobEvent timing;
-        timing.type = JobEventType::Timing;
-        timing.elapsedMs = job.elapsedMs;
-        try {
-            dispatch(job, std::move(timing));
-        } catch (const std::exception &e) {
-            final_state = JobState::Failed;
-            error = std::string("emitting timing failed: ") + e.what();
-        }
-    }
-
-    finishJob(job, final_state, std::move(error), config_error);
-}
-
-void
-Service::runAttempt(Job &job, JobState *final_state,
-                    std::string *error, bool *config_error,
-                    bool *transient)
-{
-    // A fresh attempt re-reports progress from zero.
-    job.done.store(0, std::memory_order_relaxed);
-    job.total.store(0, std::memory_order_relaxed);
-
     try {
         // Fault point: the worker dying between claiming the job and
-        // opening its event stream (an errno fault here reads as a
-        // transient infrastructure failure; `transient` throws are
-        // retry-eligible via InjectedFault::transient()).
-        if (const int err =
-                core::faultPoint("service.worker.pre_dispatch"))
-            throw core::TransientError(
-                "injected worker fault before dispatch (errno " +
-                std::to_string(err) + ")");
+        // opening its event stream.
+        core::faultPointThrow("service.worker.pre_dispatch");
 
         const Experiment &exp = findExperiment(job.req.experiment);
 
@@ -864,24 +721,34 @@ Service::runAttempt(Job &job, JobState *final_state,
         }
         // The token fires for both client cancels and deadline
         // expiry; deadlineHit disambiguates which policy unwound us.
-        *final_state = deadline_hit ? JobState::DeadlineExceeded
-                                    : JobState::Cancelled;
-    } catch (const core::InjectedFault &e) {
-        *final_state = JobState::Failed;
-        *error = e.what();
-        *transient = e.transient();
-    } catch (const core::TransientError &e) {
-        *final_state = JobState::Failed;
-        *error = e.what();
-        *transient = true;
+        final_state = deadline_hit ? JobState::DeadlineExceeded
+                                   : JobState::Cancelled;
     } catch (const ConfigError &e) {
-        *final_state = JobState::Failed;
-        *error = e.what();
-        *config_error = true;
+        final_state = JobState::Failed;
+        error = e.what();
+        config_error = true;
     } catch (const std::exception &e) {
-        *final_state = JobState::Failed;
-        *error = e.what();
+        final_state = JobState::Failed;
+        error = e.what();
     }
+
+    {
+        core::LockGuard lock(mutex_);
+        job.elapsedMs =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+    }
+
+    // Publish freshly built tiers to the snapshot cache (a no-op
+    // when no cache directory is configured; never throws).  Only
+    // successful jobs publish: a failed/cancelled run may have
+    // partially built tiers, which the monotone rule would happily
+    // accept, but publishing work we could not finish buys nothing.
+    if (final_state == JobState::Finished)
+        persist::SnapshotCache::instance().publishRegistry();
+
+    finishJob(job, final_state, std::move(error), config_error);
 }
 
 } // namespace rp::api

@@ -253,8 +253,6 @@ class Service
         std::chrono::steady_clock::time_point deadline{};
         bool hasDeadline = false;
         bool deadlineHit = false;
-        /** Execution attempts so far (1-based once running). */
-        int attempts = 0;
         /**
          * True once submit() pushed the job onto the runnable queue.
          * A cancel() that wins the race before then flips the state
@@ -298,16 +296,8 @@ class Service
 
     void workerLoop();
     void deadlineLoop() RP_EXCLUDES(mutex_);
+    /** Run a claimed job once, then finishJob() its outcome. */
     void executeJob(Job &job);
-    /** One execution attempt; returns whether the failure (if any)
-     *  is transient (retry-eligible). */
-    void runAttempt(Job &job, JobState *final_state,
-                    std::string *error, bool *config_error,
-                    bool *transient);
-    /** Exponential backoff + deterministic jitter before the next
-     *  attempt; false when the job's cancel token fired mid-sleep. */
-    bool backoffBeforeRetry(Job &job, int delay_ms);
-    static int retryDelayMs(const Job &job, int failed_attempt);
     void dispatch(Job &job, JobEvent &&event)
         RP_EXCLUDES(mutex_, dispatchMutex_);
     /** Snapshot one job's scheduler fields; caller holds mutex_. */

@@ -1,6 +1,5 @@
 #include "api/sink.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -36,12 +35,6 @@ ResultSink::rawCsv(const std::string &name,
 }
 
 void
-ResultSink::timing(double elapsed_ms)
-{
-    (void)elapsed_ms;
-}
-
-void
 ResultSink::endExperiment()
 {
 }
@@ -71,14 +64,6 @@ TableSink::note(const std::string &text)
     os_ << text;
     if (text.empty() || text.back() != '\n')
         os_ << "\n";
-}
-
-void
-TableSink::timing(double elapsed_ms)
-{
-    char line[96];
-    std::snprintf(line, sizeof(line), "elapsed: %.1f ms\n", elapsed_ms);
-    os_ << line;
 }
 
 // ---- CsvSink ---------------------------------------------------------
@@ -220,12 +205,6 @@ applyJobEvent(ResultSink &sink, const JobEvent &event)
     case JobEventType::Queued:
     case JobEventType::Progress:
         break;
-    case JobEventType::Retrying:
-        // Nothing to render: the retry's fresh Started event calls
-        // beginExperiment again, which resets every sink's state, so
-        // a success after retries rewrites the same artifact bytes a
-        // first-try success would have written.
-        break;
     case JobEventType::Started:
         sink.beginExperiment(event.info);
         sink.resolvedConfig(event.config);
@@ -241,9 +220,6 @@ applyJobEvent(ResultSink &sink, const JobEvent &event)
         // Streams the lazy writer straight through: only sinks that
         // persist CSV ever render the body.
         sink.rawCsv(event.name, event.bodyWriter);
-        break;
-    case JobEventType::Timing:
-        sink.timing(event.elapsedMs);
         break;
     case JobEventType::Finished:
         if (event.state == JobState::Finished)

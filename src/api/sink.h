@@ -65,13 +65,6 @@ class ResultSink
     /** Free-form commentary (paper-shape notes); default: ignored. */
     virtual void note(const std::string &text);
     /**
-     * Wall-clock of the finished experiment (ms).  Only invoked when
-     * the user opts in (`rowpress run --time`), because timing output
-     * is inherently non-deterministic; default: ignored.  TableSink
-     * renders it as an elapsed-time line under the experiment.
-     */
-    virtual void timing(double elapsed_ms);
-    /**
      * Raw tidy-CSV artifact: @p writer streams the file body (one of
      * the chr/export writers).  Default: ignored; CsvSink writes
      * `<out>/<experiment>/<name>.csv`.
@@ -91,7 +84,6 @@ class TableSink : public ResultSink
     void beginExperiment(const ExperimentInfo &info) override;
     void dataset(const Dataset &d) override;
     void note(const std::string &text) override;
-    void timing(double elapsed_ms) override;
 
   private:
     std::ostream &os_;
@@ -149,8 +141,8 @@ class JsonSink : public ResultSink
 
 /**
  * Translate one JobEvent onto a ResultSink: Started maps to
- * beginExperiment + resolvedConfig, Dataset/Note/RawCsv/Timing to
- * their virtuals, and a successful Finished to endExperiment (a
+ * beginExperiment + resolvedConfig, Dataset/Note/RawCsv to their
+ * virtuals, and a successful Finished to endExperiment (a
  * failed or cancelled job never finalizes its sinks, matching the
  * pre-service CLI behavior of leaving no result.json on failure).
  * Queued and Progress events render nothing.

@@ -1,9 +1,7 @@
 #include "core/fault.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
 
 #include "common/rng.h"
 
@@ -82,8 +80,7 @@ FaultInjector::knownPoints()
     // RP_FAULT_POINTS fails loudly instead of injecting nothing.
     static const std::vector<std::string> points = {
         "core.engine.task",           // before each engine task runs
-        "service.submit.admit",       // submit(), after validation
-        "service.worker.pre_dispatch",// attempt start, before Started
+        "service.worker.pre_dispatch",// job start, before Started
         "sink.render",                // per-sink event delivery
         "persist.snapshot.read",      // warm-start snapshot loads
         "persist.snapshot.write",     // snapshot cache publication
@@ -135,10 +132,10 @@ FaultInjector::arm(std::uint64_t seed, std::vector<FaultSpec> specs)
             throw std::invalid_argument(
                 "fault spec for '" + spec.point +
                 "': probability must be in (0, 1]");
-        if (spec.skip < 0 || spec.delayMs < 0)
+        if (spec.skip < 0)
             throw std::invalid_argument(
                 "fault spec for '" + spec.point +
-                "': skip/delay must be >= 0");
+                "': skip must be >= 0");
         if (spec.kind == FaultSpec::Kind::Errno && spec.errnoValue <= 0)
             throw std::invalid_argument(
                 "fault spec for '" + spec.point +
@@ -234,21 +231,13 @@ FaultInjector::armFromEnv()
         }
         if (kind == "throw") {
             spec.kind = FaultSpec::Kind::Throw;
-            spec.transient = false;
-        } else if (kind == "transient") {
-            spec.kind = FaultSpec::Kind::Throw;
-            spec.transient = true;
         } else if (kind == "errno") {
             spec.kind = FaultSpec::Kind::Errno;
             spec.errnoValue = errnoValueOf(arg);
-        } else if (kind == "delay") {
-            spec.kind = FaultSpec::Kind::Delay;
-            spec.delayMs =
-                int(parsePlanInt(arg, "delay ms for " + spec.point));
         } else {
             throw std::invalid_argument(
                 "RP_FAULT_POINTS: unknown kind '" + kind +
-                "' (throw | transient | errno:<E> | delay:<ms>)");
+                "' (throw | errno:<E>)");
         }
         specs.push_back(std::move(spec));
     }
@@ -283,14 +272,10 @@ int
 FaultInjector::onHit(const char *point)
 {
     // Decide under the lock (counters + plan), act outside it: a
-    // Delay fault must not serialize every other point behind its
-    // sleep, and a Throw must not unwind with the mutex held.
-    FaultSpec::Kind kind = FaultSpec::Kind::Delay;
+    // Throw must not unwind with the mutex held.
+    FaultSpec::Kind kind = FaultSpec::Kind::Throw;
     bool fire = false;
-    bool transient = false;
     int errno_value = 0;
-    int delay_ms = 0;
-    std::string name;
     {
         LockGuard lock(mutex_);
         if (!armed_.load(std::memory_order_relaxed))
@@ -320,33 +305,22 @@ FaultInjector::onHit(const char *point)
             ++state->fires;
             fire = true;
             kind = spec.kind;
-            transient = spec.transient;
             errno_value = spec.errnoValue;
-            delay_ms = spec.delayMs;
-            name = spec.point;
             break;
         }
     }
     if (!fire)
         return 0;
-    switch (kind) {
-    case FaultSpec::Kind::Throw:
-        throw InjectedFault(name, transient);
-    case FaultSpec::Kind::Errno:
-        return errno_value;
-    case FaultSpec::Kind::Delay:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(delay_ms));
-        return 0;
-    }
-    return 0;
+    if (kind == FaultSpec::Kind::Throw)
+        throw InjectedFault(point);
+    return errno_value;
 }
 
 void
 faultPointThrow(const char *point)
 {
     if (faultPoint(point) != 0)
-        throw InjectedFault(point, false);
+        throw InjectedFault(point);
 }
 
 } // namespace rp::core

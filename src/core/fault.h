@@ -22,21 +22,18 @@
  * points never perturb each other's decisions and a fixed
  * RP_FAULT_SEED replays the same fault schedule.
  *
- * Three fault kinds:
- *  - Throw: throws InjectedFault (optionally transient — the
- *    Service's RetryPolicy retries transient-classified failures);
+ * Two fault kinds:
+ *  - Throw: throws InjectedFault, which fails the job it hits;
  *  - Errno: faultPoint() returns a nonzero errno value (EINTR,
  *    EAGAIN, EIO, ...) for call sites that emulate syscall
  *    failures; sites with no errno semantics treat it as a throw
- *    (faultPointThrow);
- *  - Delay: sleeps a bounded number of milliseconds, for exercising
- *    timeouts/backpressure without wall-clock-scale test times.
+ *    (faultPointThrow).
  *
  * Arming: programmatic (tests call `arm(seed, specs)`) or from the
  * environment — `RP_FAULT_SEED` plus `RP_FAULT_POINTS`, a comma list
  * of `point=kind[:arg][@skip][xcount][~prob]`, e.g.
  *
- *   RP_FAULT_POINTS='service.worker.pre_dispatch=transient x1,
+ *   RP_FAULT_POINTS='service.worker.pre_dispatch=throw x1,
  *                    persist.snapshot.write=errno:EIO@2'
  *
  * Point names are validated against a fixed registry (knownPoints),
@@ -56,36 +53,14 @@
 
 namespace rp::core {
 
-/**
- * A failure the Service's RetryPolicy classifies as transient
- * (retryable): the same attempt re-run may succeed.  Production code
- * may throw it for genuinely transient conditions; the injector's
- * transient Throw faults derive from it.
- */
-class TransientError : public std::runtime_error
+/** Thrown by an armed Throw fault point; the message names it. */
+class InjectedFault : public std::runtime_error
 {
   public:
-    using std::runtime_error::runtime_error;
-};
-
-/** Thrown by an armed Throw fault point. */
-class InjectedFault : public TransientError
-{
-  public:
-    InjectedFault(const std::string &point, bool transient)
-        : TransientError("injected fault at " + point +
-                         (transient ? " (transient)" : "")),
-          point_(point), transient_(transient)
+    explicit InjectedFault(const std::string &point)
+        : std::runtime_error("injected fault at " + point)
     {
     }
-
-    const std::string &point() const { return point_; }
-    /** Only transient injected faults are retry-eligible. */
-    bool transient() const { return transient_; }
-
-  private:
-    std::string point_;
-    bool transient_;
 };
 
 /** What to inject at one named point. */
@@ -93,16 +68,13 @@ struct FaultSpec
 {
     enum class Kind
     {
-        Throw, ///< throw InjectedFault (transient flag below)
+        Throw, ///< throw InjectedFault
         Errno, ///< faultPoint() returns errnoValue
-        Delay, ///< sleep delayMs, then continue normally
     };
 
     std::string point;       ///< Must name a registered point.
     Kind kind = Kind::Throw;
-    bool transient = false;  ///< Throw: retry-eligible when true.
     int errnoValue = 0;      ///< Errno: the value to return.
-    int delayMs = 0;         ///< Delay: bounded sleep.
     int skip = 0;            ///< Ignore the first N hits of the point.
     int count = -1;          ///< Fire at most N times (-1 = always).
     double probability = 1.0;///< Seeded per-hit gate in (0, 1].
@@ -136,8 +108,8 @@ class FaultInjector
      * missing/empty RP_FAULT_POINTS leaves the injector disarmed.
      * Spec grammar per comma-separated entry (whitespace ignored):
      *   point=kind[:arg][@skip][xcount][~prob]
-     * with kind one of throw | transient | errno:<NAME|num> |
-     * delay:<ms>.  Throws std::invalid_argument on malformed input.
+     * with kind one of throw | errno:<NAME|num>.  Throws
+     * std::invalid_argument on malformed input.
      */
     void armFromEnv();
 
@@ -160,8 +132,8 @@ class FaultInjector
 
     /**
      * Slow path behind faultPoint(): record a hit at @p point and
-     * apply the armed plan.  Returns 0 (no fault / after a Delay) or
-     * the errno value of a firing Errno fault; throws InjectedFault
+     * apply the armed plan.  Returns 0 (no fault) or the errno
+     * value of a firing Errno fault; throws InjectedFault
      * for a firing Throw fault.
      */
     int onHit(const char *point);
@@ -198,7 +170,7 @@ class FaultInjector
  * THE instrumentation call.  Returns 0 when disarmed or when no fault
  * fires; returns an errno value for Errno faults (call sites that
  * emulate syscalls translate it); throws InjectedFault for Throw
- * faults; Delay faults sleep and return 0.
+ * faults.
  */
 inline int
 faultPoint(const char *point)
@@ -209,7 +181,7 @@ faultPoint(const char *point)
 
 /**
  * faultPoint() for sites with no errno semantics: a firing Errno
- * fault is promoted to a (non-transient) InjectedFault throw.
+ * fault is promoted to an InjectedFault throw.
  */
 void faultPointThrow(const char *point);
 

@@ -134,16 +134,16 @@ TEST(ApiCli, JobPolicyOutOfRangeExitCode2)
 {
     // Rejected before the job runs: by Service::submit, or by the flag
     // parse when the value does not fit an int (2^32 would wrap to 0,
-    // no deadline, and 2^32 + 1 to 1).
+    // no deadline).  The retired retry flags are now undeclared
+    // options, rejected like any other.
     const int before = g_runs_a;
     for (const auto &[flag, value, error] :
          std::vector<std::tuple<const char *, const char *, const char *>>{
              {"--deadline-ms", "-1", "deadline"},
-             {"--max-attempts", "0", "attempts"},
-             {"--retry-backoff-ms", "0", "backoff"},
              {"--deadline-ms", "4294967296", "does not fit an int"},
-             {"--max-attempts", "4294967297", "does not fit an int"},
-             {"--retry-backoff-ms", "4294967297", "does not fit an int"}}) {
+             {"--max-attempts", "3", "does not accept --max-attempts"},
+             {"--retry-backoff-ms", "1",
+              "does not accept --retry-backoff-ms"}}) {
         std::string text;
         EXPECT_EQ(cli({"run", "zzztest_a", "--threads", "1", flag, value},
                       &text),
@@ -169,10 +169,24 @@ TEST(ApiCli, RunExecutesAndReportsCompletion)
 
 TEST(ApiCli, TimeFlagPrintsElapsedLine)
 {
+    // --time prints "elapsed: X ms" just before each completion line,
+    // whatever the formats; the total line closes the output.
+    const fs::path out = fs::path(::testing::TempDir()) / "rp_cli_time";
+    for (const char *format : {"table", "csv"}) {
+        std::string text;
+        ASSERT_EQ(cli({"run", "zzztest_b", "--threads", "1", "--time",
+                       "--format", format, "--out", out.string()},
+                      &text),
+                  0)
+            << text;
+        const auto elapsed = text.find("elapsed: ");
+        const auto completed = text.find("[rowpress] zzztest_b completed");
+        ASSERT_NE(elapsed, std::string::npos) << format;
+        ASSERT_NE(completed, std::string::npos) << format;
+        EXPECT_EQ(text.find('\n', elapsed) + 1, completed) << format;
+        EXPECT_NE(text.find("[rowpress] total: "), std::string::npos);
+    }
     std::string text;
-    ASSERT_EQ(cli({"run", "zzztest_b", "--threads", "1", "--time"}, &text),
-              0);
-    EXPECT_NE(text.find("elapsed: "), std::string::npos);
     ASSERT_EQ(cli({"run", "zzztest_b", "--threads", "1"}, &text), 0);
     EXPECT_EQ(text.find("elapsed: "), std::string::npos);
 }

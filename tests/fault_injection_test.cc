@@ -8,8 +8,8 @@
  * queue; a sink failure degrades only its job; a failed output ends
  * a serve session while its submitted jobs still finish; a deadline
  * ends a long run as deadline_exceeded with a terminated event
- * stream; a transient failure retried to success is byte-identical
- * to a no-fault run; full queues and load-shed mode reject with
+ * stream; a failed job resubmitted reproduces a no-fault run byte
+ * for byte; full queues and load-shed mode reject with
  * machine-readable reasons; SIGTERM drains `serve` with the
  * documented exit codes.
  */
@@ -23,7 +23,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -48,13 +50,12 @@ struct DisarmGuard
 };
 
 FaultSpec
-spec(const std::string &point, FaultSpec::Kind kind,
-     bool transient = false, int count = -1, int skip = 0)
+spec(const std::string &point, FaultSpec::Kind kind, int count = -1,
+     int skip = 0)
 {
     FaultSpec s;
     s.point = point;
     s.kind = kind;
-    s.transient = transient;
     s.count = count;
     s.skip = skip;
     return s;
@@ -183,6 +184,42 @@ artifactRequest(const fs::path &out, const std::string &threads = "1")
     return req;
 }
 
+/** Records the event types of every job's stream, in order. */
+class EventLog
+{
+  public:
+    explicit EventLog(Service &service)
+        : service_(service),
+          handle_(service.addObserver([this](const JobEvent &event) {
+              std::lock_guard<std::mutex> lock(m_);
+              types_[event.job].push_back(event.type);
+          }))
+    {
+    }
+
+    ~EventLog() { service_.removeObserver(handle_); }
+
+    EventLog(const EventLog &) = delete;
+    EventLog &operator=(const EventLog &) = delete;
+
+    std::vector<JobEventType>
+    of(std::uint64_t job)
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        return types_[job];
+    }
+
+  private:
+    Service &service_;
+    std::mutex m_;
+    std::map<std::uint64_t, std::vector<JobEventType>> types_;
+    std::uint64_t handle_;
+};
+
+/** The whole stream of a job that ended before its Started event. */
+const std::vector<JobEventType> kNeverStarted = {JobEventType::Queued,
+                                                 JobEventType::Finished};
+
 // ---- injector unit behavior ------------------------------------------
 
 TEST(FaultInjector, RejectsUnknownPointsAndBadSpecs)
@@ -207,7 +244,7 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
     auto &fi = FaultInjector::instance();
     ::setenv("RP_FAULT_SEED", "42", 1);
     ::setenv("RP_FAULT_POINTS",
-             " sink.render = transient x2 @1 , "
+             " sink.render = throw x2 @1 , "
              "persist.snapshot.write = errno:EIO ",
              1);
     fi.armFromEnv();
@@ -215,13 +252,11 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
     ::unsetenv("RP_FAULT_SEED");
     ASSERT_TRUE(fi.armed());
 
-    // skip=1: first hit passes, then two transient throws, then the
-    // count is exhausted and the point goes quiet.
+    // skip=1: first hit passes, then two throws, then the count is
+    // exhausted and the point goes quiet.
     EXPECT_EQ(core::faultPoint("sink.render"), 0);
-    EXPECT_THROW(core::faultPoint("sink.render"),
-                 core::TransientError);
-    EXPECT_THROW(core::faultPoint("sink.render"),
-                 core::TransientError);
+    EXPECT_THROW(core::faultPoint("sink.render"), core::InjectedFault);
+    EXPECT_THROW(core::faultPoint("sink.render"), core::InjectedFault);
     EXPECT_EQ(core::faultPoint("sink.render"), 0);
 
     // Errno faults return the value instead of throwing.
@@ -243,10 +278,14 @@ TEST(FaultInjector, EnvGrammarRejectsMalformedInput)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
+    // The retired kinds (transient, delay) and the retired
+    // service.submit.admit point are rejected like any unknown one.
     for (const char *bad :
          {"sink.render", "sink.render=frobnicate",
           "zz.unknown=throw", "sink.render=errno:EWHAT",
-          "sink.render=delay:abc", "sink.render=throw~nope"}) {
+          "sink.render=delay:abc", "sink.render=throw~nope",
+          "sink.render=transient", "sink.render=delay:5",
+          "service.submit.admit=throw"}) {
         ::setenv("RP_FAULT_POINTS", bad, 1);
         EXPECT_THROW(fi.armFromEnv(), std::invalid_argument) << bad;
     }
@@ -287,7 +326,7 @@ TEST(FaultService, WorkerExceptionFailsJobWithoutWedgingQueue)
     const fs::path out = tempDir("rp_flt_worker");
     FaultInjector::instance().arm(
         1, {spec("core.engine.task", FaultSpec::Kind::Throw,
-                 /*transient=*/false, /*count=*/1)});
+                 /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -313,7 +352,7 @@ TEST(FaultService, SinkFailureDegradesOnlyItsJob)
     // fault lands in job 1's Started delivery.
     FaultInjector::instance().arm(
         1, {spec("sink.render", FaultSpec::Kind::Throw,
-                 /*transient=*/false, /*count=*/1)});
+                 /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -363,6 +402,7 @@ TEST(FaultService, DeadlineExpiresQueuedJobBeforeItRuns)
     DisarmGuard guard;
     g_gate.reset();
     Service service(Service::Options{/*workers=*/1});
+    EventLog log(service);
 
     JobRequest blocker;
     blocker.experiment = "zzflt_gate";
@@ -377,21 +417,27 @@ TEST(FaultService, DeadlineExpiresQueuedJobBeforeItRuns)
 
     const JobStatus st = service.wait(id);
     EXPECT_EQ(st.state, JobState::DeadlineExceeded);
-    EXPECT_EQ(st.attempts, 0); // never ran
+    EXPECT_EQ(log.of(id), kNeverStarted); // no Started: never ran
 
     g_gate.open();
     EXPECT_EQ(service.wait(gate_id).state, JobState::Finished);
 }
 
-TEST(FaultService, TransientRetrySucceedsByteIdenticalToNoFaultRun)
+TEST(FaultService, FailedJobResubmittedIsByteIdenticalToNoFaultRun)
 {
     DisarmGuard guard;
+    auto listing = [](const fs::path &dir) {
+        std::set<std::string> names;
+        for (const auto &entry : fs::directory_iterator(dir))
+            names.insert(entry.path().filename().string());
+        return names;
+    };
     for (const std::string threads : {"1", "4"}) {
         FaultInjector::instance().disarm();
         const fs::path clean =
-            tempDir("rp_flt_retry_clean_t" + threads);
+            tempDir("rp_flt_resubmit_clean_t" + threads);
         const fs::path faulted =
-            tempDir("rp_flt_retry_faulted_t" + threads);
+            tempDir("rp_flt_resubmit_faulted_t" + threads);
 
         Service service(Service::Options{/*workers=*/1});
         EXPECT_EQ(
@@ -400,46 +446,29 @@ TEST(FaultService, TransientRetrySucceedsByteIdenticalToNoFaultRun)
                 .state,
             JobState::Finished);
 
-        // One transient mid-run fault (attempt 1's first engine
-        // task), then clean: the retry must succeed and rewrite the
-        // same bytes.
+        // One mid-run fault (the job's first engine task): a job runs
+        // once, so it fails, naming the point.
         FaultInjector::instance().arm(
             7, {spec("core.engine.task", FaultSpec::Kind::Throw,
-                     /*transient=*/true, /*count=*/1)});
+                     /*count=*/1)});
+        const JobRequest req = artifactRequest(faulted, threads);
+        const JobStatus failed = service.wait(service.submit(req));
+        EXPECT_EQ(failed.state, JobState::Failed);
+        EXPECT_NE(failed.error.find("core.engine.task"),
+                  std::string::npos)
+            << failed.error;
 
-        std::mutex m;
-        std::vector<JobEvent> events;
-        const auto observer =
-            service.addObserver([&](const JobEvent &event) {
-                std::lock_guard<std::mutex> lock(m);
-                events.push_back(event);
-            });
+        // The fault is spent: the same request resubmitted to the
+        // same out dir writes the clean run's bytes.
+        const JobStatus again = service.wait(service.submit(req));
+        EXPECT_EQ(again.state, JobState::Finished) << again.error;
 
-        JobRequest req = artifactRequest(faulted, threads);
-        req.retry.maxAttempts = 3;
-        req.retry.backoffBaseMs = 1;
-        const JobStatus st = service.wait(service.submit(req));
-        service.removeObserver(observer);
-
-        EXPECT_EQ(st.state, JobState::Finished) << st.error;
-        EXPECT_EQ(st.attempts, 2);
-
-        bool saw_retrying = false;
-        {
-            std::lock_guard<std::mutex> lock(m);
-            for (const JobEvent &event : events) {
-                if (event.type == JobEventType::Retrying) {
-                    saw_retrying = true;
-                    EXPECT_EQ(event.attempt, 1);
-                    EXPECT_GE(event.backoffMs, 1);
-                }
-            }
-        }
-        EXPECT_TRUE(saw_retrying);
-
+        const fs::path a_dir = clean / "zzflt_artifact";
+        const fs::path b_dir = faulted / "zzflt_artifact";
+        EXPECT_EQ(listing(a_dir), listing(b_dir));
         for (const char *leaf : {"flt_artifact.csv", "result.json"}) {
-            const fs::path a = clean / "zzflt_artifact" / leaf;
-            const fs::path b = faulted / "zzflt_artifact" / leaf;
+            const fs::path a = a_dir / leaf;
+            const fs::path b = b_dir / leaf;
             ASSERT_TRUE(fs::exists(a)) << a;
             ASSERT_TRUE(fs::exists(b)) << b;
             EXPECT_EQ(slurp(a), slurp(b))
@@ -448,33 +477,29 @@ TEST(FaultService, TransientRetrySucceedsByteIdenticalToNoFaultRun)
     }
 }
 
-TEST(FaultService, PreDispatchTransientRetriesButHonorsAttemptCap)
+TEST(FaultService, PreDispatchFaultFailsJobBeforeItStarts)
 {
     DisarmGuard guard;
-    // Every attempt fails transiently: the job retries up to the cap
-    // and then reports the last failure.
-    FaultInjector::instance().arm(
-        1, {spec("service.worker.pre_dispatch",
-                 FaultSpec::Kind::Throw, /*transient=*/true)});
-
-    Service service(Service::Options{/*workers=*/1});
-    JobRequest req = artifactRequest(tempDir("rp_flt_cap"));
-    req.retry.maxAttempts = 3;
-    req.retry.backoffBaseMs = 1;
-    const JobStatus st = service.wait(service.submit(req));
-    EXPECT_EQ(st.state, JobState::Failed);
-    EXPECT_EQ(st.attempts, 3);
-    EXPECT_NE(st.error.find("service.worker.pre_dispatch"),
-              std::string::npos);
-
-    // Non-transient failures never retry.
-    FaultInjector::instance().disarm();
-    FaultInjector::instance().arm(
-        1, {spec("service.worker.pre_dispatch",
-                 FaultSpec::Kind::Throw, /*transient=*/false)});
-    const JobStatus once = service.wait(service.submit(req));
-    EXPECT_EQ(once.state, JobState::Failed);
-    EXPECT_EQ(once.attempts, 1);
+    // A throw and an errno fault alike fail the job before it opens
+    // its stream: Queued, then Finished(failed), and no Started.
+    FaultSpec thrown = spec("service.worker.pre_dispatch",
+                            FaultSpec::Kind::Throw, /*count=*/1);
+    FaultSpec errno_fault = spec("service.worker.pre_dispatch",
+                                 FaultSpec::Kind::Errno, /*count=*/1);
+    errno_fault.errnoValue = EIO;
+    for (const FaultSpec &fault : {thrown, errno_fault}) {
+        FaultInjector::instance().arm(1, {fault});
+        Service service(Service::Options{/*workers=*/1});
+        EventLog log(service);
+        const auto id =
+            service.submit(artifactRequest(tempDir("rp_flt_predispatch")));
+        const JobStatus st = service.wait(id);
+        EXPECT_EQ(st.state, JobState::Failed);
+        EXPECT_NE(st.error.find("service.worker.pre_dispatch"),
+                  std::string::npos)
+            << st.error;
+        EXPECT_EQ(log.of(id), kNeverStarted);
+    }
 }
 
 TEST(FaultService, QueueFullAndLoadShedRejectWithReasons)

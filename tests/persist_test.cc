@@ -734,10 +734,25 @@ TEST(PersistCli, CacheVerbs)
               0);
     EXPECT_NE(text.find("removed 1 file(s)"), std::string::npos);
 
-    // Error discipline: unknown verb / no dir / bad import exit 2.
+    // Error discipline: unknown verb / no dir / bad import exit 2,
+    // and so does --format on any verb but ls (it has no effect
+    // there).
     EXPECT_EQ(cli({"cache", "frob", "--cache-dir",
                    cache_dir.string()}),
               2);
+    for (const std::vector<std::string> &verb :
+         {std::vector<std::string>{"gc"},
+          std::vector<std::string>{"export", export_dir.string()},
+          std::vector<std::string>{"import", loose.string()}}) {
+        std::vector<std::string> args = {"cache"};
+        args.insert(args.end(), verb.begin(), verb.end());
+        args.insert(args.end(), {"--cache-dir", cache_dir.string(),
+                                 "--format", "json"});
+        EXPECT_EQ(cli(args, &text), 2) << verb.front();
+        EXPECT_NE(text.find("does not accept --format"),
+                  std::string::npos)
+            << text;
+    }
     EXPECT_EQ(cli({"cache"}), 2);
     const fs::path bad = dir / "bad.rpsnap";
     std::ofstream(bad) << "zzz";

@@ -18,7 +18,7 @@ D1  No wall-clock / ambient-randomness calls (rand, random,
     std::chrono::*_clock::now) outside the allowlist.  Seeded hashes
     (common/rng.h) are the only sanctioned randomness; wall-clock time
     is allowed only where it never reaches a result (deadline monitor,
-    retry backoff).
+    elapsed-ms metadata).
 D2  No iteration over std::unordered_map/std::unordered_set in a file
     that emits datasets/artifacts (contains `.emit(` / `dataset(`):
     hash-order leaks straight into result rows.  Iterate a sorted
@@ -60,8 +60,8 @@ SOURCE_EXT = (".cc", ".h")
 # use is sound there.  Keep this list short and justified.
 D1_ALLOWLIST = {
     "src/api/service.cc":
-        "job deadlines, retry backoff, elapsed-ms metadata: wall "
-        "clock feeds scheduling and status only, never result rows",
+        "job deadlines, elapsed-ms metadata: wall clock feeds "
+        "scheduling and status only, never result rows",
 }
 
 D1_PATTERNS = [
