@@ -8,32 +8,56 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 
 #include "api/context.h"
+#include "api/env.h"
 #include "core/rowpress.h"
 
 using namespace rp;
 
 namespace {
 
+/**
+ * The demo configuration every cell shares at @p scale, checked before
+ * any cell runs: more victims than the demo bank holds is a bad
+ * --scale.  That bound also keeps the iteration count far inside int.
+ */
+sys::DemoConfig
+baseConfig(double scale)
+{
+    sys::DemoConfig cfg;
+    cfg.seed = 3;
+    const double victims = std::max(4.0, 10 * scale);
+    const int max_victims = sys::maxDemoVictims(cfg);
+    if (!(victims < max_victims + 1.0)) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      "--scale %g: fig23 would test %.0f victim rows; the "
+                      "demo bank fits at most %d (--scale below %g)",
+                      scale, victims, max_victims, (max_victims + 1) / 10.0);
+        throw api::ConfigError(msg);
+    }
+    cfg.numVictims = int(victims);
+    cfg.numIters = int(std::max(4000.0, 16000 * scale));
+    return cfg;
+}
+
 void
-emitGrid(api::ExperimentContext &ctx, bool interleaved)
+emitGrid(api::ExperimentContext &ctx, const sys::DemoConfig &base,
+         bool interleaved)
 {
     const std::vector<int> reads = {1, 4, 16, 32, 48, 64};
     const std::vector<int> acts = {2, 3, 4};
-    const double scale = ctx.scale();
 
     // Every (NUM_AGGR_ACTS, NUM_READS) cell is one independent demo
     // run; fan the grid out through the engine.
     auto results = ctx.engine().map<sys::DemoResult>(
         acts.size() * reads.size(), [&](const core::TaskContext &tc) {
-            sys::DemoConfig cfg;
+            sys::DemoConfig cfg = base;
             cfg.numAggrActs = acts[tc.index / reads.size()];
             cfg.numReads = reads[tc.index % reads.size()];
             cfg.interleavedFlush = interleaved;
-            cfg.numVictims = std::max(4, int(10 * scale));
-            cfg.numIters = std::max(4000, int(16000 * scale));
-            cfg.seed = 3;
             return sys::runDemo(cfg);
         });
 
@@ -60,8 +84,9 @@ emitGrid(api::ExperimentContext &ctx, bool interleaved)
 void
 runFig23(api::ExperimentContext &ctx)
 {
-    emitGrid(ctx, /*interleaved=*/false);
-    emitGrid(ctx, /*interleaved=*/true);
+    const sys::DemoConfig base = baseConfig(ctx.scale());
+    emitGrid(ctx, base, /*interleaved=*/false);
+    emitGrid(ctx, base, /*interleaved=*/true);
 
     ctx.note("Paper shape (Obsv. 19-21, 23): NUM_READS = 1 "
              "(RowHammer) cannot flip; flips\nrise with NUM_READS, "

@@ -7,8 +7,11 @@
  */
 
 #include <algorithm>
+#include <climits>
+#include <cstdio>
 
 #include "api/context.h"
+#include "api/env.h"
 #include "core/rowpress.h"
 
 using namespace rp;
@@ -18,8 +21,16 @@ namespace {
 void
 runFig24(api::ExperimentContext &ctx)
 {
-    const int trials = std::max(2000, int(50000 * ctx.scale()));
-    auto probe = sys::rowOpenLatencyProbe(trials);
+    const double trials = std::max(2000.0, 50000 * ctx.scale());
+    if (!(trials <= INT_MAX)) {
+        char msg[128];
+        std::snprintf(msg, sizeof(msg),
+                      "--scale %g: fig24 would run %.0f probe trials, "
+                      "more than an int holds",
+                      ctx.scale(), trials);
+        throw api::ConfigError(msg);
+    }
+    auto probe = sys::rowOpenLatencyProbe(int(trials));
 
     ctx.notef("Access to FIRST cache block (row must be "
               "activated):\n%s\n",

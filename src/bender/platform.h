@@ -111,7 +111,8 @@ class TestPlatform
 
     // --- steady-state dose-delta extraction (chr::AttemptOracle) ---
 
-    /** One traced execution: the dose ops it deposited + its duration. */
+    /** One traced execution: its dose ops (deposits and restores) and
+     *  its duration. */
     struct TracedRun
     {
         std::vector<device::FaultModel::DoseOp> ops;
@@ -119,12 +120,12 @@ class TestPlatform
     };
 
     /**
-     * Execute @p program while recording every dose accumulation it
-     * performs.  Running a loop body this way, iteration by iteration,
-     * measures the warm-up and steady-state per-iteration dose deltas
-     * that the loop fast-forward path scales analytically — exposed so
-     * the ACmin/tAggONmin attempt oracle can replay whole attempts
-     * without re-executing their programs.
+     * Execute @p program while recording every dose accumulation and
+     * row restore it performs.  Running a loop body this way, iteration
+     * by iteration, measures the warm-up and steady-state per-iteration
+     * dose deltas that the loop fast-forward path scales analytically —
+     * exposed so the ACmin/tAggONmin attempt oracle can replay whole
+     * attempts without re-executing their programs.
      */
     TracedRun runTraced(const Program &program);
 

@@ -53,6 +53,8 @@ AttemptOracle::splitOps(
     Ops VictimTrace::*segment, Profile &prof) const
 {
     for (const auto &op : ops) {
+        if (op.comp == device::FaultModel::DoseOp::kRestore)
+            continue; // only deposits are replayed
         auto it = victimIndex_.find(op.key);
         if (it == victimIndex_.end())
             continue; // deposit on a non-victim row (e.g. an aggressor)

@@ -116,6 +116,22 @@ Chip::refreshRow(int b, int row, Time now)
     restoreRow(b, row, now);
 }
 
+std::uint64_t
+Chip::refreshesBefore(int row) const
+{
+    const int n = stripes();
+    const int ahead = row / rowsPerRef_ - refreshPtr_ / rowsPerRef_;
+    return std::uint64_t((ahead + n) % n);
+}
+
+void
+Chip::skipRefreshes(std::uint64_t refs)
+{
+    const std::uint64_t n = std::uint64_t(stripes());
+    const std::uint64_t stripe = std::uint64_t(refreshPtr_ / rowsPerRef_);
+    refreshPtr_ = int((stripe + refs % n) % n) * rowsPerRef_;
+}
+
 void
 Chip::fillRow(int b, int row, std::uint8_t fill, Time now)
 {

@@ -70,6 +70,16 @@ class Chip
     /** Refresh a single row (used by TRR preventive refreshes). */
     void refreshRow(int b, int row, Time now);
 
+    /** REFs that will issue before the one whose stripe covers @p row. */
+    std::uint64_t refreshesBefore(int row) const;
+
+    /**
+     * Move the refresh stripe on as @p refs REFs would, without
+     * restoring any row (a fast-forward that has proven none of the
+     * skipped stripes holds a row it must restore).
+     */
+    void skipRefreshes(std::uint64_t refs);
+
     // --- functional data path ---
 
     /** Fill a whole row with @p fill and restore its charge. */
@@ -142,8 +152,16 @@ class Chip
     std::vector<dram::Bank> banks_;
     std::unordered_map<std::uint64_t, RowData> data_;
 
+    /** First row of the next REF's stripe: a multiple of rowsPerRef_. */
     int refreshPtr_ = 0;
     int rowsPerRef_ = 1;
+
+    /** Stripes per full pass over the array (the last may be short). */
+    int
+    stripes() const
+    {
+        return (org_.rows + rowsPerRef_ - 1) / rowsPerRef_;
+    }
 };
 
 } // namespace rp::device

@@ -120,6 +120,9 @@ FaultModel::onRestore(int bank, int row, Time now)
     s.dose = DoseState{};
     s.live = false;
     s.lastRestore = now;
+    if (opRecorder_)
+        opRecorder_->push_back(
+            {doseKey(bank, row), DoseOp::kRestore, 0.0, now});
 }
 
 const DoseState &
@@ -193,6 +196,23 @@ FaultModel::scaleDoseDelta(const std::vector<DoseState> &before,
             cur.press[s] += (cur.press[s] - prev.press[s]) * factor;
         }
     }
+}
+
+Time
+FaultModel::lastClose(int bank, int row) const
+{
+    const RowSlot *s = findSlot(bank, row);
+    return s ? s->lastClose : kNever;
+}
+
+void
+FaultModel::redeposit(int bank, int row, int comp, double value)
+{
+    DoseState &d = liveDose(bank, row);
+    if (comp < 2)
+        d.hammer[comp] += value;
+    else
+        d.press[comp - 2] += value;
 }
 
 void

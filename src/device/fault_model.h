@@ -97,20 +97,31 @@ class FaultModel
     /** Clear all dose state (platform reset). */
     void reset();
 
-    // --- loop fast-forward support (bender::TestPlatform) ---
+    // --- loop fast-forward support (bender::TestPlatform, sys::runDemo) ---
+
+    /** "No such event yet" for the per-row clocks. */
+    static constexpr Time kNever = std::numeric_limits<Time>::min();
+
+    /** Last close of the row as an aggressor, or kNever. */
+    Time lastClose(int bank, int row) const;
 
     /**
-     * One elementary dose accumulation: `dose(key).<comp> += value`.
-     * comp 0/1 = hammer side 0/1, comp 2/3 = press side 0/1.  Recorded
-     * traces let the chr::AttemptOracle replay an attempt's exact
-     * floating-point accumulation sequence without re-executing the
-     * program (bit-identical results).
+     * One recorded row event: an elementary dose accumulation
+     * `dose(key).<comp> += value` (comp 0/1 = hammer side 0/1, comp
+     * 2/3 = press side 0/1), or a charge restore at `at` (comp
+     * kRestore).  Recorded traces let the chr::AttemptOracle and
+     * sys::runDemo replay an exact floating-point accumulation
+     * sequence without re-executing the program (bit-identical
+     * results).
      */
     struct DoseOp
     {
+        static constexpr int kRestore = 4;
+
         std::uint64_t key;
         int comp;
         double value;
+        Time at = 0; ///< Restore time (kRestore only).
     };
 
     /** The DoseOp key of (bank, row) (= device::packRowKey). */
@@ -121,11 +132,17 @@ class FaultModel
     }
 
     /**
-     * Record every subsequent dose accumulation into @p rec (nullptr
-     * stops recording).  Measurement-only: recording adds a branch to
-     * the accumulation hot path but no allocation when disabled.
+     * Record every subsequent dose accumulation and restore into
+     * @p rec (nullptr stops recording).  Measurement-only: recording
+     * adds a branch to the hot paths but no allocation when disabled.
      */
     void setDoseOpRecorder(std::vector<DoseOp> *rec) { opRecorder_ = rec; }
+
+    /**
+     * Repeat a recorded accumulation on (bank, row): the same
+     * `dose.<comp> += value` the original deposit performed.
+     */
+    void redeposit(int bank, int row, int comp, double value);
 
     /**
      * Snapshot of all current doses, one entry per row slot (rows
@@ -150,9 +167,6 @@ class FaultModel
     void shiftRowHistory(int bank, int row, Time delta);
 
   private:
-    /** "No such event yet" for the per-row clocks. */
-    static constexpr Time kNever = std::numeric_limits<Time>::min();
-
     /** Everything the model knows about one touched row. */
     struct RowSlot
     {

@@ -118,4 +118,14 @@ Bank::reset()
     earliestWrite_ = 0;
 }
 
+void
+Bank::shiftTiming(Time delta)
+{
+    openedAt_ += delta;
+    earliestAct_ += delta;
+    earliestPre_ += delta;
+    earliestRead_ += delta;
+    earliestWrite_ += delta;
+}
+
 } // namespace rp::dram

@@ -70,6 +70,13 @@ class Bank
     /** Forget all timing history (used when resetting a platform). */
     void reset();
 
+    /**
+     * Move the open time and every earliest-issue time @p delta later,
+     * as if the bank's history had happened @p delta later (a
+     * fast-forward over whole repeating command cycles).
+     */
+    void shiftTiming(Time delta);
+
   private:
     const TimingParams *timing_;
 

@@ -76,4 +76,18 @@ Trr::onRefresh(int flat_bank, std::vector<int> &victims)
     preventive_ += victims.size() - first;
 }
 
+void
+Trr::appendState(std::vector<std::int64_t> &out) const
+{
+    for (const Sampler &s : banks_) {
+        out.push_back(std::int64_t(s.recent.size()));
+        out.insert(out.end(), s.recent.begin(), s.recent.end());
+        out.push_back(std::int64_t(s.table.size()));
+        for (const Entry &e : s.table) {
+            out.push_back(e.row);
+            out.push_back(e.count);
+        }
+    }
+}
+
 } // namespace rp::mitigation

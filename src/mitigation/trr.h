@@ -57,6 +57,13 @@ class Trr : public Mitigation
      */
     void onRefresh(int flat_bank, std::vector<int> &victims) override;
 
+    /**
+     * Append every bank's sampler state (recent rows, then each table
+     * entry's row and count) to @p out: two equal appends mean the
+     * sampler will answer every future ACT/REF sequence alike.
+     */
+    void appendState(std::vector<std::int64_t> &out) const;
+
   private:
     struct Entry
     {

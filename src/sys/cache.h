@@ -45,6 +45,18 @@ class CacheModel
         return false;
     }
 
+    /** True if the line is resident (no state change). */
+    bool
+    resident(std::uint64_t line_addr) const
+    {
+        std::size_t i = home(line_addr);
+        for (; slots_[i].used; i = next(i)) {
+            if (slots_[i].line == line_addr)
+                return true;
+        }
+        return false;
+    }
+
     /** clflushopt: drop the line (clean lines write nothing back). */
     void
     clflush(std::uint64_t line_addr)

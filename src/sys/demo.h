@@ -60,12 +60,36 @@ struct DemoResult
     std::uint64_t totalBitflips = 0;
     int rowsWithBitflips = 0;
     double avgTAggOnNs = 0.0;     ///< Measured mean aggressor on-time.
+    /** Every ACT of the run, dummy-row ACTs included (the name is
+     *  older than the dummy rows). */
     std::uint64_t aggressorActs = 0;
     std::uint64_t targetedRefreshes = 0;
+    /** Iterations accounted for by replaying a proven cycle rather
+     *  than simulated command by command. */
+    std::uint64_t replayedIterations = 0;
 };
 
-/** Run the demonstration program over all victim rows. */
+/**
+ * Run the demonstration program over all victim rows.
+ *
+ * Once an iteration starts from the same control state as one up to
+ * 16 iterations earlier, the iterations in between form a cycle that
+ * repeats exactly until the next REF that refreshes the victim row or
+ * reaches a tREFW boundary.  runDemo skips whole cycles up to there:
+ * it replays the victim row's recorded dose deposits and restores and
+ * advances the controller by whole cycles, so every DemoResult field
+ * equals that of simulating each command.  Throws
+ * std::invalid_argument if the victims do not fit the bank
+ * (maxDemoVictims).
+ */
 DemoResult runDemo(const DemoConfig &cfg);
+
+/**
+ * Most victims runDemo can lay out in one bank of the default
+ * organisation: victim v sits at row 2048 + 512 v, with @p cfg's
+ * dummy rows 128 to 248 rows above it (124 victims with 16 dummies).
+ */
+int maxDemoVictims(const DemoConfig &cfg);
 
 /** Result of the row-open-time verification probe (Fig. 24). */
 struct LatencyProbeResult

@@ -22,11 +22,11 @@ MemCtrl::trackRow(int bank, int row)
 void
 MemCtrl::recordInterval(int bank, const dram::Bank::OpenInterval &iv)
 {
-    ++pres_;
+    ++n_.pres;
     const std::uint64_t key = device::packRowKey(bank, iv.row);
     if (std::find(tracked_.begin(), tracked_.end(), key) != tracked_.end()) {
-        trackedOpenTime_ += iv.onTime();
-        ++trackedPres_;
+        n_.trackedOpenTime += iv.onTime();
+        ++n_.trackedPres;
     }
 }
 
@@ -64,7 +64,7 @@ MemCtrl::doRefresh(Time t)
                           chip_.bank(b).earliest(dram::Command::REF));
     chip_.refresh(ref_at);
     now_ = ref_at + chip_.timing().tRFC;
-    ++refs_;
+    ++n_.refs;
 
     if (!cfg_.mitigation)
         return;
@@ -73,7 +73,7 @@ MemCtrl::doRefresh(Time t)
         victims_.clear();
         cfg_.mitigation->onRefresh(b, victims_);
         if (!victims_.empty())
-            ++targeted_;
+            ++n_.targeted;
         refreshVictims(b, now_);
     }
     if (t >= nextWindow_) {
@@ -92,6 +92,35 @@ MemCtrl::advanceTo(Time t)
     now_ = std::max(now_, t);
 }
 
+std::uint64_t
+MemCtrl::refreshesBeforeWindow() const
+{
+    if (nextRef_ >= nextWindow_)
+        return 0;
+    const Time refi = chip_.timing().tREFI;
+    return std::uint64_t((nextWindow_ - nextRef_ + refi - 1) / refi);
+}
+
+void
+MemCtrl::repeatCycle(std::uint64_t cycles, Time span, const Counters &start)
+{
+    const std::uint64_t skipped_refs = cycles * (n_.refs - start.refs);
+    n_.acts += cycles * (n_.acts - start.acts);
+    n_.pres += cycles * (n_.pres - start.pres);
+    n_.refs += skipped_refs;
+    n_.targeted += cycles * (n_.targeted - start.targeted);
+    n_.trackedOpenTime +=
+        Time(cycles) * (n_.trackedOpenTime - start.trackedOpenTime);
+    n_.trackedPres += cycles * (n_.trackedPres - start.trackedPres);
+
+    const Time jump = Time(cycles) * span;
+    now_ += jump;
+    nextRef_ += jump;
+    for (int b = 0; b < chip_.org().totalBanks(); ++b)
+        chip_.bank(b).shiftTiming(jump);
+    chip_.skipRefreshes(skipped_refs);
+}
+
 Time
 MemCtrl::readBlock(int bank, int row, int column, Time arrive)
 {
@@ -108,7 +137,7 @@ MemCtrl::readBlock(int bank, int row, int column, Time arrive)
     if (!bk.isOpen()) {
         const Time act_at = std::max(t, bk.earliest(dram::Command::ACT));
         chip_.act(bank, row, act_at);
-        ++acts_;
+        ++n_.acts;
         if (cfg_.mitigation) {
             victims_.clear();
             cfg_.mitigation->onActivate(bank, row, victims_);

@@ -33,22 +33,46 @@ class MemCtrl
         Time columnOverhead = 4 * units::NS;
     };
 
+    /** Everything the controller counts. */
+    struct Counters
+    {
+        std::uint64_t acts = 0;
+        std::uint64_t pres = 0;
+        std::uint64_t refs = 0;
+        /** Per-bank REFs whose mitigation hook returned any victim. */
+        std::uint64_t targeted = 0;
+        /** Open time and PREs of the tracked rows. */
+        Time trackedOpenTime = 0;
+        std::uint64_t trackedPres = 0;
+    };
+
     MemCtrl(device::Chip &chip, Config cfg);
 
     device::Chip &chip() { return chip_; }
     Time now() const { return now_; }
     Time nextRefreshAt() const { return nextRef_; }
-    std::uint64_t refreshesIssued() const { return refs_; }
-    std::uint64_t activates() const { return acts_; }
-    std::uint64_t precharges() const { return pres_; }
+    const Counters &counters() const { return n_; }
 
     /** Track a row's open intervals (e.g., the demo's aggressors). */
     void trackRow(int bank, int row);
-    Time trackedOpenTime() const { return trackedOpenTime_; }
-    std::uint64_t trackedPrecharges() const { return trackedPres_; }
 
-    /** Per-bank REFs whose mitigation hook returned any victim. */
-    std::uint64_t targetedRefreshes() const { return targeted_; }
+    /**
+     * REFs that will issue before the first one at or past the next
+     * tREFW boundary, the one that calls onRefreshWindow.
+     */
+    std::uint64_t refreshesBeforeWindow() const;
+
+    /**
+     * Repeat, @p cycles more times, the command cycle that began when
+     * the counters read @p start and ends now, @p span later: the
+     * clock, the next REF and every bank's timing move @p cycles x
+     * @p span on, each counter grows by @p cycles times its growth over
+     * the cycle, and the chip's refresh stripe moves on by the skipped
+     * REFs, none of which restores a row.  Sound only for a cycle
+     * proven to repeat exactly, whose skipped REFs restore no row the
+     * caller still reads and stay short of refreshesBeforeWindow().
+     */
+    void repeatCycle(std::uint64_t cycles, Time span, const Counters &start);
 
     /**
      * Serve a cache-block read arriving at @p arrive; returns the
@@ -71,15 +95,10 @@ class MemCtrl
     Time now_ = 0;
     Time nextRef_ = 0;
     Time nextWindow_ = 0;
-    std::uint64_t refs_ = 0;
-    std::uint64_t acts_ = 0;
-    std::uint64_t pres_ = 0;
-    std::uint64_t targeted_ = 0;
+    Counters n_;
     std::vector<int> victims_; ///< Reused victim buffer of the hooks.
     /** device::packRowKey of each tracked row (a handful per demo). */
     std::vector<std::uint64_t> tracked_;
-    Time trackedOpenTime_ = 0;
-    std::uint64_t trackedPres_ = 0;
 
     void recordInterval(int bank, const dram::Bank::OpenInterval &iv);
 };

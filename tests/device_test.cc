@@ -321,6 +321,51 @@ TEST(FaultModel, RestoreClearsDoseAndStartsRetention)
                 2.0 * fm.cells().retentionTempFactor(50.0), 1e-9);
 }
 
+TEST(FaultModel, RecorderLogsRestoresInOrderWithDeposits)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    std::vector<FaultModel::DoseOp> ops;
+    fm.setDoseOpRecorder(&ops);
+    fm.onActivate(0, 100, 0); // hammer deposits on rows 97..103
+    fm.onRestore(0, 101, 5_us);
+    fm.setDoseOpRecorder(nullptr);
+    fm.onRestore(0, 101, 6_us);
+
+    ASSERT_EQ(ops.size(), 7u);
+    for (std::size_t i = 0; i < 6; ++i)
+        EXPECT_LT(ops[i].comp, 2) << i;
+    EXPECT_EQ(ops[6].comp, FaultModel::DoseOp::kRestore);
+    EXPECT_EQ(ops[6].key, FaultModel::doseKey(0, 101));
+    EXPECT_EQ(ops[6].at, 5_us);
+}
+
+TEST(FaultModel, RedepositRepeatsTheRecordedAdds)
+{
+    FaultModel fm(dieS8GbB(), smallOrg(), 1);
+    std::vector<FaultModel::DoseOp> ops;
+    fm.setDoseOpRecorder(&ops);
+    for (int i = 0; i < 3; ++i) {
+        fm.onActivate(0, 100, Time(i) * 2_us);
+        fm.onPrecharge(0, 100, Time(i) * 2_us, Time(i) * 2_us + 700_ns);
+        fm.onActivate(0, 102, Time(i) * 2_us + 1_us);
+        fm.onPrecharge(0, 102, Time(i) * 2_us + 1_us,
+                       Time(i) * 2_us + 1500_ns);
+    }
+    fm.setDoseOpRecorder(nullptr);
+
+    FaultModel replay(dieS8GbB(), smallOrg(), 1);
+    for (const auto &op : ops) {
+        if (op.key == FaultModel::doseKey(0, 101))
+            replay.redeposit(0, 101, op.comp, op.value);
+    }
+    const DoseState &want = fm.dose(0, 101);
+    const DoseState &got = replay.dose(0, 101);
+    for (int side = 0; side < 2; ++side) {
+        EXPECT_EQ(got.hammer[side], want.hammer[side]);
+        EXPECT_EQ(got.press[side], want.press[side]);
+    }
+}
+
 TEST(FaultModel, SnapshotScaleReplaysLinearGrowth)
 {
     FaultModel fm(dieS8GbB(), smallOrg(), 1);
@@ -486,6 +531,38 @@ TEST(Chip, RefreshPointerWrapsAfterOneFullCycle)
     t += step;
     chip.refresh(t); // wrapped back to stripe 0
     EXPECT_TRUE(restoredAt(chip, 1, 0, t));
+}
+
+TEST(Chip, SkippedRefreshesLeaveTheStripeWhereIssuedOnesDo)
+{
+    // 8 rows per REF; 65,540 rows end on a 4-row stripe (8,193 REFs
+    // per pass).
+    for (int rows : {65536, 65540}) {
+        dram::Organization org;
+        org.rows = rows;
+        Chip issued(dieS8GbB(), org, dram::benderTiming(), 1);
+        Chip skipped(dieS8GbB(), org, dram::benderTiming(), 1);
+        Time t = 0;
+        for (std::uint64_t n : {1u, 7u, 300u, 8192u, 9000u}) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                issued.refresh(t += issued.timing().tREFI);
+            skipped.skipRefreshes(n);
+            for (int row : {0, 7, 8, 2048, rows - 1}) {
+                EXPECT_EQ(skipped.refreshesBefore(row),
+                          issued.refreshesBefore(row))
+                    << rows << " rows, row " << row;
+            }
+        }
+
+        // refreshesBefore counts exactly the REFs ahead of the row's.
+        const int row = 2050;
+        issued.fillRow(1, row, 0x55, t);
+        for (std::uint64_t i = issued.refreshesBefore(row); i > 0; --i)
+            issued.refresh(t += issued.timing().tREFI);
+        EXPECT_FALSE(restoredAt(issued, 1, row, t)) << rows;
+        issued.refresh(t += issued.timing().tREFI);
+        EXPECT_TRUE(restoredAt(issued, 1, row, t)) << rows;
+    }
 }
 
 TEST(Chip, EvalNoiseMakesNearThresholdFlipsStochastic)

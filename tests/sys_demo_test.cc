@@ -6,15 +6,19 @@
  * per activation) must not.
  *
  * Every DemoResult field is also pinned exactly, avgTAggOnNs included,
- * to golden values: these runs are the only check of the demo's flip
- * path (the perfbench digests run fig23 at a scale that flips no
- * bits), so any change to the dose, refresh or TRR accounting that
- * moves a single count or a single ulp shows up here.
+ * to golden values, for both Algorithm 1 and Algorithm 2: any change
+ * to the dose, refresh or TRR accounting that moves a single count or
+ * a single ulp shows up here.  runDemo reaches these values by
+ * replaying repeating cycles; sys_demo_replay_test holds that replay
+ * to exact equality with a concrete-only reference, and CI diffs
+ * fig23 at its default scale, where 16 of its 36 cells flip bits.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "sys/demo.h"
 
@@ -86,6 +90,38 @@ TEST(SysDemo, MoreReadsKeepRowOpenLonger)
     EXPECT_GT(rb.avgTAggOnNs, 5.0 * ra.avgTAggOnNs);
     expectResult(ra, 0, 0, 41.899000000000001, 280000, 3999);
     expectResult(rb, 0, 0, 970.9083333333333, 280000, 7999);
+}
+
+TEST(SysDemo, InterleavedFlushPatternFlips)
+{
+    // Algorithm 2 (Fig. 49): a flush after every load stretches each
+    // read's slot, so even 4 blocks per activation flip bits.
+    DemoConfig cfg = fastConfig();
+    cfg.interleavedFlush = true;
+    cfg.numReads = 4;
+    auto res = runDemo(cfg);
+    expectResult(res, 6, 3, 202.90833333333333, 20160000, 287999);
+}
+
+TEST(SysDemo, RejectsVictimsPastTheBank)
+{
+    // Victim v sits at row 2048 + 512 v with its dummy rows up to 248
+    // rows above it: victim 124 would reach past row 65,535.
+    EXPECT_EQ(maxDemoVictims(DemoConfig{}), 124);
+
+    DemoConfig cfg = fastConfig();
+    cfg.numIters = 0; // lay out and inspect the victims only
+    cfg.numVictims = 124;
+    EXPECT_NO_THROW(runDemo(cfg));
+    cfg.numVictims = 125;
+    try {
+        runDemo(cfg);
+        FAIL() << "125 victims must not fit";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("at most 124"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SysDemo, LatencyProbeShowsRowOpenGap)

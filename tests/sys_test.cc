@@ -87,12 +87,12 @@ TEST(MemCtrl, AdaptiveOpenRowServesHitsWithoutReactivation)
     auto chip = makeChip();
     MemCtrl mc(chip, MemCtrl::Config{});
     mc.readBlock(1, 100, 0, 1_us);
-    const auto acts_after_first = mc.activates();
+    const auto acts_after_first = mc.counters().acts;
     for (int c = 1; c < 8; ++c)
         mc.readBlock(1, 100, c, mc.now() + 10_ns);
-    EXPECT_EQ(mc.activates(), acts_after_first); // row stayed open
+    EXPECT_EQ(mc.counters().acts, acts_after_first); // row stayed open
     mc.readBlock(1, 200, 0, mc.now() + 10_ns);   // conflict
-    EXPECT_EQ(mc.activates(), acts_after_first + 1);
+    EXPECT_EQ(mc.counters().acts, acts_after_first + 1);
 }
 
 TEST(MemCtrl, RowConflictLatencyExceedsRowHit)
@@ -112,7 +112,7 @@ TEST(MemCtrl, AutoRefreshFiresEveryTrefi)
     auto chip = makeChip();
     MemCtrl mc(chip, MemCtrl::Config{});
     mc.advanceTo(10 * chip.timing().tREFI + 1_us);
-    EXPECT_EQ(mc.refreshesIssued(), 10u);
+    EXPECT_EQ(mc.counters().refs, 10u);
 }
 
 TEST(MemCtrl, RefreshClosesOpenRow)
@@ -123,7 +123,7 @@ TEST(MemCtrl, RefreshClosesOpenRow)
     EXPECT_TRUE(chip.bank(1).isOpen());
     mc.advanceTo(chip.timing().tREFI + 1_us);
     EXPECT_FALSE(chip.bank(1).isOpen());
-    EXPECT_GE(mc.precharges(), 1u);
+    EXPECT_GE(mc.counters().pres, 1u);
 }
 
 TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
@@ -135,11 +135,11 @@ TEST(MemCtrl, TrackedRowsAccumulateOpenTime)
     for (int c = 1; c < 16; ++c)
         mc.readBlock(1, 100, c, mc.now() + 20_ns);
     mc.readBlock(1, 200, 0, mc.now() + 5_ns); // closes row 100
-    EXPECT_EQ(mc.trackedPrecharges(), 1u);
-    EXPECT_GT(mc.trackedOpenTime(), 15 * 20_ns);
+    EXPECT_EQ(mc.counters().trackedPres, 1u);
+    EXPECT_GT(mc.counters().trackedOpenTime, 15 * 20_ns);
     // Untracked rows do not contribute.
     mc.readBlock(1, 300, 0, mc.now() + 5_ns);
-    EXPECT_EQ(mc.trackedPrecharges(), 1u);
+    EXPECT_EQ(mc.counters().trackedPres, 1u);
 }
 
 TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
@@ -159,12 +159,12 @@ TEST(MemCtrl, TrrRefreshesVictimsOfHammeredRow)
         mc.readBlock(1, 4100, 0, mc.now() + 5_ns); // conflict partner
         t = mc.now() + 5_ns;
     }
-    EXPECT_GT(mc.targetedRefreshes(), 0u);
-    EXPECT_GE(trr.preventiveRefreshes(), mc.targetedRefreshes());
+    EXPECT_GT(mc.counters().targeted, 0u);
+    EXPECT_GE(trr.preventiveRefreshes(), mc.counters().targeted);
     // TRR cleared the victim's dose at every REF, so it holds at most
     // one tREFI slot's worth of hammer dose.
     EXPECT_LT(chip.fault().dose(1, 4001).hammer[0],
-              double(mc.activates()) / double(mc.refreshesIssued()));
+              double(mc.counters().acts) / double(mc.counters().refs));
 }
 
 /** Refreshes row + 1 at every ACT and counts every hook it sees. */
@@ -206,22 +206,74 @@ TEST(MemCtrl, RefreshesVictimsAMitigationReturnsAtActivation)
         t = mc.now() + 5_ns;
     }
     ASSERT_LT(mc.now(), chip.timing().tREFI);
-    EXPECT_EQ(stub.acts.size(), mc.activates());
+    EXPECT_EQ(stub.acts.size(), mc.counters().acts);
     EXPECT_EQ(stub.acts.front(), std::make_pair(1, 4000));
     // Row 4001 was refreshed after each ACT of 4000, so it holds no
     // hammer dose from it; row 3999 was never refreshed.
     EXPECT_EQ(chip.fault().dose(1, 4001).hammer[0], 0.0);
     EXPECT_GT(chip.fault().dose(1, 3999).hammer[1], 0.0);
     // No victim was returned from a REF, so no targeted refresh.
-    EXPECT_EQ(mc.targetedRefreshes(), 0u);
+    EXPECT_EQ(mc.counters().targeted, 0u);
     EXPECT_EQ(stub.refs, 0);
 
     // Every REF reaches every bank; the first REF past tREFW ends the
     // refresh window.
     mc.advanceTo(chip.timing().tREFW + chip.timing().tREFI);
     EXPECT_EQ(stub.refs,
-              int(mc.refreshesIssued()) * chip.org().totalBanks());
+              int(mc.counters().refs) * chip.org().totalBanks());
     EXPECT_EQ(stub.windows, 1);
+}
+
+TEST(MemCtrl, RefreshesBeforeWindowCountsTheRefsAheadOfTheBoundary)
+{
+    auto chip = makeChip();
+    ActTimeStub stub;
+    MemCtrl::Config cfg;
+    cfg.mitigation = &stub;
+    MemCtrl mc(chip, cfg);
+
+    for (int window = 0; window < 2; ++window) {
+        const std::uint64_t ahead = mc.refreshesBeforeWindow();
+        ASSERT_GT(ahead, 0u);
+        const std::uint64_t issued = mc.counters().refs;
+        mc.advanceTo(mc.nextRefreshAt() +
+                     Time(ahead - 1) * chip.timing().tREFI);
+        EXPECT_EQ(mc.counters().refs, issued + ahead);
+        EXPECT_EQ(stub.windows, window);
+        EXPECT_EQ(mc.refreshesBeforeWindow(), 0u);
+        mc.advanceTo(mc.nextRefreshAt());
+        EXPECT_EQ(stub.windows, window + 1);
+    }
+}
+
+TEST(MemCtrl, RepeatCycleMultipliesTheCycleAndShiftsTheClock)
+{
+    auto chip = makeChip();
+    MemCtrl mc(chip, MemCtrl::Config{});
+    mc.trackRow(1, 100);
+    mc.readBlock(1, 100, 0, 1_us);
+    const MemCtrl::Counters start = mc.counters();
+    // One cycle: a REF (closing row 100) and a reopen.
+    mc.readBlock(1, 100, 0, mc.nextRefreshAt() + 1_us);
+    const MemCtrl::Counters end = mc.counters();
+    const Time span = chip.timing().tREFI;
+    const Time now = mc.now();
+    const Time next_ref = mc.nextRefreshAt();
+    const Time opened = chip.bank(1).openedAt();
+    const std::uint64_t stripe_gap = chip.refreshesBefore(0);
+
+    mc.repeatCycle(3, span, start);
+    EXPECT_EQ(mc.now(), now + 3 * span);
+    EXPECT_EQ(mc.nextRefreshAt(), next_ref + 3 * span);
+    EXPECT_EQ(chip.bank(1).openedAt(), opened + 3 * span);
+    EXPECT_EQ(mc.counters().acts, end.acts + 3 * (end.acts - start.acts));
+    EXPECT_EQ(mc.counters().refs, end.refs + 3 * (end.refs - start.refs));
+    EXPECT_EQ(mc.counters().trackedOpenTime,
+              end.trackedOpenTime +
+                  3 * (end.trackedOpenTime - start.trackedOpenTime));
+    EXPECT_EQ(mc.counters().trackedPres,
+              end.trackedPres + 3 * (end.trackedPres - start.trackedPres));
+    EXPECT_EQ(chip.refreshesBefore(0), stripe_gap - 3);
 }
 
 } // namespace
