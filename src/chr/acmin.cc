@@ -1,7 +1,8 @@
 #include "chr/acmin.h"
 
 #include <algorithm>
-#include <functional>
+#include <optional>
+#include <utility>
 
 #include "chr/oracle.h"
 #include "common/logging.h"
@@ -35,99 +36,112 @@ collectVictims(bender::TestPlatform &platform, const RowLayout &layout,
 }
 
 /**
- * One probe of a search: fill the dose/flip state for (t_agg_on,
- * total_acts) into @p out.  Either replays the program on the platform
- * or asks the AttemptOracle.
+ * The probes of one search: program replay on the platform, or the
+ * AttemptOracle when cfg.useOracle.  flips() runs one attempt and
+ * answers whether it flipped anything; keep() marks that attempt as
+ * the one whose flips the search reports, and kept() returns them.
+ * Replay collects every probe's flips as it goes; oracle probes stop
+ * at the first flip, and kept() re-evaluates the kept attempt from its
+ * saved start.
  */
-using AttemptFn =
-    std::function<void(Time, std::uint64_t, AttemptResult &)>;
-
-/** The bisection core shared by the replay and oracle paths. */
-AcminResult
-findAcminWith(const AttemptFn &attempt, Time t_agg_on,
-              std::uint64_t max_acts, const SearchConfig &cfg)
+class Probes
 {
-    AcminResult best;
-    AttemptResult probe;
-    for (int rep = 0; rep < cfg.repeats; ++rep) {
-        attempt(t_agg_on, max_acts, probe);
-        if (!probe.any())
-            continue;
-
-        std::uint64_t lo = 0;
-        std::uint64_t hi = max_acts;
-        std::vector<VictimFlip> hi_flips = std::move(probe.flips);
-        while (hi - lo > std::max<std::uint64_t>(
-                             1, std::uint64_t(cfg.accuracy * double(hi)))) {
-            const std::uint64_t mid = lo + (hi - lo) / 2;
-            attempt(t_agg_on, mid, probe);
-            if (probe.any()) {
-                hi = mid;
-                hi_flips = std::move(probe.flips);
-            } else {
-                lo = mid;
-            }
-        }
-        if (!best.flipped || hi < best.acmin) {
-            best.flipped = true;
-            best.acmin = hi;
-            best.flips = std::move(hi_flips);
-        }
+  public:
+    Probes(bender::TestPlatform &platform, const RowLayout &layout,
+           DataPattern pattern, const SearchConfig &cfg)
+        : platform_(platform), layout_(layout), pattern_(pattern)
+    {
+        if (cfg.useOracle)
+            oracle_.emplace(platform, layout, pattern);
     }
-    return best;
-}
 
-TAggOnMinResult
-findTAggOnMinWith(const AttemptFn &attempt, std::uint64_t total_acts,
-                  Time max_on, Time t_ras, const SearchConfig &cfg)
+    bool
+    flips(Time t_agg_on, std::uint64_t total_acts)
+    {
+        if (oracle_) {
+            last_ = {oracle_->next(), t_agg_on, total_acts};
+            return oracle_->probe(t_agg_on, total_acts);
+        }
+        initLayout(platform_, layout_, pattern_);
+        const Time elapsed = platform_.run(makePressProgram(
+            layout_, t_agg_on, total_acts, platform_.timing()));
+        collectVictims(platform_, layout_, /*full_scan=*/false, elapsed,
+                       replayed_);
+        return replayed_.any();
+    }
+
+    void
+    keep()
+    {
+        if (oracle_)
+            kept_ = last_;
+        else
+            std::swap(keptFlips_, replayed_.flips);
+    }
+
+    std::vector<VictimFlip>
+    kept()
+    {
+        if (oracle_) {
+            AttemptResult res;
+            oracle_->flipsAt(kept_.start, kept_.tAggOn, kept_.acts, res);
+            return std::move(res.flips);
+        }
+        return std::move(keptFlips_);
+    }
+
+  private:
+    /** An oracle attempt, enough to evaluate it again. */
+    struct Attempt
+    {
+        AttemptOracle::Start start;
+        Time tAggOn = 0;
+        std::uint64_t acts = 0;
+    };
+
+    bender::TestPlatform &platform_;
+    const RowLayout &layout_;
+    DataPattern pattern_;
+    std::optional<AttemptOracle> oracle_;
+    Attempt last_;
+    Attempt kept_;
+    AttemptResult replayed_;
+    std::vector<VictimFlip> keptFlips_;
+};
+
+/**
+ * The paper's modified bisection, shared by both searches: each of
+ * cfg.repeats repeats probes @p hi and, if that flips, bisects (@p lo,
+ * @p hi] down to cfg.accuracy (and at least @p step).  @p improved(v)
+ * runs whenever a repeat ends at a new minimum v.  Returns whether any
+ * repeat flipped.
+ */
+template <typename T, typename FlipsAt, typename Improved>
+bool
+bisect(T lo, T hi, T step, const SearchConfig &cfg, FlipsAt flips_at,
+       Improved improved)
 {
-    TAggOnMinResult best;
-    AttemptResult probe;
+    bool found = false;
+    T best = hi;
     for (int rep = 0; rep < cfg.repeats; ++rep) {
-        attempt(max_on, total_acts, probe);
-        if (!probe.any())
+        if (!flips_at(hi))
             continue;
-
-        Time lo = t_ras;
-        Time hi = max_on;
-        while (hi - lo > std::max<Time>(Time(units::NS),
-                                        Time(cfg.accuracy * double(hi)))) {
-            const Time mid = lo + (hi - lo) / 2;
-            attempt(mid, total_acts, probe);
-            if (probe.any())
-                hi = mid;
+        T l = lo;
+        T h = hi;
+        while (h - l > std::max<T>(step, T(cfg.accuracy * double(h)))) {
+            const T mid = l + (h - l) / 2;
+            if (flips_at(mid))
+                h = mid;
             else
-                lo = mid;
+                l = mid;
         }
-        if (!best.flipped || hi < best.tAggOnMin) {
-            best.flipped = true;
-            best.tAggOnMin = hi;
+        if (!found || h < best) {
+            found = true;
+            best = h;
+            improved(h);
         }
     }
-    return best;
-}
-
-AttemptFn
-replayAttempt(bender::TestPlatform &platform, const RowLayout &layout,
-              DataPattern pattern)
-{
-    return [&platform, layout, pattern](Time t_on, std::uint64_t acts,
-                                        AttemptResult &out) {
-        initLayout(platform, layout, pattern);
-        auto program =
-            makePressProgram(layout, t_on, acts, platform.timing());
-        const Time elapsed = platform.run(program);
-        collectVictims(platform, layout, /*full_scan=*/false, elapsed,
-                       out);
-    };
-}
-
-AttemptFn
-oracleAttempt(AttemptOracle &oracle)
-{
-    return [&oracle](Time t_on, std::uint64_t acts, AttemptResult &out) {
-        oracle.pressAttempt(t_on, acts, out);
-    };
+    return found;
 }
 
 } // namespace
@@ -171,13 +185,21 @@ findAcmin(bender::TestPlatform &platform, const RowLayout &layout,
     if (max_acts == 0)
         return {};
 
-    if (cfg.useOracle) {
-        AttemptOracle oracle(platform, layout, pattern);
-        return findAcminWith(oracleAttempt(oracle), t_agg_on, max_acts,
-                             cfg);
-    }
-    return findAcminWith(replayAttempt(platform, layout, pattern),
-                         t_agg_on, max_acts, cfg);
+    Probes probes(platform, layout, pattern, cfg);
+    AcminResult best;
+    best.flipped = bisect<std::uint64_t>(
+        0, max_acts, 1, cfg,
+        [&](std::uint64_t acts) {
+            if (!probes.flips(t_agg_on, acts))
+                return false;
+            probes.keep();
+            return true;
+        },
+        [&](std::uint64_t acmin) {
+            best.acmin = acmin;
+            best.flips = probes.kept();
+        });
+    return best;
 }
 
 TAggOnMinResult
@@ -194,13 +216,13 @@ findTAggOnMin(bender::TestPlatform &platform, const RowLayout &layout,
     if (max_on <= timing.tRAS)
         return {};
 
-    if (cfg.useOracle) {
-        AttemptOracle oracle(platform, layout, pattern);
-        return findTAggOnMinWith(oracleAttempt(oracle), total_acts,
-                                 max_on, timing.tRAS, cfg);
-    }
-    return findTAggOnMinWith(replayAttempt(platform, layout, pattern),
-                             total_acts, max_on, timing.tRAS, cfg);
+    Probes probes(platform, layout, pattern, cfg);
+    TAggOnMinResult best;
+    best.flipped = bisect<Time>(
+        timing.tRAS, max_on, Time(units::NS), cfg,
+        [&](Time t_on) { return probes.flips(t_on, total_acts); },
+        [&](Time t_min) { best.tAggOnMin = t_min; });
+    return best;
 }
 
 } // namespace rp::chr

@@ -43,6 +43,7 @@ AttemptOracle::AttemptOracle(bender::TestPlatform &module,
     scratch_->chip().fault().cells().adoptModelOf(
         module_.chip().fault().cells());
     scratch_->setTemperature(module_.temperature());
+    prepared_.resize(layout_.victims.size());
 }
 
 AttemptOracle::~AttemptOracle() = default;
@@ -64,11 +65,11 @@ AttemptOracle::splitOps(
 }
 
 void
-AttemptOracle::positionScratch(Time t_agg_on)
+AttemptOracle::positionScratch(Time t_agg_on, const StateKey &history)
 {
-    if (scratchState_ == state_)
+    if (scratchState_ == history)
         return;
-    if (std::get<0>(state_) == 0) {
+    if (std::get<0>(history) == 0) {
         scratch_->reset();
         scratchState_ = StateKey{0, 0, 0};
         return;
@@ -78,19 +79,19 @@ AttemptOracle::positionScratch(Time t_agg_on)
     // entering the next warm-up iteration depends only on (parity,
     // previous tAggON), not on the previous activation count.
     const Time t_prev =
-        doubleSided_ ? std::get<2>(state_) : t_agg_on;
+        doubleSided_ ? std::get<2>(history) : t_agg_on;
     const std::uint64_t acts =
-        doubleSided_ ? (std::get<1>(state_) ? 3 : 2) : 1;
+        doubleSided_ ? (std::get<1>(history) ? 3 : 2) : 1;
     initLayout(*scratch_, layout_, pattern_);
     scratch_->run(
         makePressProgram(layout_, t_prev, acts, scratch_->timing()));
-    scratchState_ = state_;
+    scratchState_ = history;
 }
 
 AttemptOracle::Profile
-AttemptOracle::measureProfile(Time t_agg_on)
+AttemptOracle::measureProfile(Time t_agg_on, const StateKey &history)
 {
-    positionScratch(t_agg_on);
+    positionScratch(t_agg_on, history);
 
     // One aggressor segment: ACT, hold open for tAggON, PRE.
     auto segmentOf = [&](int aggr) {
@@ -160,22 +161,42 @@ AttemptOracle::measureProfile(Time t_agg_on)
 }
 
 const AttemptOracle::Profile &
-AttemptOracle::profileFor(Time t_agg_on)
+AttemptOracle::profileFor(Time t_agg_on, const StateKey &history)
 {
-    const ProfileKey key{t_agg_on, std::get<0>(state_),
-                         std::get<1>(state_), std::get<2>(state_)};
+    const ProfileKey key{t_agg_on, std::get<0>(history),
+                         std::get<1>(history), std::get<2>(history)};
     auto it = profiles_.find(key);
     if (it == profiles_.end())
-        it = profiles_.emplace(key, measureProfile(t_agg_on)).first;
+        it = profiles_.emplace(key, measureProfile(t_agg_on, history))
+                 .first;
     return it->second;
 }
 
+bool
+AttemptOracle::probe(Time t_agg_on, std::uint64_t total_acts)
+{
+    evaluate(next(), t_agg_on, total_acts, true, probeBuf_);
+    vnow_ += probeBuf_.elapsed;
+    if (total_acts >= 1)
+        state_ = StateKey{1, doubleSided_ && total_acts % 2 != 0 ? 1 : 0,
+                          doubleSided_ ? t_agg_on : Time(0)};
+    return probeBuf_.any();
+}
+
 void
-AttemptOracle::pressAttempt(Time t_agg_on, std::uint64_t total_acts,
-                            AttemptResult &out)
+AttemptOracle::flipsAt(const Start &at, Time t_agg_on,
+                       std::uint64_t total_acts, AttemptResult &out)
+{
+    evaluate(at, t_agg_on, total_acts, false, out);
+}
+
+void
+AttemptOracle::evaluate(const Start &at, Time t_agg_on,
+                        std::uint64_t total_acts, bool first_only,
+                        AttemptResult &out)
 {
     out.flips.clear();
-    const Profile &prof = profileFor(t_agg_on);
+    const Profile &prof = profileFor(t_agg_on, at.history);
 
     const std::uint64_t count =
         doubleSided_ ? total_acts / 2 : total_acts;
@@ -228,7 +249,7 @@ AttemptOracle::pressAttempt(Time t_agg_on, std::uint64_t total_acts,
 
     // Evaluate every victim row exactly as checkRow would at the end
     // of the program: same dose, same retention, same noise nonce.
-    const Time now_end = vnow_ + elapsed;
+    const Time now_end = at.vnow + elapsed;
     const auto &fault = module_.chip().fault();
     const device::CellModel &cells = fault.cells();
     const double temp = fault.temperature();
@@ -268,18 +289,24 @@ AttemptOracle::pressAttempt(Time t_agg_on, std::uint64_t total_acts,
         ctx.noiseSigma = fault.evalNoiseSigma();
         ctx.noiseNonce = std::uint64_t(now_end);
 
+        if (dose.empty() && ret <= 0.0)
+            continue;
+        // Prepared even past the first flip, so a probe resolves the
+        // same candidate rows as a full evaluation.
+        device::PreparedRow &prep = prepared_[v];
+        if (!(prep.tempC == temp))
+            prep = cells.prepareRow(layout_.bank, victim, ctx.victimFill,
+                                    ctx.aggrFill[0], ctx.aggrFill[1],
+                                    temp);
+        if (first_only && out.any())
+            continue;
         flipBuf_.clear();
-        cells.evaluateInto(layout_.bank, victim, ctx, false, temp,
-                           flipBuf_);
+        cells.evaluatePrepared(prep, ctx, first_only, flipBuf_);
         for (const auto &f : flipBuf_)
             out.flips.push_back({victim, f});
     }
 
     out.elapsed = elapsed;
-    vnow_ = now_end;
-    if (total_acts >= 1)
-        state_ = StateKey{1, tail ? 1 : 0,
-                          doubleSided_ ? t_agg_on : Time(0)};
 }
 
 } // namespace rp::chr

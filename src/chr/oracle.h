@@ -24,15 +24,24 @@
  * the platform would have used (including the `cur += (cur - prev) *
  * extra` extrapolation and the integer clock jump), evaluating the
  * victim-row candidates directly at the resulting dose and virtual
- * timestamp.  Results — ACmin, tAggONmin, and the exact flip sets —
- * are bit-identical to executing every attempt on a fresh platform.
+ * timestamp.
+ *
+ * A probe evaluates each victim through a device::PreparedRow built
+ * once for the oracle's fixed fills and temperature: only candidates
+ * whose damage bound reaches 0.5 reach the per-cell evaluation, and
+ * the probe stops at the first flip.  A search that reports the flips
+ * at its result asks flipsAt() for them, from the clock and history
+ * class saved before that probe (next()).
  *
  * Contract: the oracle models the attempt sequence `runPressAttempt`
  * would execute on a *pristine* platform (clock at zero, no prior
  * fills or commands) — which is exactly what the engine-parallel
- * search drivers give each location task.  The module platform passed
- * in is only used for its configuration and cell model; it is never
- * mutated.
+ * search drivers give each location task.  probe() answers whether
+ * that attempt flips a cell, and flipsAt() gives its flips in
+ * checkRow's order and its duration: ACmin, tAggONmin and the flips
+ * at ACmin are bit-identical to executing every attempt on a fresh
+ * platform.  The module platform passed in is only used for its
+ * configuration, cell model and temperature; it is never mutated.
  */
 
 #ifndef ROWPRESS_CHR_ORACLE_H
@@ -53,6 +62,22 @@ class AttemptOracle
 {
   public:
     /**
+     * Attempt-history class: the start state of the next attempt.
+     * Fresh platform (cls 0) or "after an attempt" (cls 1); for
+     * double-sided layouts the previous attempt's parity and tAggON
+     * determine the aggressors' rest times entering the warm-up
+     * iteration, so they are part of the class.
+     */
+    using StateKey = std::tuple<int, int, Time>; // (cls, oddPrev, tOnPrev)
+
+    /** Where an attempt starts: the virtual clock and history class. */
+    struct Start
+    {
+        Time vnow = 0;
+        StateKey history{0, 0, 0};
+    };
+
+    /**
      * @p module supplies the platform configuration, cell model,
      * temperature, and evaluation-noise level; it is not mutated.
      */
@@ -60,13 +85,25 @@ class AttemptOracle
                   DataPattern pattern);
     ~AttemptOracle();
 
+    /** The start of the next attempt. */
+    Start next() const { return {vnow_, state_}; }
+
     /**
-     * Replicate `runPressAttempt(platform, layout, pattern, t_agg_on,
-     * total_acts)` as the next attempt of this oracle's history,
-     * appending the observed flips to @p out (cleared first).
+     * Run `runPressAttempt(platform, layout, pattern, t_agg_on,
+     * total_acts)` as the next attempt of this oracle's history and
+     * answer whether it flips any cell.  The evaluation stops at the
+     * first flip; flipsAt() gives the whole list.
      */
-    void pressAttempt(Time t_agg_on, std::uint64_t total_acts,
-                      AttemptResult &out);
+    bool probe(Time t_agg_on, std::uint64_t total_acts);
+
+    /**
+     * The flips, in checkRow order, and the duration of the attempt
+     * (@p t_agg_on, @p total_acts) started at @p at (next() before
+     * that attempt), into @p out (its flips cleared first).  Advances
+     * neither the clock nor the history.
+     */
+    void flipsAt(const Start &at, Time t_agg_on, std::uint64_t total_acts,
+                 AttemptResult &out);
 
   private:
     /** Ordered dose increments of one victim in one trace segment. */
@@ -91,21 +128,20 @@ class AttemptOracle
         std::vector<VictimTrace> victims; ///< Indexed like layout.victims.
     };
 
-    /**
-     * Attempt-history class: the start state of the next attempt.
-     * Fresh platform (cls 0) or "after an attempt" (cls 1); for
-     * double-sided layouts the previous attempt's parity and tAggON
-     * determine the aggressors' rest times entering the warm-up
-     * iteration, so they are part of the class.
-     */
-    using StateKey = std::tuple<int, int, Time>; // (cls, oddPrev, tOnPrev)
     using ProfileKey = std::tuple<Time, int, int, Time>;
 
-    const Profile &profileFor(Time t_agg_on);
-    Profile measureProfile(Time t_agg_on);
-    void positionScratch(Time t_agg_on);
+    const Profile &profileFor(Time t_agg_on, const StateKey &history);
+    Profile measureProfile(Time t_agg_on, const StateKey &history);
+    void positionScratch(Time t_agg_on, const StateKey &history);
     void splitOps(const std::vector<device::FaultModel::DoseOp> &ops,
                   Ops VictimTrace::*segment, Profile &prof) const;
+
+    /**
+     * Evaluate the attempt started at @p at into @p out (cleared
+     * first), stopping at the first flip when @p first_only.
+     */
+    void evaluate(const Start &at, Time t_agg_on, std::uint64_t total_acts,
+                  bool first_only, AttemptResult &out);
 
     bender::TestPlatform &module_;
     RowLayout layout_;
@@ -121,11 +157,14 @@ class AttemptOracle
     std::map<ProfileKey, Profile> profiles_;
     std::map<std::uint64_t, std::size_t> victimIndex_; ///< dose key -> idx.
     std::vector<std::pair<int, int>> actRows_;
+    /** Per victim: its candidates at the oracle's fixed fills. */
+    std::vector<device::PreparedRow> prepared_;
 
     // Reusable per-probe buffers (no per-attempt allocation).
     std::vector<std::array<double, 4>> acc_;
     std::vector<std::array<double, 4>> prevAcc_;
     std::vector<device::FlipRecord> flipBuf_;
+    AttemptResult probeBuf_;
 };
 
 } // namespace rp::chr

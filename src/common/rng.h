@@ -43,6 +43,24 @@ hashU64(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0,
     return h;
 }
 
+/**
+ * The first three rounds of hashU64: loops that hash many values of
+ * the fourth word under fixed (a, b, c), such as every bit of a row,
+ * compute this once and finish each value with hashFinish.
+ */
+constexpr std::uint64_t
+hashPrefix(std::uint64_t a, std::uint64_t b, std::uint64_t c)
+{
+    return splitmix64(splitmix64(splitmix64(a) ^ b) ^ c);
+}
+
+/** hashFinish(hashPrefix(a, b, c), d) == hashU64(a, b, c, d). */
+constexpr std::uint64_t
+hashFinish(std::uint64_t prefix, std::uint64_t d)
+{
+    return splitmix64(splitmix64(prefix ^ d));
+}
+
 /** Map a 64-bit hash to a double uniform in [0, 1). */
 constexpr double
 toUnitDouble(std::uint64_t h)

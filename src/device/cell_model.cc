@@ -243,6 +243,50 @@ fillBit(std::uint8_t fill, int bit)
     return (fill >> (bit & 7)) & 1;
 }
 
+/** Whether a cell of polarity @p anti storing @p value holds charge. */
+inline bool
+holdsCharge(bool anti, bool value)
+{
+    return anti ? !value : value;
+}
+
+/**
+ * Coupling of the aggressor on one side, whose row holds @p aggr_fill,
+ * at strength @p gamma: the disturbance grows with the charge of the
+ * aggressor cell at the same bit position.  Approximation: that cell
+ * shares this cell's true/anti polarity (real layouts are repeated per
+ * mat, so polarity is locally uniform).
+ */
+inline double
+aggrCoupling(double gamma, std::uint8_t aggr_fill, bool anti, int bit)
+{
+    return std::max(
+        0.1,
+        1.0 + gamma * (holdsCharge(anti, fillBit(aggr_fill, bit)) ? 0.5
+                                                                  : -0.5));
+}
+
+/** The press coupling strength at @p temp_c. */
+inline double
+pressGamma(const CellModelParams &p, double temp_c)
+{
+    return p.gammaRpAggr0 + p.gammaRpAggrT * (temp_c - 50.0) / 30.0;
+}
+
+/** Candidate @p i of @p cands as the properties evaluateCell reads. */
+inline CellProps
+candidateProps(const RowCandidates &cands, std::size_t i)
+{
+    CellProps props;
+    props.thetaH = cands.thetaH[i];
+    props.thetaP = cands.thetaP[i];
+    props.tauRet = cands.tauRet[i];
+    props.anti = cands.anti[i] != 0;
+    props.domSide = cands.domSide[i];
+    props.uH = props.uP = 0.0;
+    return props;
+}
+
 /**
  * Per-attempt multiplicative damage noise.  Only evaluated when the
  * damage is close enough to threshold for the noise to matter.
@@ -264,27 +308,14 @@ CellModel::evaluateCell(const CellProps &props, int bit,
     const CellModelParams &p = params_;
     const DoseState &dose = *ctx.dose;
 
-    const bool bitv = rowBit(ctx, bit);
-    const bool charged = props.anti ? !bitv : bitv;
-
-    // Approximation: the neighbor cell at the same bit position shares
-    // this cell's true/anti polarity (real layouts are repeated per
-    // mat, so polarity is locally uniform).
-    auto aggr_charged = [&](int side) {
-        const bool b = fillBit(ctx.aggrFill[side], bit);
-        return props.anti ? !b : b;
-    };
-
-    if (charged) {
+    if (holdsCharge(props.anti, rowBit(ctx, bit))) {
         // RowPress drains charged cells; retention leaks them too.
-        const double gamma =
-            p.gammaRpAggr0 + p.gammaRpAggrT * (temp_c - 50.0) / 30.0;
+        const double gamma = pressGamma(p, temp_c);
         const int dom = props.domSide;
         const double c_dom =
-            std::max(0.1, 1.0 + gamma * (aggr_charged(dom) ? 0.5 : -0.5));
+            aggrCoupling(gamma, ctx.aggrFill[dom], props.anti, bit);
         const double c_oth =
-            std::max(0.1,
-                     1.0 + gamma * (aggr_charged(1 - dom) ? 0.5 : -0.5));
+            aggrCoupling(gamma, ctx.aggrFill[1 - dom], props.anti, bit);
         const double press = dose.press[dom] * c_dom +
                              p.rhoWeakSide * dose.press[1 - dom] * c_oth;
         const double press_damage = press / props.thetaP;
@@ -310,9 +341,9 @@ CellModel::evaluateCell(const CellProps &props, int bit,
 
     // RowHammer charges discharged cells.
     const double c0 =
-        std::max(0.1, 1.0 + p.gammaRhAggr * (aggr_charged(0) ? 0.5 : -0.5));
+        aggrCoupling(p.gammaRhAggr, ctx.aggrFill[0], props.anti, bit);
     const double c1 =
-        std::max(0.1, 1.0 + p.gammaRhAggr * (aggr_charged(1) ? 0.5 : -0.5));
+        aggrCoupling(p.gammaRhAggr, ctx.aggrFill[1], props.anti, bit);
     const double h = dose.hammer[0] * c0 + dose.hammer[1] * c1 +
                      p.kappaDs * std::min(dose.hammer[0], dose.hammer[1]);
     double damage = h / props.thetaH;
@@ -345,8 +376,7 @@ CellModel::damageBounds(const DoseState &dose, double retention_seconds,
                                 std::min(dose.hammer[0], dose.hammer[1]);
     }
 
-    const double gamma =
-        p.gammaRpAggr0 + p.gammaRpAggrT * (temp_c - 50.0) / 30.0;
+    const double gamma = pressGamma(p, temp_c);
     const double c_max = std::max(0.1, 1.0 + 0.5 * std::fabs(gamma)) *
                          std::max(1.0, p.rhoWeakSide);
     b.press = (dose.press[0] + dose.press[1]) * c_max;
@@ -441,6 +471,8 @@ CellModel::evaluateFullScan(int bank, int row, const RowContext &ctx,
     // property derivation + evaluation.  Retention has no row/word
     // variance component, so its cutoff is row-global.
     const RowZ row_z = computeRowZ(seed_, bank, row);
+    const std::uint64_t prefix =
+        hashPrefix(seed_, std::uint64_t(bank), std::uint64_t(row));
     const double cut_r =
         weakQuantileCutoff(bound_r, p.muRet, p.sigmaRet, 0.0);
 
@@ -467,9 +499,7 @@ CellModel::evaluateFullScan(int bank, int row, const RowContext &ctx,
             const int first = int(w) * 64;
             const int last = std::min(bitsPerRow_, first + 64);
             for (int bit = first; bit < last; ++bit) {
-                HashRng cell(hashU64(seed_, std::uint64_t(bank),
-                                     std::uint64_t(row),
-                                     std::uint64_t(bit)));
+                const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
                 if (cell.uniform(celltags::TAG_UH) >= cut_h &&
                     cell.uniform(celltags::TAG_UP) >= cut_p &&
                     cell.uniform(celltags::TAG_RET) >= cut_r)
@@ -502,16 +532,110 @@ CellModel::evaluateInto(int bank, int row, const RowContext &ctx,
     if (!rowMayFlip(cands, *ctx.dose, ctx.retentionSeconds, temp_c))
         return;
 
-    CellProps props;
-    props.uH = props.uP = 0.0;
     for (std::size_t i = 0; i < cands.size(); ++i) {
-        props.thetaH = cands.thetaH[i];
-        props.thetaP = cands.thetaP[i];
-        props.tauRet = cands.tauRet[i];
-        props.anti = cands.anti[i] != 0;
-        props.domSide = cands.domSide[i];
-        if (evaluateCell(props, cands.bit[i], ctx, temp_c, &rec))
+        if (evaluateCell(candidateProps(cands, i), cands.bit[i], ctx,
+                         temp_c, &rec))
             out.push_back(rec);
+    }
+}
+
+PreparedRow
+CellModel::prepareRow(int bank, int row, std::uint8_t victim_fill,
+                      std::uint8_t aggr_fill_0, std::uint8_t aggr_fill_1,
+                      double temp_c) const
+{
+    const CellModelParams &p = params_;
+    PreparedRow prep;
+    prep.victimFill = victim_fill;
+    prep.aggrFill[0] = aggr_fill_0;
+    prep.aggrFill[1] = aggr_fill_1;
+    prep.tempC = temp_c;
+    prep.cands = &rowCandidates(bank, row);
+
+    const RowCandidates &cands = *prep.cands;
+    const double gamma = pressGamma(p, temp_c);
+    prep.coef.assign(cands.size(), {});
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        const CellProps props = candidateProps(cands, i);
+        const int bit = cands.bit[i];
+        auto &k = prep.coef[i];
+        // The terms of evaluateCell's damage at these fills, per unit
+        // of dose: a charged cell sees press and retention, a
+        // discharged one hammer.
+        if (holdsCharge(props.anti, fillBit(victim_fill, bit))) {
+            const int dom = props.domSide;
+            k[PreparedRow::kPress0 + dom] =
+                aggrCoupling(gamma, prep.aggrFill[dom], props.anti, bit) /
+                props.thetaP;
+            k[PreparedRow::kPress0 + 1 - dom] =
+                std::max(p.rhoWeakSide, 0.0) *
+                aggrCoupling(gamma, prep.aggrFill[1 - dom], props.anti,
+                             bit) /
+                props.thetaP;
+            k[PreparedRow::kRetention] = 1.0 / props.tauRet;
+        } else {
+            k[PreparedRow::kHammer0] =
+                aggrCoupling(p.gammaRhAggr, prep.aggrFill[0], props.anti,
+                             bit) /
+                props.thetaH;
+            k[PreparedRow::kHammer1] =
+                aggrCoupling(p.gammaRhAggr, prep.aggrFill[1], props.anti,
+                             bit) /
+                props.thetaH;
+            k[PreparedRow::kHammerMin] =
+                std::max(p.kappaDs, 0.0) / props.thetaH;
+        }
+    }
+    return prep;
+}
+
+void
+CellModel::evaluatePrepared(const PreparedRow &prep, const RowContext &ctx,
+                            bool first_only,
+                            std::vector<FlipRecord> &out) const
+{
+    if (!ctx.dose)
+        panic("CellModel::evaluatePrepared: null dose state");
+    if (ctx.victimFill != prep.victimFill ||
+        ctx.aggrFill[0] != prep.aggrFill[0] ||
+        ctx.aggrFill[1] != prep.aggrFill[1] ||
+        (ctx.victimOverrides && !ctx.victimOverrides->empty()))
+        panic("CellModel::evaluatePrepared: the context's data differs "
+              "from the prepared row's");
+    const DoseState &dose = *ctx.dose;
+    if (dose.empty() && ctx.retentionSeconds <= 0.0)
+        return;
+    const RowCandidates &cands = *prep.cands;
+    if (!rowMayFlip(cands, dose, ctx.retentionSeconds, prep.tempC))
+        return;
+
+    const double terms[PreparedRow::kTerms] = {
+        dose.hammer[0],
+        dose.hammer[1],
+        std::min(dose.hammer[0], dose.hammer[1]),
+        dose.press[0],
+        dose.press[1],
+        ctx.retentionSeconds > 0.0 ? ctx.retentionSeconds : 0.0};
+    // A cell flips only if its pre-noise damage reaches 0.5 (see
+    // rowMayFlip).  The bound is the same sum of non-negative terms,
+    // factored differently and with kappa and rho clamped at 0, so it
+    // is at least the damage less a few ulps of rounding, which the
+    // 1e-9 margin covers.
+    constexpr double kCut = 0.5 * (1.0 - 1e-9);
+    FlipRecord rec;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+        const auto &k = prep.coef[i];
+        double bound = 0.0;
+        for (int t = 0; t < PreparedRow::kTerms; ++t)
+            bound += k[std::size_t(t)] * terms[t];
+        if (bound < kCut)
+            continue;
+        if (evaluateCell(candidateProps(cands, i), cands.bit[i], ctx,
+                         prep.tempC, &rec)) {
+            out.push_back(rec);
+            if (first_only)
+                return;
+        }
     }
 }
 

@@ -36,6 +36,7 @@
 #ifndef ROWPRESS_DEVICE_CELL_MODEL_H
 #define ROWPRESS_DEVICE_CELL_MODEL_H
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -105,6 +106,48 @@ struct FlipRecord
     int bit;            ///< Bit index within the row.
     bool oneToZero;     ///< Logical flip direction.
     Mechanism mechanism;
+};
+
+/**
+ * A row's candidate cells prepared for many evaluations at one data
+ * state (victim fill, neighbor fills, no overrides) and temperature:
+ * the bisection probes of chr::AttemptOracle evaluate each victim row
+ * again and again, and only the dose, the retention time and the
+ * noise nonce change between probes.
+ *
+ * Per candidate it holds the pre-noise damage per unit of each dose
+ * term, with the couplings evaluateCell applies at these fills and
+ * this temperature, and kappa and rho clamped at 0 (damageBounds, too,
+ * never lets a negative kappa or rho lower its bound).  A probe's
+ * damage bound for the cell is the sum of the coefficients times the
+ * terms: an upper bound on the exact damage.
+ */
+struct PreparedRow
+{
+    /** The dose terms the coefficients multiply, in order. */
+    enum Term
+    {
+        kHammer0,   ///< hammer[0]
+        kHammer1,   ///< hammer[1]
+        kHammerMin, ///< min(hammer[0], hammer[1]), the kappa term
+        kPress0,    ///< press[0]
+        kPress1,    ///< press[1]
+        kRetention, ///< retention seconds
+        kTerms
+    };
+
+    std::uint8_t victimFill = 0x00;
+    std::uint8_t aggrFill[2] = {0x00, 0x00};
+    /** NaN until prepared; a NaN temperature matches nothing. */
+    double tempC = std::numeric_limits<double>::quiet_NaN();
+    /**
+     * The row's candidates, owned by the preparing model's
+     * ThresholdStore: valid until that model's invalidateCaches() or
+     * adoptModelOf().
+     */
+    const RowCandidates *cands = nullptr;
+    /** Per candidate, in candidate order: damage per unit of each term. */
+    std::vector<std::array<double, kTerms>> coef;
 };
 
 /**
@@ -198,6 +241,26 @@ class CellModel
     void evaluateInto(int bank, int row, const RowContext &ctx,
                       bool full_scan, double temp_c,
                       std::vector<FlipRecord> &out) const;
+
+    /**
+     * The candidates of (@p bank, @p row) prepared for evaluatePrepared
+     * at these fills (side 0 is the lower neighbor) and @p temp_c.
+     */
+    PreparedRow prepareRow(int bank, int row, std::uint8_t victim_fill,
+                           std::uint8_t aggr_fill_0,
+                           std::uint8_t aggr_fill_1, double temp_c) const;
+
+    /**
+     * evaluateInto(full_scan = false) on a prepared row: the same
+     * flips in the same order, for a @p ctx that carries the prepared
+     * fills and no overrides, at the prepared temperature.  Only the
+     * candidates whose damage bound reaches 0.5 go to the per-cell
+     * evaluation; below 0.5 no cell can flip (see rowMayFlip).  With
+     * @p first_only it stops after the first flip.
+     */
+    void evaluatePrepared(const PreparedRow &prep, const RowContext &ctx,
+                          bool first_only,
+                          std::vector<FlipRecord> &out) const;
 
     /** The shared weakest-cell candidate list of a row (SoA layout). */
     const RowCandidates &rowCandidates(int bank, int row) const;

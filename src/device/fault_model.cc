@@ -10,7 +10,7 @@ FaultModel::FaultModel(const DieConfig &die, const dram::Organization &org,
                        std::uint64_t seed)
     : org_(org),
       cells_(die, org.columns * org.blockBytes * 8, seed),
-      slotIndex_(std::size_t(org.totalBanks()))
+      pageTable_(std::size_t(org.totalBanks()))
 {
 }
 
@@ -19,22 +19,31 @@ FaultModel::findSlot(int bank, int row) const
 {
     if (!bankTouched(bank) || row < 0 || row >= org_.rows)
         return nullptr;
-    const std::uint32_t idx =
-        slotIndex_[std::size_t(bank)][std::size_t(row)];
+    const std::uint32_t page =
+        pageTable_[std::size_t(bank)][std::size_t(row >> kPageBits)];
+    if (!page)
+        return nullptr;
+    const std::uint32_t idx = indexPages_[pageEntry(page, row)];
     return idx ? &slots_[idx - 1] : nullptr;
 }
 
 FaultModel::RowSlot &
 FaultModel::slot(int bank, int row)
 {
-    if (bank < 0 || bank >= int(slotIndex_.size()) || row < 0 ||
+    if (bank < 0 || bank >= int(pageTable_.size()) || row < 0 ||
         row >= org_.rows)
         panic("FaultModel: row (%d, %d) outside the %d x %d array", bank,
-              row, int(slotIndex_.size()), org_.rows);
-    auto &index = slotIndex_[std::size_t(bank)];
-    if (index.empty())
-        index.resize(std::size_t(org_.rows), 0);
-    std::uint32_t &idx = index[std::size_t(row)];
+              row, int(pageTable_.size()), org_.rows);
+    auto &table = pageTable_[std::size_t(bank)];
+    if (table.empty())
+        table.resize(std::size_t((org_.rows + kPageRows - 1) >> kPageBits),
+                     0);
+    std::uint32_t &page = table[std::size_t(row >> kPageBits)];
+    if (!page) {
+        indexPages_.resize(indexPages_.size() + kPageRows, 0);
+        page = std::uint32_t(indexPages_.size() / kPageRows);
+    }
+    std::uint32_t &idx = indexPages_[pageEntry(page, row)];
     if (!idx) {
         slots_.push_back(RowSlot{});
         slots_.back().bank = bank;
@@ -160,9 +169,11 @@ FaultModel::disturbedRows() const
 void
 FaultModel::reset()
 {
-    // Keep the index allocations; only the touched entries need zeroing.
+    // Keep the index pages; only the touched entries need zeroing.
     for (const RowSlot &s : slots_)
-        slotIndex_[std::size_t(s.bank)][std::size_t(s.row)] = 0;
+        indexPages_[pageEntry(
+            pageTable_[std::size_t(s.bank)][std::size_t(s.row >> kPageBits)],
+            s.row)] = 0;
     slots_.clear();
 }
 

@@ -77,8 +77,8 @@ class FaultModel
     bool
     bankTouched(int bank) const
     {
-        return bank >= 0 && bank < int(slotIndex_.size()) &&
-               !slotIndex_[std::size_t(bank)].empty();
+        return bank >= 0 && bank < int(pageTable_.size()) &&
+               !pageTable_[std::size_t(bank)].empty();
     }
 
     /**
@@ -198,11 +198,34 @@ class FaultModel
 
     /** Touched rows in first-touch order; kept until reset(). */
     std::vector<RowSlot> slots_;
+
     /**
-     * Per bank: row -> 1 + its index in slots_ (0 = untouched).  A
-     * bank's vector stays empty until one of its rows is touched.
+     * The row -> slot index, in pages of kPageRows rows allocated on
+     * first touch: a platform that touches a few rows of a bank (every
+     * oracle's scratch platform does) zero-fills a page or two, not a
+     * whole bank.
      */
-    std::vector<std::vector<std::uint32_t>> slotIndex_;
+    static constexpr int kPageBits = 8;
+    static constexpr int kPageRows = 1 << kPageBits;
+    /**
+     * Per bank: page -> 1 + its index in indexPages_ (0 = no row of
+     * the page touched yet).  A bank's table stays empty until one of
+     * its rows is touched.
+     */
+    std::vector<std::vector<std::uint32_t>> pageTable_;
+    /**
+     * The pages back to back: row -> 1 + its index in slots_ (0 =
+     * untouched).
+     */
+    std::vector<std::uint32_t> indexPages_;
+
+    /** Where @p row's entry sits in indexPages_, on page @p page. */
+    static std::size_t
+    pageEntry(std::uint32_t page, int row)
+    {
+        return std::size_t(page - 1) * kPageRows +
+               std::size_t(row & (kPageRows - 1));
+    }
 
     std::vector<DoseOp> *opRecorder_ = nullptr;
 };

@@ -334,17 +334,19 @@ ThresholdStore::buildRow(int bank, int row) const
     // distribution: generous enough that any ACmin-level search result
     // is determined by a cached cell.
     const double cap_q = candidateCapQuantile();
+    const std::uint64_t prefix =
+        hashPrefix(seed_, std::uint64_t(bank), std::uint64_t(row));
+    const RowZ row_z = computeRowZ(seed_, bank, row);
     RowCandidates out;
     for (int bit = 0; bit < bitsPerRow_; ++bit) {
-        HashRng cell(hashU64(seed_, std::uint64_t(bank),
-                             std::uint64_t(row), std::uint64_t(bit)));
-        const double u_h = cell.uniform(TAG_UH);
-        const double u_p = cell.uniform(TAG_UP);
-        const double u_r = cell.uniform(TAG_RET);
-        if (u_h >= cap_q && u_p >= cap_q && u_r >= cap_q)
+        const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
+        // All three draws, then one compare: nearly every cell is
+        // rejected, so a short-circuit would only add branches.
+        if (std::min({cell.uniform(TAG_UH), cell.uniform(TAG_UP),
+                      cell.uniform(TAG_RET)}) >= cap_q)
             continue;
-        const CellProps props =
-            computeCellProps(params_, seed_, bank, row, bit);
+        const CellProps props = computeCellProps(
+            params_, cell, computeWordZ(row_z, seed_, bank, row, bit / 64));
         out.bit.push_back(bit);
         out.thetaH.push_back(props.thetaH);
         out.thetaP.push_back(props.thetaP);
@@ -371,6 +373,8 @@ ThresholdStore::buildWordMasks(int bank, int row) const
     wm.retention.assign(retentionLadder_.size() * wm.numGroups, 0);
 
     const RowZ row_z = computeRowZ(seed_, bank, row);
+    const std::uint64_t prefix =
+        hashPrefix(seed_, std::uint64_t(bank), std::uint64_t(row));
 
     // A word's minimum threshold per mechanism is the threshold of
     // its minimum uniform draw (exp and probit are monotone; the
@@ -389,9 +393,7 @@ ThresholdStore::buildWordMasks(int bank, int row) const
         const int first = int(w) * 64;
         const int last = std::min(bitsPerRow_, first + 64);
         for (int bit = first; bit < last; ++bit) {
-            HashRng cell(hashU64(seed_, std::uint64_t(bank),
-                                 std::uint64_t(row),
-                                 std::uint64_t(bit)));
+            const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
             min_uh = std::min(min_uh, cell.uniform(TAG_UH));
             min_up = std::min(min_up, cell.uniform(TAG_UP));
             min_ur = std::min(min_ur, cell.uniform(TAG_RET));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/logging.h"
@@ -63,6 +64,35 @@ TEST(Rng, HashIsDeterministic)
     EXPECT_EQ(hashU64(1, 2, 3), hashU64(1, 2, 3));
     EXPECT_NE(hashU64(1, 2, 3), hashU64(1, 2, 4));
     EXPECT_NE(hashU64(1, 2, 3), hashU64(1, 3, 2));
+}
+
+static_assert(hashFinish(hashPrefix(1, 2, 3), 4) == hashU64(1, 2, 3, 4));
+
+TEST(Rng, HashPrefixThenFinishIsHashU64)
+{
+    // The row loops hash (seed, bank, row, bit) as hashFinish(prefix,
+    // bit); banks and rows are ints cast with std::uint64_t(int), so
+    // negative ones sign-extend.
+    const std::uint64_t seeds[] = {0, 1, 7, 0x9e3779b97f4a7c15ULL,
+                                   UINT64_MAX};
+    const std::uint64_t banks[] = {0, 1, 15, std::uint64_t(-1),
+                                   std::uint64_t(INT32_MIN), UINT64_MAX};
+    const std::uint64_t rows[] = {0, 64, 65535, std::uint64_t(-3),
+                                  std::uint64_t(INT32_MAX), UINT64_MAX};
+    const std::uint64_t bits[] = {0, 1, 63, 64, 65535, UINT64_MAX};
+    int checked = 0;
+    for (std::uint64_t seed : seeds)
+        for (std::uint64_t bank : banks)
+            for (std::uint64_t row : rows) {
+                const std::uint64_t prefix = hashPrefix(seed, bank, row);
+                for (std::uint64_t bit : bits) {
+                    ASSERT_EQ(hashFinish(prefix, bit),
+                              hashU64(seed, bank, row, bit))
+                        << seed << " " << bank << " " << row << " " << bit;
+                    ++checked;
+                }
+            }
+    EXPECT_EQ(checked, 5 * 6 * 6 * 6);
 }
 
 TEST(Rng, HashRngStreamsAreIndependent)

@@ -425,6 +425,51 @@ TEST(FaultModel, ShiftRowHistoryOfUntouchedRowDoesNothing)
     EXPECT_EQ(fm.dose(0, 301).hammer[0], fresh.dose(0, 301).hammer[0]);
 }
 
+TEST(FaultModel, PagedSlotIndexReachesBothEndsOfABank)
+{
+    dram::Organization org;
+    ASSERT_EQ(org.rows, 65536);
+    FaultModel fm(dieS8GbB(), org, 1);
+    EXPECT_FALSE(fm.bankTouched(2));
+
+    fm.onRestore(2, 0, 1_us);
+    fm.onRestore(2, 65535, 2_us);
+    fm.redeposit(2, 65535, 3, 0.25);
+    EXPECT_TRUE(fm.bankTouched(2));
+    EXPECT_FALSE(fm.bankTouched(3));
+    EXPECT_TRUE(fm.touched(2, 0));
+    EXPECT_TRUE(fm.touched(2, 65535));
+    EXPECT_EQ(fm.dose(2, 65535).press[1], 0.25);
+    EXPECT_TRUE(fm.dose(2, 0).empty());
+    // Rows 0 and 65535 keep their own restore clocks.
+    EXPECT_EQ(fm.retentionSeconds(2, 0, 3_us),
+              fm.retentionSeconds(2, 65535, 4_us));
+
+    // An untouched row on a touched page, and rows on untouched pages.
+    EXPECT_FALSE(fm.touched(2, 1));
+    EXPECT_FALSE(fm.touched(2, 65534));
+    for (int row : {300, 32768, 65000}) {
+        EXPECT_FALSE(fm.touched(2, row)) << row;
+        EXPECT_TRUE(fm.dose(2, row).empty()) << row;
+        EXPECT_EQ(fm.lastClose(2, row), FaultModel::kNever) << row;
+    }
+    EXPECT_FALSE(fm.touched(3, 0));
+
+    fm.onActivate(2, 32768, 5_us);
+    fm.onPrecharge(2, 32768, 5_us, 5_us + 100_ns);
+    EXPECT_TRUE(fm.touched(2, 32768));
+    EXPECT_EQ(fm.lastClose(2, 32768), 5_us + 100_ns);
+    EXPECT_TRUE(fm.touched(2, 32767)); // its victims
+    EXPECT_TRUE(fm.touched(2, 32771));
+    EXPECT_FALSE(fm.touched(2, 32772));
+    EXPECT_EQ(fm.disturbedRows().size(), 7u);
+
+    fm.reset();
+    for (int row : {0, 32768, 65535})
+        EXPECT_FALSE(fm.touched(2, row)) << row;
+    EXPECT_TRUE(fm.disturbedRows().empty());
+}
+
 TEST(Chip, FillReadAndFlipLatching)
 {
     Chip chip(dieS8GbB(), smallOrg(), dram::benderTiming(), 1);

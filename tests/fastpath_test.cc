@@ -23,9 +23,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "api/sink.h"
 #include "chr/ecc.h"
@@ -47,10 +49,48 @@ testConfig(std::uint64_t seed = 1)
     return mc;
 }
 
-std::vector<std::uint64_t>
-idsOf(const std::vector<chr::VictimFlip> &flips)
+/** Row, bit, direction and mechanism of every flip, in order. */
+using FlipKey = std::tuple<int, int, bool, device::Mechanism>;
+
+std::vector<FlipKey>
+flipsOf(const std::vector<chr::VictimFlip> &flips)
 {
-    return chr::flipIdSet(flips);
+    std::vector<FlipKey> out;
+    for (const auto &vf : flips)
+        out.emplace_back(vf.victimRow, vf.flip.bit, vf.flip.oneToZero,
+                         vf.flip.mechanism);
+    return out;
+}
+
+std::vector<FlipKey>
+flipsOf(const std::vector<device::FlipRecord> &flips)
+{
+    std::vector<FlipKey> out;
+    for (const auto &f : flips)
+        out.emplace_back(0, f.bit, f.oneToZero, f.mechanism);
+    return out;
+}
+
+/** A cell model with the kappa = 0, rho = 1 edit applied (or not). */
+using Edit = void (*)(device::CellModelParams &);
+
+void
+kappa0Rho1(device::CellModelParams &p)
+{
+    p.kappaDs = 0.0;
+    p.rhoWeakSide = 1.0;
+}
+
+chr::Module
+moduleWith(Edit edit)
+{
+    chr::Module module(chr::locationConfig(testConfig(), 64));
+    if (edit) {
+        auto &cells = module.platform().chip().fault().cells();
+        edit(cells.mutableParams());
+        cells.invalidateCaches();
+    }
+    return module;
 }
 
 TEST(FastPath, CandidateEvaluateMatchesFullScanAtAcminDose)
@@ -91,7 +131,7 @@ TEST(FastPath, CandidateEvaluateMatchesFullScanAtAcminDose)
                 chr::DataPattern::CheckerBoard, t_on, acts,
                 /*full_scan=*/true);
             flipping_cases += cand.flips.empty() ? 0 : 1;
-            EXPECT_EQ(idsOf(cand.flips), idsOf(full.flips))
+            EXPECT_EQ(flipsOf(cand.flips), flipsOf(full.flips))
                 << "candidate/full-scan divergence at tAggON "
                 << formatTime(t_on) << " x" << mult;
         }
@@ -160,6 +200,138 @@ TEST(FastPath, WordMaskFullScanMatchesReferenceScan)
     }
 }
 
+/** A dose direction, scaled by PreparedRowMatchesCandidateEvaluation. */
+struct DoseDirection
+{
+    const char *name;
+    double hammer[2];
+    double press[2];
+    double retention;
+};
+
+/**
+ * The flips of evaluatePrepared and evaluateInto(full_scan = false)
+ * along @p dir: the dose is scaled so the largest candidate bound sits
+ * at each of @p peaks (just above the 0.5 cut, at the flip threshold
+ * 1, past it).  Returns the flips seen.
+ */
+std::size_t
+comparePreparedAlong(const device::CellModel &model, int row,
+                     const device::PreparedRow &prep,
+                     const DoseDirection &dir,
+                     const std::vector<double> &peaks,
+                     std::size_t &first_checked)
+{
+    const double terms[] = {dir.hammer[0],
+                            dir.hammer[1],
+                            std::min(dir.hammer[0], dir.hammer[1]),
+                            dir.press[0],
+                            dir.press[1],
+                            dir.retention};
+    double peak = 0.0;
+    for (const auto &k : prep.coef) {
+        double bound = 0.0;
+        for (std::size_t t = 0; t < k.size(); ++t)
+            bound += k[t] * terms[t];
+        peak = std::max(peak, bound);
+    }
+    // A direction no candidate responds to (press when the fills leave
+    // every cell discharged) is checked at large doses instead.
+    const double unit = peak > 0.0 ? 1.0 / peak : 1e12;
+
+    std::size_t flips = 0;
+    for (double target : peaks) {
+        const double s = target * unit;
+        device::DoseState dose;
+        dose.hammer[0] = dir.hammer[0] * s;
+        dose.hammer[1] = dir.hammer[1] * s;
+        dose.press[0] = dir.press[0] * s;
+        dose.press[1] = dir.press[1] * s;
+        device::RowContext ctx;
+        ctx.dose = &dose;
+        ctx.victimFill = prep.victimFill;
+        ctx.aggrFill[0] = prep.aggrFill[0];
+        ctx.aggrFill[1] = prep.aggrFill[1];
+        ctx.retentionSeconds = dir.retention * s;
+        ctx.noiseNonce = 4242 + std::uint64_t(row);
+        // Noise off, the model's level, and one wide enough that cells
+        // just above damage 0.5 can flip.
+        for (double sigma : {0.0, 0.05, 0.3}) {
+            ctx.noiseSigma = sigma;
+            std::vector<device::FlipRecord> want;
+            model.evaluateInto(1, row, ctx, false, prep.tempC, want);
+            std::vector<device::FlipRecord> got;
+            model.evaluatePrepared(prep, ctx, false, got);
+            EXPECT_EQ(flipsOf(got), flipsOf(want))
+                << dir.name << " x" << target << " sigma " << sigma;
+
+            std::vector<device::FlipRecord> first;
+            model.evaluatePrepared(prep, ctx, true, first);
+            want.resize(std::min<std::size_t>(want.size(), 1));
+            EXPECT_EQ(flipsOf(first), flipsOf(want))
+                << "first flip, " << dir.name << " x" << target;
+            flips += got.size();
+            first_checked += first.size();
+        }
+    }
+    return flips;
+}
+
+TEST(FastPath, PreparedRowMatchesCandidateEvaluation)
+{
+    // The oracle's prefiltered evaluation against the candidate path,
+    // flip for flip and in order: the fills of all six data patterns
+    // (aggressor fill on one side, victim fill on the other, both ways
+    // round), three temperatures, hammer-, press-, retention-only and
+    // mixed doses, noise on and off, and the kappa = 0, rho = 1 edit.
+    const DoseDirection directions[] = {
+        {"hammer", {1.0, 0.7}, {0.0, 0.0}, 0.0},
+        {"hammer side 1", {0.0, 1.0}, {0.0, 0.0}, 0.0},
+        {"press", {0.0, 0.0}, {1.0, 0.2}, 0.0},
+        {"press side 1", {0.0, 0.0}, {0.0, 1.0}, 0.0},
+        {"retention", {0.0, 0.0}, {0.0, 0.0}, 1.0},
+        {"mixed", {0.6, 1.0}, {0.3, 1.0}, 0.5},
+    };
+    const std::vector<double> peaks = {0.5 * (1.0 + 1e-6), 1.0, 1.05, 1.3,
+                                       3.0};
+
+    std::size_t flips_seen = 0;
+    std::size_t first_checked = 0;
+    for (Edit edit : {Edit(nullptr), Edit(kappa0Rho1)}) {
+        device::CellModel model(device::dieS8GbB(), 65536, 7);
+        if (edit) {
+            edit(model.mutableParams());
+            model.invalidateCaches();
+        }
+        for (chr::DataPattern pattern : chr::allDataPatterns()) {
+            const std::uint8_t vf = chr::victimFill(pattern);
+            const std::uint8_t af = chr::aggressorFill(pattern);
+            for (const auto &[below, above] :
+                 {std::pair{af, vf}, std::pair{vf, af}}) {
+                for (double temp : {50.0, 65.0, 80.0}) {
+                    for (int row = 62; row < 66; ++row) {
+                        SCOPED_TRACE(testing::Message()
+                                     << (edit ? "kappa=0,rho=1 " : "")
+                                     << chr::dataPatternName(pattern)
+                                     << " fills " << int(below) << "/"
+                                     << int(above) << " " << temp
+                                     << "C row " << row);
+                        const device::PreparedRow prep = model.prepareRow(
+                            1, row, vf, below, above, temp);
+                        for (const DoseDirection &dir : directions)
+                            flips_seen += comparePreparedAlong(
+                                model, row, prep, dir, peaks,
+                                first_checked);
+                    }
+                }
+            }
+        }
+    }
+    // The doses must flip cells, not just pass empty lists.
+    EXPECT_GT(flips_seen, 50000u);
+    EXPECT_GT(first_checked, 5000u);
+}
+
 TEST(FastPath, ChunkedAttemptsMatchSerialAttempts)
 {
     // (location, victim-chunk) engine tasks against the serial
@@ -187,7 +359,7 @@ TEST(FastPath, ChunkedAttemptsMatchSerialAttempts)
             auto expect = chr::maxActivationAttempt(
                 serial, 0, kind, chr::DataPattern::CheckerBoard,
                 7800_ns);
-            EXPECT_EQ(idsOf(chunked[li].flips), idsOf(expect.flips))
+            EXPECT_EQ(flipsOf(chunked[li].flips), flipsOf(expect.flips))
                 << chr::accessKindName(kind) << " row " << rows[li];
             EXPECT_EQ(chunked[li].elapsed, expect.elapsed);
             total += expect.flips.size();
@@ -289,10 +461,12 @@ TEST(FastPath, OracleAttemptMatchesReplayAttempt)
             chr::AttemptOracle oracle(oracle_mod.platform(), layout,
                                       chr::DataPattern::CheckerBoard);
             chr::AttemptResult predicted;
-            oracle.pressAttempt(96_ns, acts, predicted);
+            oracle.flipsAt(oracle.next(), 96_ns, acts, predicted);
             EXPECT_EQ(predicted.elapsed, replay.elapsed)
                 << chr::accessKindName(kind) << " acts=" << acts;
-            EXPECT_EQ(idsOf(predicted.flips), idsOf(replay.flips))
+            EXPECT_EQ(flipsOf(predicted.flips), flipsOf(replay.flips))
+                << chr::accessKindName(kind) << " acts=" << acts;
+            EXPECT_EQ(oracle.probe(96_ns, acts), replay.any())
                 << chr::accessKindName(kind) << " acts=" << acts;
         }
     }
@@ -303,27 +477,13 @@ TEST(FastPath, OracleFindAcminBitIdenticalToReplay)
     // Edited cell-model parameters, as the ablation makes them: tauOff
     // changes the dose deposits the oracle records, kappa/rho act when
     // a victim is evaluated.  Either must reach both search paths.
-    using Edit = void (*)(device::CellModelParams &);
     const std::vector<std::pair<const char *, Edit>> edits = {
         {"default", nullptr},
         {"tauOff=50ns",
          [](device::CellModelParams &p) { p.tauOff = 50_ns; }},
         {"tauOff=5us",
          [](device::CellModelParams &p) { p.tauOff = 5000_ns; }},
-        {"kappa=0,rho=1",
-         [](device::CellModelParams &p) {
-             p.kappaDs = 0.0;
-             p.rhoWeakSide = 1.0;
-         }},
-    };
-    auto moduleWith = [](Edit edit) {
-        chr::Module module(chr::locationConfig(testConfig(), 64));
-        if (edit) {
-            auto &cells = module.platform().chip().fault().cells();
-            edit(cells.mutableParams());
-            cells.invalidateCaches();
-        }
-        return module;
+        {"kappa=0,rho=1", kappa0Rho1},
     };
 
     for (const auto &[edit_name, edit] : edits) {
@@ -355,7 +515,7 @@ TEST(FastPath, OracleFindAcminBitIdenticalToReplay)
                         << chr::accessKindName(kind) << " "
                         << chr::dataPatternName(pattern) << " "
                         << formatTime(t_on);
-                    EXPECT_EQ(idsOf(fast.flips), idsOf(replay.flips));
+                    EXPECT_EQ(flipsOf(fast.flips), flipsOf(replay.flips));
                 }
             }
         }
@@ -364,32 +524,46 @@ TEST(FastPath, OracleFindAcminBitIdenticalToReplay)
 
 TEST(FastPath, OracleFindTAggOnMinBitIdenticalToReplay)
 {
-    for (auto kind : {chr::AccessKind::SingleSided,
-                      chr::AccessKind::DoubleSided}) {
-        for (std::uint64_t acts : {std::uint64_t(8),
-                                   std::uint64_t(512),
-                                   std::uint64_t(4096)}) {
-            const chr::RowLayout layout = chr::makeLayout(kind, 1, 64);
+    // The only test of the first-flip probes without the flip
+    // re-evaluation of findAcmin.
+    std::size_t flipped = 0;
+    for (Edit edit : {Edit(nullptr), Edit(kappa0Rho1)}) {
+        for (auto kind : {chr::AccessKind::SingleSided,
+                          chr::AccessKind::DoubleSided}) {
+            for (auto pattern : {chr::DataPattern::CheckerBoard,
+                                 chr::DataPattern::RowStripe}) {
+                for (std::uint64_t acts : {std::uint64_t(8),
+                                           std::uint64_t(512),
+                                           std::uint64_t(4096)}) {
+                    const chr::RowLayout layout =
+                        chr::makeLayout(kind, 1, 64);
 
-            chr::SearchConfig replay_cfg;
-            replay_cfg.useOracle = false;
-            chr::Module replay_mod(chr::locationConfig(testConfig(), 64));
-            auto replay = chr::findTAggOnMin(
-                replay_mod.platform(), layout,
-                chr::DataPattern::CheckerBoard, acts, replay_cfg);
+                    chr::SearchConfig replay_cfg;
+                    replay_cfg.useOracle = false;
+                    chr::Module replay_mod = moduleWith(edit);
+                    auto replay = chr::findTAggOnMin(
+                        replay_mod.platform(), layout, pattern, acts,
+                        replay_cfg);
 
-            chr::SearchConfig oracle_cfg;
-            oracle_cfg.useOracle = true;
-            chr::Module oracle_mod(chr::locationConfig(testConfig(), 64));
-            auto fast = chr::findTAggOnMin(
-                oracle_mod.platform(), layout,
-                chr::DataPattern::CheckerBoard, acts, oracle_cfg);
+                    chr::SearchConfig oracle_cfg;
+                    oracle_cfg.useOracle = true;
+                    chr::Module oracle_mod = moduleWith(edit);
+                    auto fast = chr::findTAggOnMin(
+                        oracle_mod.platform(), layout, pattern, acts,
+                        oracle_cfg);
 
-            EXPECT_EQ(fast.flipped, replay.flipped);
-            EXPECT_EQ(fast.tAggOnMin, replay.tAggOnMin)
-                << chr::accessKindName(kind) << " acts=" << acts;
+                    EXPECT_EQ(fast.flipped, replay.flipped);
+                    EXPECT_EQ(fast.tAggOnMin, replay.tAggOnMin)
+                        << (edit ? "kappa=0,rho=1 " : "default ")
+                        << chr::accessKindName(kind) << " "
+                        << chr::dataPatternName(pattern)
+                        << " acts=" << acts;
+                    flipped += replay.flipped ? 1 : 0;
+                }
+            }
         }
     }
+    EXPECT_GT(flipped, 0u);
 }
 
 TEST(FastPath, OracleEngineSweepMatchesPerPointModules)
@@ -421,7 +595,7 @@ TEST(FastPath, OracleEngineSweepMatchesPerPointModules)
             EXPECT_EQ(got.row, expect.row);
             EXPECT_EQ(got.flipped, expect.flipped);
             EXPECT_EQ(got.acmin, expect.acmin);
-            EXPECT_EQ(idsOf(got.flips), idsOf(expect.flips));
+            EXPECT_EQ(flipsOf(got.flips), flipsOf(expect.flips));
         }
     }
 }
