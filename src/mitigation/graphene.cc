@@ -15,35 +15,40 @@ grapheneFor(std::uint32_t adapted_trh, Time t_refw, Time t_rc, int banks)
     return cfg;
 }
 
-Graphene::Graphene(GrapheneConfig cfg) : cfg_(cfg)
+Graphene::Graphene(GrapheneConfig cfg)
+    : cfg_(cfg), tables_(std::size_t(cfg.banks))
 {
-    tables_.resize(std::size_t(cfg_.banks));
-    for (auto &t : tables_)
-        t.resize(std::size_t(cfg_.tableEntries));
 }
 
 void
 Graphene::onActivate(int flat_bank, int row, std::vector<int> &victims)
 {
-    auto &table = tables_[std::size_t(flat_bank)];
+    Table &table = tables_[std::size_t(flat_bank)];
 
     // Space-saving summary (count-estimate variant of Misra-Gries,
-    // same overestimate guarantee Graphene relies on).
-    Entry *hit = nullptr;
-    Entry *min_entry = &table.front();
-    for (auto &e : table) {
-        if (e.row == row) {
-            hit = &e;
-            break;
-        }
-        if (e.count < min_entry->count)
-            min_entry = &e;
-    }
-    if (hit) {
+    // same overestimate guarantee Graphene relies on).  A filled entry
+    // never drops back to count 0 before onRefreshWindow, so the next
+    // entry to fill is the lowest-index count-0 entry a scan of the
+    // whole table would replace.
+    const auto [slot, miss] =
+        table.index.try_emplace(row, int(table.entries.size()));
+    Entry *hit;
+    if (!miss) {
+        hit = &table.entries[std::size_t(slot->second)];
         ++hit->count;
     } else {
-        hit = min_entry;
-        hit->row = row;
+        if (table.entries.size() < std::size_t(cfg_.tableEntries)) {
+            hit = &table.entries.emplace_back(Entry{row, 0, 0});
+        } else {
+            hit = &table.entries.front();
+            for (auto &e : table.entries) {
+                if (e.count < hit->count)
+                    hit = &e;
+            }
+            table.index.erase(hit->row);
+            slot->second = int(hit - table.entries.data());
+            hit->row = row;
+        }
         ++hit->count;
         // Re-anchor the service point so a replaced entry does not
         // trigger immediately on inherited count.
@@ -64,8 +69,8 @@ void
 Graphene::onRefreshWindow()
 {
     for (auto &table : tables_) {
-        for (auto &e : table)
-            e = Entry{};
+        table.entries.clear();
+        table.index.clear();
     }
 }
 

@@ -11,6 +11,8 @@
 #ifndef ROWPRESS_MITIGATION_GRAPHENE_H
 #define ROWPRESS_MITIGATION_GRAPHENE_H
 
+#include <unordered_map>
+
 #include "common/units.h"
 #include "mitigation/mitigation.h"
 
@@ -37,7 +39,14 @@ struct GrapheneConfig
 GrapheneConfig grapheneFor(std::uint32_t adapted_trh, Time t_refw,
                            Time t_rc, int banks);
 
-/** The Graphene mechanism. */
+/**
+ * The Graphene mechanism.  Rows passed to onActivate are non-negative.
+ *
+ * A bank's table holds the entries filled so far in index order, up to
+ * tableEntries, plus a row -> entry index: a hit is one lookup, and a
+ * miss with room left appends.  Only a miss on a full table scans it,
+ * for the lowest-index entry with the smallest count.
+ */
 class Graphene : public Mitigation
 {
   public:
@@ -51,13 +60,19 @@ class Graphene : public Mitigation
   private:
     struct Entry
     {
-        int row = -1;
-        std::uint32_t count = 0;
-        std::uint32_t lastServed = 0;
+        int row;
+        std::uint32_t count;
+        std::uint32_t lastServed;
+    };
+
+    struct Table
+    {
+        std::vector<Entry> entries;         ///< Filled, in index order.
+        std::unordered_map<int, int> index; ///< Row -> entries index.
     };
 
     GrapheneConfig cfg_;
-    std::vector<std::vector<Entry>> tables_; ///< Per bank.
+    std::vector<Table> tables_; ///< Per bank.
 };
 
 } // namespace rp::mitigation

@@ -74,8 +74,10 @@ void
 Controller::queueVictims(BankState &bs)
 {
     for (int v : victims_) {
-        if (v >= 0 && v < cfg_.org.rows)
+        if (v >= 0 && v < cfg_.org.rows) {
             bs.victimQueue.push_back(v);
+            ++victimWork_;
+        }
     }
 }
 
@@ -104,7 +106,10 @@ Controller::tickRefresh(Time now)
                 all_closed = false;
                 if (bs.bank.canIssue(dram::Command::PRE, now)) {
                     bs.bank.pre(now);
-                    bs.refreshingVictim = false;
+                    if (bs.refreshingVictim) {
+                        bs.refreshingVictim = false;
+                        --victimWork_;
+                    }
                     return true;
                 }
             } else {
@@ -135,6 +140,8 @@ Controller::tickRefresh(Time now)
 bool
 Controller::tickVictimRefresh(Time now)
 {
+    if (victimWork_ == 0)
+        return false;
     for (int b = 0; b < cfg_.org.totalBanks(); ++b) {
         auto &bs = banks_[std::size_t(b)];
         // Finish an in-flight victim refresh with a PRE.
@@ -142,6 +149,7 @@ Controller::tickVictimRefresh(Time now)
             bs.bank.canIssue(dram::Command::PRE, now)) {
             bs.bank.pre(now);
             bs.refreshingVictim = false;
+            --victimWork_;
             return true;
         }
         if (bs.victimQueue.empty() || bs.refreshingVictim)
@@ -280,13 +288,7 @@ Controller::tick(Time now)
 bool
 Controller::drained() const
 {
-    if (!readQ_.empty() || !writeQ_.empty())
-        return false;
-    for (const auto &bs : banks_) {
-        if (!bs.victimQueue.empty() || bs.refreshingVictim)
-            return false;
-    }
-    return true;
+    return readQ_.empty() && writeQ_.empty() && victimWork_ == 0;
 }
 
 } // namespace rp::sim

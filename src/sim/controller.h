@@ -33,8 +33,6 @@ struct Request
 
     bool write = false;
     dram::Address addr;
-    Time arrive = 0;
-    int coreId = 0;
     Slot *slot = nullptr;   ///< Null for writes (fire-and-forget).
     /** Set once the request was classified as a row miss (its ACT). */
     bool classifiedMiss = false;
@@ -138,6 +136,8 @@ class Controller
     bool drainingWrites_ = false;
     Time nextRefWindow_ = 0;
     std::vector<int> victims_; ///< Reused victim buffer of the hooks.
+    /** Queued victim rows plus banks with refreshingVictim set. */
+    std::size_t victimWork_ = 0;
 
     std::unordered_map<std::uint64_t, std::uint64_t> rowActs_;
 };

@@ -2,15 +2,14 @@
 
 namespace rp::sim {
 
-Core::Core(int id, workloads::TraceGen gen, Controller &mem,
-           CoreConfig cfg)
-    : id_(id), gen_(std::move(gen)), mem_(&mem), cfg_(cfg),
+Core::Core(workloads::TraceGen gen, Controller &mem, CoreConfig cfg)
+    : gen_(std::move(gen)), mem_(&mem), cfg_(cfg),
       mapper_(mem.config().org)
 {
 }
 
 void
-Core::issue(Time now)
+Core::issue()
 {
     int budget = cfg_.issueWidth;
     while (budget > 0) {
@@ -42,8 +41,6 @@ Core::issue(Time now)
         Request req;
         req.write = item_.write;
         req.addr = mapper_.decode(item_.addr);
-        req.arrive = now;
-        req.coreId = id_;
         if (item_.write) {
             entry.slot.doneAt = 0; // fire-and-forget
             req.slot = nullptr;
@@ -80,7 +77,7 @@ Core::tick(Time now)
         return;
     ++cycles_;
     retire(now);
-    issue(now);
+    issue();
 }
 
 } // namespace rp::sim

@@ -28,8 +28,7 @@ struct CoreConfig
 class Core
 {
   public:
-    Core(int id, workloads::TraceGen gen, Controller &mem,
-         CoreConfig cfg);
+    Core(workloads::TraceGen gen, Controller &mem, CoreConfig cfg);
 
     /** Advance one CPU cycle at wall-clock @p now. */
     void tick(Time now);
@@ -56,10 +55,9 @@ class Core
         Request::Slot slot;   ///< doneAt >= 0 means ready.
     };
 
-    void issue(Time now);
+    void issue();
     void retire(Time now);
 
-    int id_;
     workloads::TraceGen gen_;
     Controller *mem_;
     CoreConfig cfg_;

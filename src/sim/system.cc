@@ -30,7 +30,7 @@ runSystem(const SystemConfig &cfg)
     for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
         workloads::TraceGen gen(cfg.workloads[i], mapper,
                                 hashU64(cfg.seed, i));
-        cores.emplace_back(int(i), std::move(gen), mem, cfg.core);
+        cores.emplace_back(std::move(gen), mem, cfg.core);
     }
 
     const Time mem_cycle = cfg.mem.timing.tCK;

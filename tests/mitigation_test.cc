@@ -10,6 +10,8 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+#include "graphene_reference.h"
 #include "mitigation/adapter.h"
 #include "mitigation/defaults.h"
 #include "mitigation/graphene.h"
@@ -189,6 +191,50 @@ TEST(Graphene, SizingCoversWorstCaseActs)
     auto cfg = grapheneFor(1000, 64_ms, 45_ns, 32);
     const double max_acts = 64e9 / 45.0 * 1e-3;
     EXPECT_GE(double(cfg.tableEntries) * cfg.threshold, max_acts * 0.9);
+}
+
+/**
+ * Differential test against the linear-scan reference
+ * (graphene_reference.h): seeded configurations and activation streams
+ * whose tables fill and churn, with a hot row subset that crosses the
+ * threshold and occasional refresh windows, must give the same victims
+ * after every activation.
+ */
+TEST(Graphene, MatchesLinearScanReference)
+{
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        Rng rng(seed);
+        GrapheneConfig cfg;
+        cfg.threshold = seed <= 3 ? std::uint32_t(seed)
+                                  : std::uint32_t(rng.range(1, 200));
+        cfg.tableEntries = int(rng.range(1, 300));
+        cfg.blastRadius = int(rng.range(1, 3));
+        cfg.banks = int(rng.range(1, 4));
+        const int pool = int(rng.range(1, 2000));
+        const int hot = int(rng.range(1, std::min(pool, 12)));
+        const int base = int(rng.below(100000));
+        Graphene fast(cfg);
+        GrapheneReference ref(cfg);
+
+        std::vector<int> got, want;
+        for (int i = 0; i < 6000; ++i) {
+            if (rng.below(2500) == 0) {
+                fast.onRefreshWindow();
+                ref.onRefreshWindow();
+            }
+            const int bank = int(rng.below(std::uint64_t(cfg.banks)));
+            const int row =
+                base + int(rng.below(std::uint64_t(
+                           rng.uniform() < 0.5 ? hot : pool)));
+            fast.onActivate(bank, row, got);
+            ref.onActivate(bank, row, want);
+            ASSERT_EQ(got, want) << "seed " << seed << " act " << i;
+            ASSERT_EQ(fast.preventiveRefreshes(), ref.preventiveRefreshes())
+                << "seed " << seed << " act " << i;
+            got.clear();
+            want.clear();
+        }
+    }
 }
 
 TEST(Para, RefreshRateMatchesP)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "mitigation/defaults.h"
 #include "mitigation/para.h"
 #include "mitigation/trr.h"
 #include "sim/system.h"
@@ -143,6 +146,7 @@ TEST(Controller, MitigationVictimsCostPreventiveActs)
         mc.tick(now);
         now += cfg.timing.tCK;
     }
+    EXPECT_TRUE(mc.drained());
     EXPECT_GE(mc.stats().preventiveActs, 1u);
     // Preventive refreshes never recurse into the mitigation.
     EXPECT_LE(mc.stats().preventiveActs, 2u);
@@ -212,7 +216,7 @@ TEST(Core, PureComputeRetiresAtIssueWidth)
     workloads::TraceGen gen(w, mapper, 1);
     CoreConfig cc;
     cc.instrLimit = 50000;
-    Core core(0, std::move(gen), mc, cc);
+    Core core(std::move(gen), mc, cc);
 
     Time now = 0;
     std::uint64_t cycle = 0;
@@ -238,7 +242,7 @@ TEST(Core, MemoryBoundWorkloadIsSlower)
         workloads::TraceGen gen(w, mapper, 1);
         CoreConfig cc;
         cc.instrLimit = 30000;
-        Core core(0, std::move(gen), mc, cc);
+        Core core(std::move(gen), mc, cc);
         Time now = 0;
         while (!core.done()) {
             core.tick(now);
@@ -362,6 +366,144 @@ TEST(System, FourCoreMixSharesBandwidth)
         std::vector<double>(4, alone));
     EXPECT_GT(ws, 1.0);
     EXPECT_LT(ws, 4.0);
+}
+
+/**
+ * Every ControllerStats field and each core's instrs/cycles over
+ * workloads x row policies x mitigations.  The values were recorded
+ * before Graphene's row index and the controller's skipped bank scans
+ * existed: both are speed changes and must leave every number as it
+ * was.  The 8-entry Graphene table, at threshold 4, evicts and
+ * refreshes inside the controller.
+ */
+TEST(System, ResultsPinnedAcrossPoliciesAndMitigations)
+{
+    using Factory =
+        std::function<std::unique_ptr<mitigation::Mitigation>()>;
+    const std::pair<const char *, std::vector<workloads::WorkloadParams>>
+        mixes[] = {
+            {"mcf", {workloads::workloadByName("429.mcf")}},
+            {"libquantum", {workloads::workloadByName("462.libquantum")}},
+            {"HHLL", workloads::makeMix("HHLL", 3)},
+        };
+    const std::pair<const char *, Time> policies[] = {
+        {"open", 0},
+        {"tRAS", ControllerConfig{}.timing.tRAS},
+        {"636ns", 636_ns},
+    };
+    mitigation::GrapheneConfig small = mitigation::standardGrapheneFor(1000);
+    small.tableEntries = 8;
+    small.threshold = 4;
+    const std::pair<const char *, Factory> mitigations[] = {
+        {"none", nullptr},
+        {"graphene",
+         [] {
+             return std::make_unique<mitigation::Graphene>(
+                 mitigation::standardGrapheneFor(1000));
+         }},
+        {"para",
+         [] {
+             return std::make_unique<mitigation::Para>(
+                 mitigation::paraFor(1000));
+         }},
+        {"trr", [] { return std::make_unique<mitigation::Trr>(); }},
+        {"graphene8",
+         [small] { return std::make_unique<mitigation::Graphene>(small); }},
+    };
+
+    std::vector<std::string> got;
+    for (const auto &[mix_name, mix] : mixes) {
+        for (const auto &[policy_name, t_mro] : policies) {
+            for (const auto &[mit_name, factory] : mitigations) {
+                SystemConfig cfg;
+                cfg.core.instrLimit = 20000;
+                cfg.workloads = mix;
+                cfg.mem.tMro = t_mro;
+                const auto mit = factory ? factory() : nullptr;
+                cfg.mem.mitigation = mit.get();
+                const SystemResult res = runSystem(cfg);
+                const ControllerStats &s = res.mem;
+                std::ostringstream line;
+                line << mix_name << ' ' << policy_name << ' ' << mit_name
+                     << ": " << s.reads << ' ' << s.writes << ' '
+                     << s.rowHits << ' ' << s.rowMisses << ' ' << s.acts
+                     << ' ' << s.refreshes << ' ' << s.preventiveActs
+                     << ' ' << s.forcedPrecharges << ' ' << s.maxRowActs;
+                for (const auto &c : res.cores)
+                    line << " | " << c.instrs << ' ' << c.cycles;
+                got.push_back(line.str());
+            }
+        }
+    }
+
+    // reads writes rowHits rowMisses acts refreshes preventiveActs
+    // forcedPrecharges maxRowActs | per core: instrs cycles
+    const char *const expected[] = {
+        "mcf open none: 1105 266 217 1154 1155 2 0 0 2 | 20000 36789",
+        "mcf open graphene: 1105 266 217 1154 1155 2 0 0 2 | 20000 36789",
+        "mcf open para: 1105 266 215 1156 1197 2 41 0 2 | 20000 38582",
+        "mcf open trr: 1105 266 217 1154 1411 2 256 0 2 | 20000 39749",
+        "mcf open graphene8: 1105 266 217 1154 1176 2 16 0 2 | 20000 38294",
+        "mcf tRAS none: 1105 266 189 1184 1191 2 0 1180 3 | 20000 33373",
+        "mcf tRAS graphene: 1105 266 189 1184 1191 2 0 1180 3 | 20000 33373",
+        "mcf tRAS para: 1105 266 191 1182 1231 2 41 1142 3 | 20000 35078",
+        "mcf tRAS trr: 1105 266 188 1185 1448 2 256 1182 3 | 20000 36343",
+        "mcf tRAS graphene8: 1105 266 191 1182 1221 2 32 1169 3 | 20000 35351",
+        "mcf 636ns none: 1105 266 217 1154 1154 2 0 77 2 | 20000 37024",
+        "mcf 636ns graphene: 1105 266 217 1154 1154 2 0 77 2 | 20000 37024",
+        "mcf 636ns para: 1105 266 215 1156 1201 2 41 83 2 | 20000 38559",
+        "mcf 636ns trr: 1105 266 217 1154 1410 2 256 89 2 | 20000 39849",
+        "mcf 636ns graphene8: 1105 266 217 1154 1170 2 12 86 2 | 20000 38094",
+        "libquantum open none: 394 69 433 30 30 0 0 0 1 | 20000 15038",
+        "libquantum open graphene: 394 69 433 30 30 0 0 0 1 | 20000 15038",
+        "libquantum open para: 394 69 432 31 32 0 1 0 2 | 20000 15168",
+        "libquantum open trr: 394 69 433 30 30 0 0 0 1 | 20000 15038",
+        "libquantum open graphene8: 394 69 433 30 30 0 0 0 1 | 20000 15038",
+        "libquantum tRAS none: 394 68 302 160 163 1 0 161 24 | 20000 29698",
+        "libquantum tRAS graphene: 394 68 302 160 163 1 0 161 24 | 20000 29698",
+        "libquantum tRAS para: 394 68 302 160 166 1 5 156 23 | 20000 30370",
+        "libquantum tRAS trr: 394 68 302 160 193 1 30 161 24 | 20000 30448",
+        "libquantum tRAS graphene8: 394 68 300 162 276 3 112 134 23"
+        " | 20000 48973",
+        "libquantum 636ns none: 394 69 433 30 30 0 0 16 1 | 20000 14928",
+        "libquantum 636ns graphene: 394 69 433 30 30 0 0 16 1 | 20000 14928",
+        "libquantum 636ns para: 394 69 432 31 32 0 1 16 2 | 20000 15058",
+        "libquantum 636ns trr: 394 69 433 30 30 0 0 16 1 | 20000 14928",
+        "libquantum 636ns graphene8: 394 69 433 30 30 0 0 16 1 | 20000 14928",
+        "HHLL open none: 373 88 213 248 248 1 0 0 2"
+        " | 20000 18431 | 20000 14451 | 20000 5549 | 20000 5659",
+        "HHLL open graphene: 373 88 213 248 248 1 0 0 2"
+        " | 20000 18431 | 20000 14451 | 20000 5549 | 20000 5659",
+        "HHLL open para: 373 88 209 252 260 1 8 0 2"
+        " | 20000 19203 | 20000 14971 | 20000 5552 | 20000 5669",
+        "HHLL open trr: 373 88 213 248 375 1 127 0 2"
+        " | 20000 19926 | 20000 14451 | 20000 5549 | 20000 5659",
+        "HHLL open graphene8: 373 88 213 248 248 1 0 0 2"
+        " | 20000 18431 | 20000 14451 | 20000 5549 | 20000 5659",
+        "HHLL tRAS none: 374 88 130 332 333 1 0 331 7"
+        " | 20000 17768 | 20000 15081 | 20000 5927 | 20000 5726",
+        "HHLL tRAS graphene: 374 88 130 332 333 1 0 331 7"
+        " | 20000 17768 | 20000 15081 | 20000 5927 | 20000 5726",
+        "HHLL tRAS para: 374 88 128 334 347 1 12 322 7"
+        " | 20000 18206 | 20000 15604 | 20000 5932 | 20000 5716",
+        "HHLL tRAS trr: 374 88 130 332 458 1 125 331 7"
+        " | 20000 19276 | 20000 15081 | 20000 5927 | 20000 5726",
+        "HHLL tRAS graphene8: 374 88 129 333 347 1 12 329 7"
+        " | 20000 19128 | 20000 14744 | 20000 6849 | 20000 5721",
+        "HHLL 636ns none: 373 88 213 248 248 1 0 67 2"
+        " | 20000 18061 | 20000 13931 | 20000 5549 | 20000 5604",
+        "HHLL 636ns graphene: 373 88 213 248 248 1 0 67 2"
+        " | 20000 18061 | 20000 13931 | 20000 5549 | 20000 5604",
+        "HHLL 636ns para: 373 88 209 252 260 1 8 64 2"
+        " | 20000 18356 | 20000 14591 | 20000 5554 | 20000 5611",
+        "HHLL 636ns trr: 373 88 213 248 375 1 127 71 2"
+        " | 20000 19548 | 20000 13931 | 20000 5549 | 20000 5604",
+        "HHLL 636ns graphene8: 373 88 213 248 248 1 0 67 2"
+        " | 20000 18061 | 20000 13931 | 20000 5549 | 20000 5604",
+    };
+    ASSERT_EQ(got.size(), std::size(expected));
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], expected[i]);
 }
 
 } // namespace
