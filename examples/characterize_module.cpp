@@ -67,8 +67,9 @@ main(int argc, char **argv)
                     "budget at this temperature.\n");
     }
 
-    // Mechanism separation (section 4.3).
-    auto overlap = chr::overlapAtAcmin(module, {7800_ns, 70200_ns},
+    // Mechanism separation (section 4.3), on the engine's workers.
+    core::ExperimentEngine engine;
+    auto overlap = chr::overlapAtAcmin(cfg, engine, {7800_ns, 70200_ns},
                                        chr::AccessKind::SingleSided);
     std::printf("\nMechanism overlap (fraction of RowPress cells also "
                 "flipped by...):\n");

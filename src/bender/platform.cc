@@ -11,6 +11,13 @@ TestPlatform::TestPlatform(PlatformConfig cfg) : cfg_(std::move(cfg))
     chip_ = std::make_unique<device::Chip>(cfg_.die, cfg_.org, cfg_.timing,
                                            cfg_.seed);
     chip_->setTemperature(cfg_.temperatureC);
+    // A fast-forwarded loop runs three iterations concretely and
+    // extrapolates count - 3, which wraps around below 3; the
+    // chr::AttemptOracle's model of the last iteration needs at least
+    // one extrapolated iteration.
+    if (cfg_.fastForwardThreshold < 4)
+        fatal("fastForwardThreshold must be at least 4 (got %llu)",
+              (unsigned long long)cfg_.fastForwardThreshold);
 }
 
 void
@@ -182,6 +189,23 @@ TestPlatform::reset()
     chip_->reset();
     nextFree_ = 0;
     lastIssue_ = 0;
+}
+
+void
+TestPlatform::copyStateOf(const TestPlatform &src, int bank,
+                          const std::vector<int> &rows, Time shift)
+{
+    nextFree_ = src.nextFree_ + shift;
+    lastIssue_ = src.lastIssue_ + shift;
+    chip_->bank(bank).copyStateOf(src.chip_->bank(bank), shift);
+    const auto moved = [shift](Time t) {
+        return t == device::FaultModel::kNever ? t : t + shift;
+    };
+    const device::FaultModel &from = src.chip_->fault();
+    for (int row : rows)
+        chip_->fault().setRowHistory(bank, row,
+                                     moved(from.lastClose(bank, row)),
+                                     moved(from.lastRestore(bank, row)));
 }
 
 void

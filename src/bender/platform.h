@@ -40,7 +40,11 @@ struct PlatformConfig
     std::uint64_t seed = 0x5AFA21;
     Time cmdGap = 1500;             ///< Command bus granularity (ps).
     double temperatureC = 50.0;
-    /** Loops at least this long are eligible for fast-forwarding. */
+    /**
+     * Loops at least this long are eligible for fast-forwarding: two
+     * concrete iterations, `count - 3` extrapolated ones and a
+     * concrete last one.  At least 4.
+     */
     std::uint64_t fastForwardThreshold = 8;
 };
 
@@ -108,6 +112,18 @@ class TestPlatform
 
     /** Reset chip state and the command clock to power-on. */
     void reset();
+
+    /**
+     * Take @p src's command clock and last issue time, the timing
+     * state of its bank @p bank and the close/restore history of that
+     * bank's @p rows, all moved @p shift later (kNever stays); doses,
+     * stored data and other rows stay as they are.  A program that
+     * activates only @p rows then takes the same time and deposits
+     * the same doses here as on @p src, given the same cell model and
+     * temperature (chr::AttemptOracle's start state).
+     */
+    void copyStateOf(const TestPlatform &src, int bank,
+                     const std::vector<int> &rows, Time shift = 0);
 
     // --- steady-state dose-delta extraction (chr::AttemptOracle) ---
 

@@ -1,7 +1,6 @@
 #include "chr/acmin.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "chr/oracle.h"
@@ -27,67 +26,58 @@ collectRows(bender::TestPlatform &platform, int bank,
     }
 }
 
-void
-collectVictims(bender::TestPlatform &platform, const RowLayout &layout,
-               bool full_scan, Time elapsed, AttemptResult &out)
-{
-    collectRows(platform, layout.bank, layout.victims, full_scan,
-                elapsed, out);
-}
-
 /**
- * The probes of one search: program replay on the platform, or the
- * AttemptOracle when cfg.useOracle.  flips() runs one attempt and
- * answers whether it flipped anything; keep() marks that attempt as
- * the one whose flips the search reports, and kept() returns them.
- * Replay collects every probe's flips as it goes; oracle probes stop
- * at the first flip, and kept() re-evaluates the kept attempt from its
- * saved start.
+ * The probes of one search, answered by the AttemptOracle from the
+ * platform's state at the start of the search.  flips() runs one
+ * attempt and answers whether it flipped anything; keep() marks that
+ * attempt as the one whose flips the search reports, and kept()
+ * evaluates them again from its saved start.  finish() leaves the
+ * platform as executing every probe would have: it executes the last
+ * one, from that probe's start state.
  */
 class Probes
 {
   public:
     Probes(bender::TestPlatform &platform, const RowLayout &layout,
-           DataPattern pattern, const SearchConfig &cfg)
-        : platform_(platform), layout_(layout), pattern_(pattern)
+           DataPattern pattern)
+        : oracle_(platform, layout, pattern)
     {
-        if (cfg.useOracle)
-            oracle_.emplace(platform, layout, pattern);
     }
 
     bool
     flips(Time t_agg_on, std::uint64_t total_acts)
     {
-        if (oracle_) {
-            last_ = {oracle_->next(), t_agg_on, total_acts};
-            return oracle_->probe(t_agg_on, total_acts);
-        }
-        initLayout(platform_, layout_, pattern_);
-        const Time elapsed = platform_.run(makePressProgram(
-            layout_, t_agg_on, total_acts, platform_.timing()));
-        collectVictims(platform_, layout_, /*full_scan=*/false, elapsed,
-                       replayed_);
-        return replayed_.any();
+        last_ = {oracle_.next(), t_agg_on, total_acts};
+        lastFlipped_ = oracle_.probe(t_agg_on, total_acts);
+        probed_ = true;
+        return lastFlipped_;
     }
 
-    void
-    keep()
-    {
-        if (oracle_)
-            kept_ = last_;
-        else
-            std::swap(keptFlips_, replayed_.flips);
-    }
+    void keep() { kept_ = last_; }
 
     std::vector<VictimFlip>
     kept()
     {
-        if (oracle_) {
-            AttemptResult res;
-            oracle_->flipsAt(kept_.start, kept_.tAggOn, kept_.acts, res);
-            return std::move(res.flips);
-        }
-        return std::move(keptFlips_);
+        AttemptResult res;
+        oracle_.flipsAt(kept_.start, kept_.tAggOn, kept_.acts, res);
+        return std::move(res.flips);
+    }
+
+    void
+    finish()
+    {
+        if (!probed_)
+            return;
+        const AttemptResult res =
+            oracle_.runOnModule(last_.start, last_.tAggOn, last_.acts);
+        // A cheap self-check of the oracle: the executed attempt must
+        // take the time and give the answer it predicted.
+        if (res.any() != lastFlipped_ ||
+            last_.start.vnow + res.elapsed != oracle_.next().vnow)
+            panic("oracle disagrees with the platform on the attempt "
+                  "(tAggON %s, %llu activations)",
+                  formatTime(last_.tAggOn).c_str(),
+                  (unsigned long long)last_.acts);
     }
 
   private:
@@ -99,14 +89,11 @@ class Probes
         std::uint64_t acts = 0;
     };
 
-    bender::TestPlatform &platform_;
-    const RowLayout &layout_;
-    DataPattern pattern_;
-    std::optional<AttemptOracle> oracle_;
+    AttemptOracle oracle_;
     Attempt last_;
     Attempt kept_;
-    AttemptResult replayed_;
-    std::vector<VictimFlip> keptFlips_;
+    bool lastFlipped_ = false;
+    bool probed_ = false;
 };
 
 /**
@@ -156,7 +143,8 @@ runPressAttempt(bender::TestPlatform &platform, const RowLayout &layout,
                                     platform.timing());
     const Time elapsed = platform.run(program);
     AttemptResult res;
-    collectVictims(platform, layout, full_scan, elapsed, res);
+    collectRows(platform, layout.bank, layout.victims, full_scan,
+                elapsed, res);
     return res;
 }
 
@@ -185,7 +173,7 @@ findAcmin(bender::TestPlatform &platform, const RowLayout &layout,
     if (max_acts == 0)
         return {};
 
-    Probes probes(platform, layout, pattern, cfg);
+    Probes probes(platform, layout, pattern);
     AcminResult best;
     best.flipped = bisect<std::uint64_t>(
         0, max_acts, 1, cfg,
@@ -199,6 +187,7 @@ findAcmin(bender::TestPlatform &platform, const RowLayout &layout,
             best.acmin = acmin;
             best.flips = probes.kept();
         });
+    probes.finish();
     return best;
 }
 
@@ -216,12 +205,13 @@ findTAggOnMin(bender::TestPlatform &platform, const RowLayout &layout,
     if (max_on <= timing.tRAS)
         return {};
 
-    Probes probes(platform, layout, pattern, cfg);
+    Probes probes(platform, layout, pattern);
     TAggOnMinResult best;
     best.flipped = bisect<Time>(
         timing.tRAS, max_on, Time(units::NS), cfg,
         [&](Time t_on) { return probes.flips(t_on, total_acts); },
         [&](Time t_min) { best.tAggOnMin = t_min; });
+    probes.finish();
     return best;
 }
 

@@ -80,17 +80,6 @@ struct SearchConfig
     Time budget = 60 * units::MS;
     double accuracy = 0.01;
     int repeats = 5;
-
-    /**
-     * Answer bisection probes through the analytic AttemptOracle
-     * instead of replaying the attempt program on the platform.
-     * Bit-identical to program replay on a pristine platform — the
-     * engine-parallel drivers (which give every location task a fresh
-     * platform) enable it; the serial Module& drivers, whose platform
-     * carries history across calls, keep the replay default.  The
-     * differential tests compare the two paths directly.
-     */
-    bool useOracle = false;
 };
 
 /** Result of an ACmin search at one (location, tAggON) point. */
@@ -102,7 +91,12 @@ struct AcminResult
     std::vector<VictimFlip> flips;
 };
 
-/** Bisection ACmin search at fixed @p t_agg_on. */
+/**
+ * Bisection ACmin search at fixed @p t_agg_on.  Every probe is one
+ * runPressAttempt on @p platform, answered by the AttemptOracle from
+ * the platform's state at the start of the search; the platform is
+ * left as executing every probe would have left it.
+ */
 AcminResult findAcmin(bender::TestPlatform &platform,
                       const RowLayout &layout, DataPattern pattern,
                       Time t_agg_on, const SearchConfig &cfg = {});
@@ -114,7 +108,10 @@ struct TAggOnMinResult
     Time tAggOnMin = 0;
 };
 
-/** Bisection tAggONmin search at fixed @p total_acts (Figs. 9, 15). */
+/**
+ * Bisection tAggONmin search at fixed @p total_acts (Figs. 9, 15),
+ * probed like findAcmin.
+ */
 TAggOnMinResult findTAggOnMin(bender::TestPlatform &platform,
                               const RowLayout &layout, DataPattern pattern,
                               std::uint64_t total_acts,

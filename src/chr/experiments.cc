@@ -172,14 +172,10 @@ acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
     // contiguous tAggON slices so the task set can occupy every
     // worker (the same re-chunking maxActivationAttempts uses for
     // full scans).  Each task runs its slice on a private
-    // single-location Module; the oracle-backed search never mutates
-    // the platform, so a fresh Module per slice sees exactly the
-    // pristine state the one-module-per-location driver provided —
-    // results are bit-identical at any chunk count, while the store
-    // build is still shared through the keyed registry.
-    SearchConfig task_cfg = cfg;
-    task_cfg.useOracle = true;
-
+    // single-location Module, reset before every search, so each
+    // search starts from a pristine platform and results are
+    // bit-identical at any chunk count, while the store build is
+    // still shared through the keyed registry.
     struct TaskDesc
     {
         std::size_t loc;
@@ -201,10 +197,11 @@ acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
             Module local(locationConfig(mc, row));
             std::vector<LocationResult> slice;
             slice.reserve(d.last - d.first);
-            for (std::size_t ti = d.first; ti < d.last; ++ti)
+            for (std::size_t ti = d.first; ti < d.last; ++ti) {
+                local.platform().reset();
                 slice.push_back(acminAtLocation(
-                    local, row, t_agg_ons[ti], kind, pattern,
-                    task_cfg));
+                    local, row, t_agg_ons[ti], kind, pattern, cfg));
+            }
             return slice;
         });
 
@@ -255,8 +252,6 @@ tAggOnMinPoint(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const SearchConfig &cfg)
 {
     const std::vector<int> rows = baseRowsOf(mc);
-    SearchConfig task_cfg = cfg;
-    task_cfg.useOracle = true;
     auto results = engine.map<std::pair<int, TAggOnMinResult>>(
         rows.size(), [&](const core::TaskContext &ctx) {
             const int row = rows[ctx.index];
@@ -264,7 +259,7 @@ tAggOnMinPoint(const ModuleConfig &mc, core::ExperimentEngine &engine,
             RowLayout layout = makeLayout(kind, mc.bank, row);
             return std::make_pair(
                 row, findTAggOnMin(local.platform(), layout, pattern,
-                                   acts, task_cfg));
+                                   acts, cfg));
         });
 
     TAggOnMinPoint point;

@@ -98,12 +98,19 @@ struct SweepPoint
     double meanAcmin() const;
 };
 
-/** ACmin search for one location (the per-location task body). */
+/**
+ * ACmin search for one location (the per-location task body), from
+ * the module's current state.
+ */
 LocationResult acminAtLocation(Module &module, int row, Time t_agg_on,
                                AccessKind kind, DataPattern pattern,
                                const SearchConfig &cfg);
 
-/** ACmin at one tAggON for every tested location. */
+/**
+ * ACmin at one tAggON for every tested location, one search after
+ * another on the module's platform: each starts from the state the
+ * previous one left.
+ */
 SweepPoint acminPoint(Module &module, Time t_agg_on, AccessKind kind,
                       DataPattern pattern = DataPattern::CheckerBoard,
                       const SearchConfig &cfg = {});
@@ -132,8 +139,8 @@ acminSweep(Module &module, const std::vector<Time> &t_agg_ons,
  * split into contiguous tAggON slices (ExperimentEngine::chunksPerTask
  * + core::splitRanges) so sweep jobs scale past numLocations on
  * many-core hosts.  Each task runs on a private single-location
- * Module and the oracle-backed search never mutates the platform, so
- * any chunking is bit-identical to the serial per-location sweep.
+ * Module, reset before every search, so any chunking is bit-identical
+ * to one fresh Module per (location, tAggON).
  */
 std::vector<SweepPoint>
 acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
@@ -156,7 +163,10 @@ TAggOnMinPoint tAggOnMinPoint(Module &module, std::uint64_t acts,
                                   DataPattern::CheckerBoard,
                               const SearchConfig &cfg = {});
 
-/** Engine-parallel form: one task per tested location. */
+/**
+ * Engine-parallel form: one task per tested location, each on a fresh
+ * single-location Module.
+ */
 TAggOnMinPoint tAggOnMinPoint(const ModuleConfig &mc,
                               core::ExperimentEngine &engine,
                               std::uint64_t acts, AccessKind kind,

@@ -18,14 +18,9 @@ AttemptOracle::AttemptOracle(bender::TestPlatform &module,
     : module_(module),
       layout_(layout),
       pattern_(pattern),
-      doubleSided_(layout.aggressors.size() > 1)
+      doubleSided_(layout.aggressors.size() > 1),
+      vnow_(module.now())
 {
-    if (module_.fastForwardThreshold() < 4)
-        fatal("AttemptOracle requires fastForwardThreshold >= 4 "
-              "(got %llu): below that the final-iteration trace does "
-              "not match the platform's loop extrapolation",
-              (unsigned long long)module_.fastForwardThreshold());
-
     for (std::size_t i = 0; i < layout_.victims.size(); ++i)
         victimIndex_[device::FaultModel::doseKey(
             layout_.bank, layout_.victims[i])] = i;
@@ -64,32 +59,43 @@ AttemptOracle::splitOps(
     }
 }
 
+Time
+AttemptOracle::runScratch(Time t_agg_on, std::uint64_t total_acts)
+{
+    initLayout(*scratch_, layout_, pattern_);
+    return scratch_->run(makePressProgram(layout_, t_agg_on, total_acts,
+                                          scratch_->timing()));
+}
+
 void
-AttemptOracle::positionScratch(Time t_agg_on, const StateKey &history)
+AttemptOracle::positionScratch(Time t_agg_on, const History &history)
 {
     if (scratchState_ == history)
         return;
-    if (std::get<0>(history) == 0) {
-        scratch_->reset();
-        scratchState_ = StateKey{0, 0, 0};
-        return;
+    const auto [cls, odd, t_prev, tail_elapsed] = history;
+    if (cls == 0) {
+        scratch_->copyStateOf(module_, layout_.bank, layout_.aggressors);
+    } else {
+        // The rest times and bank state an attempt that activates
+        // every aggressor leaves depend only on its parity and tAggON,
+        // not on its activation count or its start: re-create them
+        // with the shortest such attempt.
+        runScratch(doubleSided_ ? t_prev : t_agg_on,
+                   doubleSided_ ? 2 + std::uint64_t(odd) : 1);
     }
-    // Re-create the "after an attempt" start state with the shortest
-    // attempt of the right parity; the aggressors' rest-time structure
-    // entering the next warm-up iteration depends only on (parity,
-    // previous tAggON), not on the previous activation count.
-    const Time t_prev =
-        doubleSided_ ? std::get<2>(history) : t_agg_on;
-    const std::uint64_t acts =
-        doubleSided_ ? (std::get<1>(history) ? 3 : 2) : 1;
-    initLayout(*scratch_, layout_, pattern_);
-    scratch_->run(
-        makePressProgram(layout_, t_prev, acts, scratch_->timing()));
+    if (tail_elapsed > 0) {
+        // Likewise one single-activation attempt re-creates the first
+        // aggressor's rest and the bank; the second aggressor then
+        // rests as much longer as those attempts took.
+        const Time took = runScratch(t_agg_on, 1);
+        scratch_->chip().fault().shiftRowHistory(
+            layout_.bank, layout_.aggressors[1], took - tail_elapsed);
+    }
     scratchState_ = history;
 }
 
 AttemptOracle::Profile
-AttemptOracle::measureProfile(Time t_agg_on, const StateKey &history)
+AttemptOracle::measureProfile(Time t_agg_on, const History &history)
 {
     positionScratch(t_agg_on, history);
 
@@ -153,18 +159,17 @@ AttemptOracle::measureProfile(Time t_agg_on, const StateKey &history)
         auto rt = scratch_->runTraced(half_a);
         prof.durTail = rt.duration;
         splitOps(rt.ops, &VictimTrace::tail, prof);
-        scratchState_ = StateKey{1, 1, t_agg_on};
+        scratchState_ = History{1, 1, t_agg_on, 0};
     } else {
-        scratchState_ = StateKey{1, 0, 0};
+        scratchState_ = History{1, 0, 0, 0};
     }
     return prof;
 }
 
 const AttemptOracle::Profile &
-AttemptOracle::profileFor(Time t_agg_on, const StateKey &history)
+AttemptOracle::profileFor(Time t_agg_on, const History &history)
 {
-    const ProfileKey key{t_agg_on, std::get<0>(history),
-                         std::get<1>(history), std::get<2>(history)};
+    const ProfileKey key{t_agg_on, history};
     auto it = profiles_.find(key);
     if (it == profiles_.end())
         it = profiles_.emplace(key, measureProfile(t_agg_on, history))
@@ -177,9 +182,11 @@ AttemptOracle::probe(Time t_agg_on, std::uint64_t total_acts)
 {
     evaluate(next(), t_agg_on, total_acts, true, probeBuf_);
     vnow_ += probeBuf_.elapsed;
-    if (total_acts >= 1)
-        state_ = StateKey{1, doubleSided_ && total_acts % 2 != 0 ? 1 : 0,
-                          doubleSided_ ? t_agg_on : Time(0)};
+    if (doubleSided_ && total_acts == 1)
+        std::get<3>(state_) += probeBuf_.elapsed;
+    else if (total_acts >= 1)
+        state_ = History{1, doubleSided_ && total_acts % 2 != 0 ? 1 : 0,
+                         doubleSided_ ? t_agg_on : Time(0), 0};
     return probeBuf_.any();
 }
 
@@ -188,6 +195,17 @@ AttemptOracle::flipsAt(const Start &at, Time t_agg_on,
                        std::uint64_t total_acts, AttemptResult &out)
 {
     evaluate(at, t_agg_on, total_acts, false, out);
+}
+
+AttemptResult
+AttemptOracle::runOnModule(const Start &at, Time t_agg_on,
+                           std::uint64_t total_acts)
+{
+    positionScratch(t_agg_on, at.history);
+    module_.copyStateOf(*scratch_, layout_.bank, layout_.aggressors,
+                        at.vnow - scratch_->now());
+    return runPressAttempt(module_, layout_, pattern_, t_agg_on,
+                           total_acts);
 }
 
 void
@@ -267,7 +285,7 @@ AttemptOracle::evaluate(const Start &at, Time t_agg_on,
         for (int v : layout_.victims)
             if (v == row)
                 return victimFill(pattern_);
-        return 0x00; // never written on a pristine platform
+        return module_.chip().rowFill(layout_.bank, row); // left as is
     };
 
     for (std::size_t v = 0; v < nv; ++v) {

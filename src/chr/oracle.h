@@ -8,7 +8,7 @@
  * the same per-victim dose increments and takes the same time.  The
  * platform's loop fast-forward already exploits this linearity one
  * level down; the oracle hoists it to the attempt level.  It runs the
- * program machinery ONCE per (tAggON, attempt-history class) — on a
+ * program machinery ONCE per (tAggON, attempt history) — on a
  * private scratch platform, iteration by iteration, with the fault
  * model's dose-op recorder attached — to extract
  *
@@ -31,17 +31,20 @@
  * whose damage bound reaches 0.5 reach the per-cell evaluation, and
  * the probe stops at the first flip.  A search that reports the flips
  * at its result asks flipsAt() for them, from the clock and history
- * class saved before that probe (next()).
+ * saved before that probe (next()).
  *
- * Contract: the oracle models the attempt sequence `runPressAttempt`
- * would execute on a *pristine* platform (clock at zero, no prior
- * fills or commands) — which is exactly what the engine-parallel
- * search drivers give each location task.  probe() answers whether
- * that attempt flips a cell, and flipsAt() gives its flips in
- * checkRow's order and its duration: ACmin, tAggONmin and the flips
- * at ACmin are bit-identical to executing every attempt on a fresh
- * platform.  The module platform passed in is only used for its
- * configuration, cell model and temperature; it is never mutated.
+ * Contract: the oracle models the attempts `runPressAttempt` would
+ * execute one after another on the module platform, starting from its
+ * state when the oracle is built.  The start state it needs is the
+ * command clock (the noise nonce), the layout bank's timing state and
+ * the aggressors' close history (their rest before the first
+ * activation); the scratch platform takes them from the module with
+ * TestPlatform::copyStateOf.  probe() answers whether an attempt flips
+ * a cell, and flipsAt() gives its flips in checkRow's order and its
+ * duration, bit-identical to executing it.  Probes leave the module
+ * as it is; runOnModule() then executes one attempt on it, from that
+ * attempt's start state, which is how a search leaves the module as
+ * executing all its attempts would have.
  */
 
 #ifndef ROWPRESS_CHR_ORACLE_H
@@ -62,24 +65,31 @@ class AttemptOracle
 {
   public:
     /**
-     * Attempt-history class: the start state of the next attempt.
-     * Fresh platform (cls 0) or "after an attempt" (cls 1); for
-     * double-sided layouts the previous attempt's parity and tAggON
-     * determine the aggressors' rest times entering the warm-up
-     * iteration, so they are part of the class.
+     * What the next attempt's doses and duration depend on, besides
+     * the clock: (cls, odd, tOn, tailElapsed).
+     *  - cls 0: no attempt has activated every aggressor yet, so the
+     *    bank and the aggressors are as the module had them;
+     *  - cls 1: the last attempt that did had parity odd and tAggON
+     *    tOn (double-sided; single-sided both are 0, as every such
+     *    attempt leaves the aggressor's rest the same);
+     *  - tailElapsed: the time spent since in double-sided attempts of
+     *    one activation.  Those activate only the first aggressor: it
+     *    and the bank are as after any of them, and the second
+     *    aggressor has rested that much longer.
      */
-    using StateKey = std::tuple<int, int, Time>; // (cls, oddPrev, tOnPrev)
+    using History = std::tuple<int, int, Time, Time>;
 
-    /** Where an attempt starts: the virtual clock and history class. */
+    /** Where an attempt starts: the virtual clock and history. */
     struct Start
     {
         Time vnow = 0;
-        StateKey history{0, 0, 0};
+        History history{0, 0, 0, 0};
     };
 
     /**
      * @p module supplies the platform configuration, cell model,
-     * temperature, and evaluation-noise level; it is not mutated.
+     * temperature, evaluation-noise level, the fills of the rows next
+     * to the layout, and the start state of the first attempt.
      */
     AttemptOracle(bender::TestPlatform &module, const RowLayout &layout,
                   DataPattern pattern);
@@ -89,9 +99,9 @@ class AttemptOracle
     Start next() const { return {vnow_, state_}; }
 
     /**
-     * Run `runPressAttempt(platform, layout, pattern, t_agg_on,
-     * total_acts)` as the next attempt of this oracle's history and
-     * answer whether it flips any cell.  The evaluation stops at the
+     * Run `runPressAttempt(module, layout, pattern, t_agg_on,
+     * total_acts)` as the next attempt and answer whether it flips any
+     * cell, without touching the module.  The evaluation stops at the
      * first flip; flipsAt() gives the whole list.
      */
     bool probe(Time t_agg_on, std::uint64_t total_acts);
@@ -104,6 +114,17 @@ class AttemptOracle
      */
     void flipsAt(const Start &at, Time t_agg_on, std::uint64_t total_acts,
                  AttemptResult &out);
+
+    /**
+     * Execute the attempt (@p t_agg_on, @p total_acts) started at
+     * @p at on the module: copy that start state onto it, then
+     * runPressAttempt.  The module must still be in the state the
+     * oracle was built from, so this is the oracle's last call;
+     * afterwards the module is in the state executing every attempt
+     * up to this one would have left.
+     */
+    AttemptResult runOnModule(const Start &at, Time t_agg_on,
+                              std::uint64_t total_acts);
 
   private:
     /** Ordered dose increments of one victim in one trace segment. */
@@ -128,11 +149,14 @@ class AttemptOracle
         std::vector<VictimTrace> victims; ///< Indexed like layout.victims.
     };
 
-    using ProfileKey = std::tuple<Time, int, int, Time>;
+    using ProfileKey = std::pair<Time, History>;
 
-    const Profile &profileFor(Time t_agg_on, const StateKey &history);
-    Profile measureProfile(Time t_agg_on, const StateKey &history);
-    void positionScratch(Time t_agg_on, const StateKey &history);
+    const Profile &profileFor(Time t_agg_on, const History &history);
+    Profile measureProfile(Time t_agg_on, const History &history);
+    /** Put the scratch platform in the start state @p history. */
+    void positionScratch(Time t_agg_on, const History &history);
+    /** One attempt on the scratch platform; returns its duration. */
+    Time runScratch(Time t_agg_on, std::uint64_t total_acts);
     void splitOps(const std::vector<device::FaultModel::DoseOp> &ops,
                   Ops VictimTrace::*segment, Profile &prof) const;
 
@@ -149,10 +173,11 @@ class AttemptOracle
     bool doubleSided_;
 
     std::unique_ptr<bender::TestPlatform> scratch_;
-    StateKey scratchState_{0, 0, 0};
+    /** The scratch platform's start state (cls -1: none). */
+    History scratchState_{-1, 0, 0, 0};
 
-    StateKey state_{0, 0, 0}; ///< Virtual platform history class.
-    Time vnow_ = 0;           ///< Virtual command clock.
+    History state_{0, 0, 0, 0}; ///< Virtual platform history.
+    Time vnow_ = 0;             ///< Virtual command clock.
 
     std::map<ProfileKey, Profile> profiles_;
     std::map<std::uint64_t, std::size_t> victimIndex_; ///< dose key -> idx.

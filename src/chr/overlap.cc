@@ -38,45 +38,6 @@ overlapFraction(const std::vector<std::uint64_t> &a,
 
 namespace {
 
-std::vector<VictimFlip>
-allFlipsOf(const SweepPoint &point)
-{
-    std::vector<VictimFlip> flips;
-    for (const auto &loc : point.locations)
-        flips.insert(flips.end(), loc.flips.begin(), loc.flips.end());
-    return flips;
-}
-
-} // namespace
-
-std::vector<OverlapResult>
-overlapAtAcmin(Module &module, const std::vector<Time> &t_agg_ons,
-               AccessKind kind, const SearchConfig &cfg)
-{
-    // Reference sets: RowHammer (tAggON = tRAS) and retention.
-    const Time t_rh = module.platform().timing().tRAS;
-    auto rh_ids = flipIdSet(allFlipsOf(
-        acminPoint(module, t_rh, kind, DataPattern::CheckerBoard, cfg)));
-    auto ret_ids =
-        flipIdSet(retentionFailures(module, 4.0, 80.0));
-
-    std::vector<OverlapResult> results;
-    for (Time t : t_agg_ons) {
-        auto point = acminPoint(module, t, kind,
-                                DataPattern::CheckerBoard, cfg);
-        auto rp_ids = flipIdSet(allFlipsOf(point));
-        OverlapResult r;
-        r.tAggOn = t;
-        r.rpCells = rp_ids.size();
-        r.withRowHammer = overlapFraction(rp_ids, rh_ids);
-        r.withRetention = overlapFraction(rp_ids, ret_ids);
-        results.push_back(r);
-    }
-    return results;
-}
-
-namespace {
-
 /**
  * Shared scaffold of the engine-parallel overlap analyses: run the
  * flattened (tAggON + tRAS reference) x location grid plus the
@@ -103,14 +64,12 @@ overlapViaEngine(
     std::vector<std::uint64_t> ret_ids;
     std::vector<core::ExperimentEngine::Task> tasks;
     if (module_per_location) {
-        // (location, grid-chunk) tasks (safe when cell_flips never
-        // mutates the platform, i.e. the oracle-backed ACmin search):
-        // each task measures a contiguous slice of the grid on a
-        // private Module, so the set scales past numLocations on
+        // (location, grid-chunk) tasks: each task measures a
+        // contiguous slice of the grid on a private Module, reset
+        // before every cell, so the set scales past numLocations on
         // many-core hosts (ExperimentEngine::chunksPerTask +
-        // core::splitRanges, like the acmin-sweep driver).  A fresh
-        // Module per slice sees the same pristine state as the old
-        // one-module-per-location task — bit-identical results.
+        // core::splitRanges, like the acmin-sweep driver) with the
+        // same results at any chunk count.
         const std::size_t split = engine.chunksPerTask(n_rows + 1);
         const auto ranges = core::splitRanges(grid.size(), split);
         tasks.reserve(n_rows * ranges.size() + 1);
@@ -120,15 +79,16 @@ overlapViaEngine(
                                  last = last](const core::TaskContext &) {
                     const int row = rows[ri];
                     Module local(locationConfig(mc, row));
-                    for (std::size_t ti = first; ti < last; ++ti)
+                    for (std::size_t ti = first; ti < last; ++ti) {
+                        local.platform().reset();
                         cells[ti * n_rows + ri] =
                             cell_flips(local, row, grid[ti]);
+                    }
                 });
             }
         }
     } else {
-        // One task (and one pristine Module) per grid cell, for
-        // platform-mutating measurements.
+        // One task (and one pristine Module) per grid cell.
         tasks.reserve(n_grid + 1);
         for (std::size_t i = 0; i < n_grid; ++i) {
             tasks.push_back([&, i](const core::TaskContext &) {
@@ -175,13 +135,11 @@ overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const std::vector<Time> &t_agg_ons, AccessKind kind,
                const SearchConfig &cfg)
 {
-    SearchConfig task_cfg = cfg;
-    task_cfg.useOracle = true;
     return overlapViaEngine(
         mc, engine, t_agg_ons, /*module_per_location=*/true,
-        [&, task_cfg](Module &local, int row, Time t) {
+        [&](Module &local, int row, Time t) {
             return acminAtLocation(local, row, t, kind,
-                                   DataPattern::CheckerBoard, task_cfg)
+                                   DataPattern::CheckerBoard, cfg)
                 .flips;
         });
 }

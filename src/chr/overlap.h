@@ -32,15 +32,9 @@ double overlapFraction(const std::vector<std::uint64_t> &a,
 /**
  * Overlap at ACmin (Fig. 10): for each tAggON, the cells that flip at
  * that tAggON's ACmin are compared against the RowHammer set (cells
- * flipping at tAggON = tRAS) and the retention-failure set.
- */
-std::vector<OverlapResult>
-overlapAtAcmin(Module &module, const std::vector<Time> &t_agg_ons,
-               AccessKind kind, const SearchConfig &cfg = {});
-
-/**
- * Engine-parallel form: reference sets and every (tAggON, location)
- * point run as engine tasks on private per-location modules.
+ * flipping at tAggON = tRAS) and the retention-failure set.  The
+ * reference sets and every (tAggON, location) point run as engine
+ * tasks, each search on a pristine per-location platform.
  */
 std::vector<OverlapResult>
 overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,

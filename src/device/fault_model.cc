@@ -216,6 +216,25 @@ FaultModel::lastClose(int bank, int row) const
     return s ? s->lastClose : kNever;
 }
 
+Time
+FaultModel::lastRestore(int bank, int row) const
+{
+    const RowSlot *s = findSlot(bank, row);
+    return s ? s->lastRestore : kNever;
+}
+
+void
+FaultModel::setRowHistory(int bank, int row, Time last_close,
+                          Time last_restore)
+{
+    if (last_close == kNever && last_restore == kNever &&
+        !findSlot(bank, row))
+        return; // an untouched row already has no history
+    RowSlot &s = slot(bank, row);
+    s.lastClose = last_close;
+    s.lastRestore = last_restore;
+}
+
 void
 FaultModel::redeposit(int bank, int row, int comp, double value)
 {

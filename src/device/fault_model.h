@@ -105,6 +105,16 @@ class FaultModel
     /** Last close of the row as an aggressor, or kNever. */
     Time lastClose(int bank, int row) const;
 
+    /** Last charge restore of the row, or kNever. */
+    Time lastRestore(int bank, int row) const;
+
+    /**
+     * Set the row's close/restore history (bender::TestPlatform's
+     * state copy).  Its dose is left as it is.
+     */
+    void setRowHistory(int bank, int row, Time last_close,
+                       Time last_restore);
+
     /**
      * One recorded row event: an elementary dose accumulation
      * `dose(key).<comp> += value` (comp 0/1 = hammer side 0/1, comp

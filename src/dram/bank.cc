@@ -128,4 +128,13 @@ Bank::shiftTiming(Time delta)
     earliestWrite_ += delta;
 }
 
+void
+Bank::copyStateOf(const Bank &other, Time delta)
+{
+    const TimingParams *own = timing_;
+    *this = other;
+    timing_ = own;
+    shiftTiming(delta);
+}
+
 } // namespace rp::dram

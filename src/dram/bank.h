@@ -77,6 +77,12 @@ class Bank
      */
     void shiftTiming(Time delta);
 
+    /**
+     * Take @p other's open row and timing history, moved @p delta
+     * later (shiftTiming), keeping this bank's own timing parameters.
+     */
+    void copyStateOf(const Bank &other, Time delta);
+
   private:
     const TimingParams *timing_;
 

@@ -10,6 +10,7 @@
 #include "bender/platform.h"
 #include "chr/acmin.h"
 #include "chr/patterns.h"
+#include "replay_reference.h"
 
 namespace rp::bender {
 namespace {
@@ -149,8 +150,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(7800_ns, std::uint64_t(64)),
                       std::make_tuple(70200_ns, std::uint64_t(33))));
 
+TEST(Platform, RejectsFastForwardThresholdBelowFour)
+{
+    // Below 4 the count - 3 extrapolated iterations wrap around: a
+    // 1- or 2-iteration loop would take 139.5 ns and leave a dose of
+    // about 1.8e19.
+    for (std::uint64_t threshold : {0, 1, 2, 3})
+        EXPECT_DEATH({ TestPlatform platform(smallConfig(threshold)); },
+                     "fastForwardThreshold must be at least 4");
+}
+
+TEST(Platform, SmallestFastForwardedLoopMatchesConcreteExecution)
+{
+    // Threshold 4, count 4: two concrete iterations, one extrapolated,
+    // a concrete last one.  As in every fast-forward, the last ACT
+    // follows the clock jump after one command gap rather than tRP, so
+    // the loop ends that much sooner and that ACT deposits a little
+    // less hammer dose.
+    struct Run
+    {
+        Time elapsed;
+        device::DoseState dose;
+    };
+    auto run = [](std::uint64_t ff_threshold) {
+        TestPlatform platform(smallConfig(ff_threshold));
+        Program body;
+        body.act(1, 100).wait(36_ns).pre(1);
+        Program program;
+        program.loop(4, body);
+        const Time elapsed = platform.run(program);
+        return Run{elapsed, platform.chip().fault().dose(1, 101)};
+    };
+    const Run fast = run(4);
+    const Run slow = run(std::uint64_t(1) << 62); // never fast-forward
+    const PlatformConfig cfg = smallConfig();
+    EXPECT_EQ(fast.elapsed, slow.elapsed - (cfg.timing.tRP - cfg.cmdGap));
+    EXPECT_EQ(fast.dose.press[0], slow.dose.press[0]);
+    EXPECT_GT(slow.dose.hammer[0], 0.0);
+    EXPECT_NEAR(fast.dose.hammer[0], slow.dose.hammer[0],
+                0.01 * slow.dose.hammer[0]);
+}
+
 TEST(Platform, FastForwardPreservesSearchResults)
 {
+    // The replay reference runs every probe's loop on the platform,
+    // fast-forwarded or not.
     auto search = [&](std::uint64_t ff_threshold) {
         TestPlatform platform(smallConfig(ff_threshold));
         platform.chip().fault().setEvalNoiseSigma(0.0);
@@ -158,7 +202,7 @@ TEST(Platform, FastForwardPreservesSearchResults)
             chr::makeLayout(chr::AccessKind::SingleSided, 1, 200);
         chr::SearchConfig cfg;
         cfg.repeats = 1;
-        return chr::findAcmin(platform, layout,
+        return ref::findAcmin(platform, layout,
                               chr::DataPattern::CheckerBoard, 7800_ns,
                               cfg);
     };

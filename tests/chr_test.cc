@@ -276,9 +276,10 @@ TEST(Overlap, SetOperations)
 
 TEST(Overlap, RowPressVsRowHammerIsNearZero)
 {
-    Module module(tinyConfig(device::dieS8GbD(), 80.0));
-    auto results =
-        overlapAtAcmin(module, {7800_ns}, AccessKind::SingleSided);
+    core::ExperimentEngine engine;
+    auto results = overlapAtAcmin(tinyConfig(device::dieS8GbD(), 80.0),
+                                  engine, {7800_ns},
+                                  AccessKind::SingleSided);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_GT(results[0].rpCells, 0u);
     EXPECT_LT(results[0].withRowHammer, 0.05);

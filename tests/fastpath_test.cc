@@ -13,10 +13,10 @@
  *    per-bit reference loop (evaluateFullScanReference) at any dose,
  *    and the (location, victim-chunk) BER task chunking must merge
  *    back to the serial per-location scan;
- *  - the AttemptOracle-backed findAcmin / findTAggOnMin must be
- *    bit-identical to the program-replay implementation (which stays
- *    available behind SearchConfig::useOracle = false precisely so
- *    this differential test can compare them).
+ *  - findAcmin / findTAggOnMin, whose probes the AttemptOracle
+ *    answers, must be bit-identical to the searches that replay every
+ *    probe on the platform (tests/replay_reference.h; the multi-search
+ *    comparison, platform state included, is oracle_replay_test).
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +33,7 @@
 #include "chr/ecc.h"
 #include "chr/oracle.h"
 #include "core/rowpress.h"
+#include "replay_reference.h"
 
 namespace rp {
 namespace {
@@ -495,19 +496,13 @@ TEST(FastPath, OracleFindAcminBitIdenticalToReplay)
                     const chr::RowLayout layout =
                         chr::makeLayout(kind, 1, 64);
 
-                    chr::SearchConfig replay_cfg;
-                    replay_cfg.useOracle = false;
                     chr::Module replay_mod = moduleWith(edit);
-                    auto replay =
-                        chr::findAcmin(replay_mod.platform(), layout,
-                                       pattern, t_on, replay_cfg);
+                    auto replay = ref::findAcmin(replay_mod.platform(),
+                                                 layout, pattern, t_on);
 
-                    chr::SearchConfig oracle_cfg;
-                    oracle_cfg.useOracle = true;
                     chr::Module oracle_mod = moduleWith(edit);
-                    auto fast =
-                        chr::findAcmin(oracle_mod.platform(), layout,
-                                       pattern, t_on, oracle_cfg);
+                    auto fast = chr::findAcmin(oracle_mod.platform(),
+                                               layout, pattern, t_on);
 
                     EXPECT_EQ(fast.flipped, replay.flipped);
                     EXPECT_EQ(fast.acmin, replay.acmin)
@@ -538,19 +533,13 @@ TEST(FastPath, OracleFindTAggOnMinBitIdenticalToReplay)
                     const chr::RowLayout layout =
                         chr::makeLayout(kind, 1, 64);
 
-                    chr::SearchConfig replay_cfg;
-                    replay_cfg.useOracle = false;
                     chr::Module replay_mod = moduleWith(edit);
-                    auto replay = chr::findTAggOnMin(
-                        replay_mod.platform(), layout, pattern, acts,
-                        replay_cfg);
+                    auto replay = ref::findTAggOnMin(
+                        replay_mod.platform(), layout, pattern, acts);
 
-                    chr::SearchConfig oracle_cfg;
-                    oracle_cfg.useOracle = true;
                     chr::Module oracle_mod = moduleWith(edit);
                     auto fast = chr::findTAggOnMin(
-                        oracle_mod.platform(), layout, pattern, acts,
-                        oracle_cfg);
+                        oracle_mod.platform(), layout, pattern, acts);
 
                     EXPECT_EQ(fast.flipped, replay.flipped);
                     EXPECT_EQ(fast.tAggOnMin, replay.tAggOnMin)
@@ -568,9 +557,9 @@ TEST(FastPath, OracleFindTAggOnMinBitIdenticalToReplay)
 
 TEST(FastPath, OracleEngineSweepMatchesPerPointModules)
 {
-    // The per-location engine driver (one Module reused across the
-    // sweep, oracle probes) against the pre-oracle shape: one fresh
-    // Module per (location, point), replay probes.
+    // The per-location engine driver (one Module per location slice,
+    // reset before each search) against the replay reference on one
+    // fresh Module per (location, point).
     const auto mc = testConfig();
     const std::vector<Time> sweep = {36_ns, 7800_ns};
     core::ExperimentEngine engine(
@@ -586,13 +575,15 @@ TEST(FastPath, OracleEngineSweepMatchesPerPointModules)
     for (std::size_t ti = 0; ti < sweep.size(); ++ti) {
         for (int row : chr::baseRowsOf(mc)) {
             chr::Module fresh(chr::locationConfig(mc, row));
-            auto expect = chr::acminAtLocation(
-                fresh, row, sweep[ti], chr::AccessKind::SingleSided,
-                chr::DataPattern::CheckerBoard, chr::SearchConfig{});
+            auto expect = ref::findAcmin(
+                fresh.platform(),
+                chr::makeLayout(chr::AccessKind::SingleSided, mc.bank,
+                                row),
+                chr::DataPattern::CheckerBoard, sweep[ti]);
             const auto &got =
                 points[ti].locations[std::size_t(
                     (row - mc.firstRow) / mc.rowStride)];
-            EXPECT_EQ(got.row, expect.row);
+            EXPECT_EQ(got.row, row);
             EXPECT_EQ(got.flipped, expect.flipped);
             EXPECT_EQ(got.acmin, expect.acmin);
             EXPECT_EQ(flipsOf(got.flips), flipsOf(expect.flips));

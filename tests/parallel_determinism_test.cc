@@ -118,9 +118,9 @@ TEST(ParallelDeterminism, OverlapAtAcminUnchunkedVsChunked)
 {
     // 2 locations + the retention task = 3 coarse tasks: at 1 thread
     // the driver runs one grid task per location (split = 1), at 4 it
-    // re-chunks each location's grid into slices (split = 2).  The
-    // oracle-backed measurement never mutates the platform, so the
-    // chunking must be bit-invisible.
+    // re-chunks each location's grid into slices (split = 2).  Each
+    // search starts from a reset platform, so the chunking must be
+    // bit-invisible.
     chr::ModuleConfig mc;
     mc.die = device::dieS8GbB();
     mc.numLocations = 2;
