@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "device/cell_tags.h"
+#include "device/draw_word.h"
 
 namespace rp::device {
 
@@ -412,20 +412,6 @@ CellModel::rowMayFlip(int bank, int row, const DoseState &dose,
 }
 
 void
-CellModel::evaluateFullScanReference(int bank, int row,
-                                     const RowContext &ctx,
-                                     double temp_c,
-                                     std::vector<FlipRecord> &out) const
-{
-    FlipRecord rec;
-    for (int bit = 0; bit < bitsPerRow_; ++bit) {
-        CellProps props = cellProps(bank, row, bit);
-        if (evaluateCell(props, bit, ctx, temp_c, &rec))
-            out.push_back(rec);
-    }
-}
-
-void
 CellModel::evaluateFullScan(int bank, int row, const RowContext &ctx,
                             double temp_c,
                             std::vector<FlipRecord> &out) const
@@ -466,17 +452,23 @@ CellModel::evaluateFullScan(int bank, int row, const RowContext &ctx,
 
     // Within an eligible word, most cells still provably cannot flip:
     // their thresholds are monotone in the raw uniform draws, so a
-    // per-word uniform cutoff (weakQuantileCutoff) discards them
-    // after three hash draws, and only the weak tail pays the full
-    // property derivation + evaluation.  Retention has no row/word
-    // variance component, so its cutoff is row-global.
+    // per-word uniform cutoff (weakQuantileCutoff), as an integer draw
+    // cutoff (drawThreshold), discards them on the word's kernel
+    // draws.  A cell's charge state then picks the one branch of
+    // evaluateCell it can take: a charged cell flips only through
+    // thetaP or tauRet, a discharged one only through thetaH, so the
+    // cell is skipped when that branch's draws fail their cutoffs,
+    // and only that branch's thresholds are derived.  Retention has
+    // no row/word variance component, so its cutoff is row-global.
     const RowZ row_z = computeRowZ(seed_, bank, row);
     const std::uint64_t prefix =
         hashPrefix(seed_, std::uint64_t(bank), std::uint64_t(row));
-    const double cut_r =
-        weakQuantileCutoff(bound_r, p.muRet, p.sigmaRet, 0.0);
+    const std::uint64_t t_r = drawThreshold(
+        weakQuantileCutoff(bound_r, p.muRet, p.sigmaRet, 0.0));
+    constexpr double kUnread = std::numeric_limits<double>::quiet_NaN();
 
     FlipRecord rec;
+    WordDraws d{};
     for (std::size_t g = 0; g < wm.numGroups; ++g) {
         std::uint64_t mask =
             wm.level(wm.hammer, kh, lh.size(), g) |
@@ -489,22 +481,42 @@ CellModel::evaluateFullScan(int bank, int row, const RowContext &ctx,
 
             const RowWordZ z =
                 computeWordZ(row_z, seed_, bank, row, int(w));
-            const double cut_h = weakQuantileCutoff(
+            const std::uint64_t t_h = drawThreshold(weakQuantileCutoff(
                 bound_h, p.muH, p.sigmaH,
-                p.sigmaRowH * z.rowH + p.sigmaWordH * z.wordH);
-            const double cut_p = weakQuantileCutoff(
+                p.sigmaRowH * z.rowH + p.sigmaWordH * z.wordH));
+            const std::uint64_t t_p = drawThreshold(weakQuantileCutoff(
                 bound_p, p.muP, p.sigmaP,
-                p.sigmaRowP * z.rowP + p.sigmaWordP * z.wordP);
+                p.sigmaRowP * z.rowP + p.sigmaWordP * z.wordP));
 
             const int first = int(w) * 64;
-            const int last = std::min(bitsPerRow_, first + 64);
-            for (int bit = first; bit < last; ++bit) {
-                const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
-                if (cell.uniform(celltags::TAG_UH) >= cut_h &&
-                    cell.uniform(celltags::TAG_UP) >= cut_p &&
-                    cell.uniform(celltags::TAG_RET) >= cut_r)
+            const int n = std::min(64, bitsPerRow_ - first);
+            drawWord(prefix, std::uint64_t(first), d);
+            for (int i = 0; i < n; ++i) {
+                const bool weak_h = d.hammer[i] < t_h;
+                const bool weak_c =
+                    d.press[i] < t_p || d.retention[i] < t_r;
+                if (!weak_h && !weak_c)
                     continue;
-                const CellProps props = computeCellProps(p, cell, z);
+                const int bit = first + i;
+                const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
+                const bool anti = cellIsAnti(p, cell);
+                const bool charged = holdsCharge(anti, rowBit(ctx, bit));
+                if (!(charged ? weak_c : weak_h))
+                    continue;
+                // evaluateCell reads only this branch's properties.
+                CellProps props{kUnread, kUnread, kUnread, anti,
+                                0,       kUnread, kUnread};
+                if (charged) {
+                    props.domSide = cellDomSide(cell);
+                    props.thetaP =
+                        pressThreshold(p, drawUniform(d.press[i]), z);
+                    if (ctx.retentionSeconds > 0.0)
+                        props.tauRet = retentionThreshold(
+                            p, drawUniform(d.retention[i]));
+                } else {
+                    props.thetaH =
+                        hammerThreshold(p, drawUniform(d.hammer[i]), z);
+                }
                 if (evaluateCell(props, bit, ctx, temp_c, &rec))
                     out.push_back(rec);
             }

@@ -223,7 +223,8 @@ class CellModel
      *        words can flip at this damage bound" with one mask test
      *        per 64 words, and only words that admit flips descend to
      *        the per-cell evaluation — bit-identical to the plain
-     *        per-bit loop (evaluateFullScanReference).  Without
+     *        per-bit loop over computeCellProps and evaluateCell
+     *        (tests/full_scan_reference.h).  Without
      *        full_scan only the shared weakest-cell candidates are
      *        checked (sufficient for ACmin-level searches), and rows
      *        whose dose provably cannot flip any candidate are skipped
@@ -269,14 +270,15 @@ class CellModel
     const RowWordMasks &rowWordMasks(int bank, int row) const;
 
     /**
-     * Reference full scan: the plain per-bit evaluation loop the
-     * word-mask fast path replaced.  Kept public so the differential
-     * tests can pin `evaluateInto(full_scan = true)` against it
-     * bit-for-bit; not used on any hot path.
+     * The per-cell physics every evaluation path shares: whether the
+     * cell at @p bit with properties @p props flips under @p ctx, and
+     * if so the flip (into @p out when non-null).  A charged cell
+     * reads only thetaP, tauRet (under a retention time), anti and
+     * domSide; a discharged one only thetaH and anti.
      */
-    void evaluateFullScanReference(int bank, int row,
-                                   const RowContext &ctx, double temp_c,
-                                   std::vector<FlipRecord> &out) const;
+    bool evaluateCell(const CellProps &props, int bit,
+                      const RowContext &ctx, double temp_c,
+                      FlipRecord *out) const;
 
     /**
      * O(1) disproof: false means no candidate cell of the row can
@@ -326,9 +328,6 @@ class CellModel
 
     void deriveParams();
     CellProps cellProps(int bank, int row, int bit) const;
-    bool evaluateCell(const CellProps &props, int bit,
-                      const RowContext &ctx, double temp_c,
-                      FlipRecord *out) const;
 
     DamageBounds damageBounds(const DoseState &dose,
                               double retention_seconds,

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "device/cell_tags.h"
+#include "device/draw_word.h"
 
 namespace rp::device {
 
@@ -46,6 +47,38 @@ computeRowWordZ(std::uint64_t seed, int bank, int row, int word_index)
                         word_index);
 }
 
+double
+hammerThreshold(const CellModelParams &p, double u_h, const RowWordZ &z)
+{
+    return std::exp(p.muH + p.sigmaH * probit(u_h) + p.sigmaRowH * z.rowH +
+                    p.sigmaWordH * z.wordH);
+}
+
+double
+pressThreshold(const CellModelParams &p, double u_p, const RowWordZ &z)
+{
+    return std::exp(p.muP + p.sigmaP * probit(u_p) + p.sigmaRowP * z.rowP +
+                    p.sigmaWordP * z.wordP);
+}
+
+double
+retentionThreshold(const CellModelParams &p, double u_ret)
+{
+    return std::exp(p.muRet + p.sigmaRet * probit(u_ret));
+}
+
+bool
+cellIsAnti(const CellModelParams &p, const HashRng &cell)
+{
+    return cell.uniform(TAG_ANTI) < p.antiFraction;
+}
+
+int
+cellDomSide(const HashRng &cell)
+{
+    return cell.uniform(TAG_DOM) < 0.5 ? 0 : 1;
+}
+
 CellProps
 computeCellProps(const CellModelParams &p, const HashRng &cell,
                  const RowWordZ &z)
@@ -53,17 +86,11 @@ computeCellProps(const CellModelParams &p, const HashRng &cell,
     CellProps props;
     props.uH = cell.uniform(TAG_UH);
     props.uP = cell.uniform(TAG_UP);
-    props.anti = cell.uniform(TAG_ANTI) < p.antiFraction;
-    props.domSide = cell.uniform(TAG_DOM) < 0.5 ? 0 : 1;
-    const double u_ret = cell.uniform(TAG_RET);
-
-    props.thetaH = std::exp(p.muH + p.sigmaH * probit(props.uH) +
-                            p.sigmaRowH * z.rowH +
-                            p.sigmaWordH * z.wordH);
-    props.thetaP = std::exp(p.muP + p.sigmaP * probit(props.uP) +
-                            p.sigmaRowP * z.rowP +
-                            p.sigmaWordP * z.wordP);
-    props.tauRet = std::exp(p.muRet + p.sigmaRet * probit(u_ret));
+    props.anti = cellIsAnti(p, cell);
+    props.domSide = cellDomSide(cell);
+    props.thetaH = hammerThreshold(p, props.uH, z);
+    props.thetaP = pressThreshold(p, props.uP, z);
+    props.tauRet = retentionThreshold(p, cell.uniform(TAG_RET));
     return props;
 }
 
@@ -333,29 +360,35 @@ ThresholdStore::buildRow(int bank, int row) const
     // Keep the cells in the lowest-quantile tails of either threshold
     // distribution: generous enough that any ACmin-level search result
     // is determined by a cached cell.
-    const double cap_q = candidateCapQuantile();
+    const std::uint64_t cap = drawThreshold(candidateCapQuantile());
     const std::uint64_t prefix =
         hashPrefix(seed_, std::uint64_t(bank), std::uint64_t(row));
     const RowZ row_z = computeRowZ(seed_, bank, row);
     RowCandidates out;
-    for (int bit = 0; bit < bitsPerRow_; ++bit) {
-        const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
-        // All three draws, then one compare: nearly every cell is
-        // rejected, so a short-circuit would only add branches.
-        if (std::min({cell.uniform(TAG_UH), cell.uniform(TAG_UP),
-                      cell.uniform(TAG_RET)}) >= cap_q)
-            continue;
-        const CellProps props = computeCellProps(
-            params_, cell, computeWordZ(row_z, seed_, bank, row, bit / 64));
-        out.bit.push_back(bit);
-        out.thetaH.push_back(props.thetaH);
-        out.thetaP.push_back(props.thetaP);
-        out.tauRet.push_back(props.tauRet);
-        out.anti.push_back(props.anti ? 1 : 0);
-        out.domSide.push_back(std::uint8_t(props.domSide));
-        out.minThetaH = std::min(out.minThetaH, props.thetaH);
-        out.minThetaP = std::min(out.minThetaP, props.thetaP);
-        out.minTauRet = std::min(out.minTauRet, props.tauRet);
+    WordDraws d{};
+    for (int first = 0; first < bitsPerRow_; first += 64) {
+        drawWord(prefix, std::uint64_t(first), d);
+        const int n = std::min(64, bitsPerRow_ - first);
+        for (int i = 0; i < n; ++i) {
+            // All three draws, then one compare: nearly every cell is
+            // rejected, so a short-circuit would only add branches.
+            if (std::min({d.hammer[i], d.press[i], d.retention[i]}) >=
+                cap)
+                continue;
+            const int bit = first + i;
+            const CellProps props = computeCellProps(
+                params_, HashRng(hashFinish(prefix, std::uint64_t(bit))),
+                computeWordZ(row_z, seed_, bank, row, bit / 64));
+            out.bit.push_back(bit);
+            out.thetaH.push_back(props.thetaH);
+            out.thetaP.push_back(props.thetaP);
+            out.tauRet.push_back(props.tauRet);
+            out.anti.push_back(props.anti ? 1 : 0);
+            out.domSide.push_back(std::uint8_t(props.domSide));
+            out.minThetaH = std::min(out.minThetaH, props.thetaH);
+            out.minThetaP = std::min(out.minThetaP, props.thetaP);
+            out.minTauRet = std::min(out.minTauRet, props.tauRet);
+        }
     }
     return out;
 }
@@ -386,28 +419,24 @@ ThresholdStore::buildWordMasks(int bank, int row) const
     // point monotonicity slop of that shortcut.
     double row_min_p = 1e300;
     double row_min_r = 1e300;
+    WordDraws d{};
     for (std::size_t w = 0; w < wm.numWords; ++w) {
-        double min_uh = 1.0;
-        double min_up = 1.0;
-        double min_ur = 1.0;
         const int first = int(w) * 64;
-        const int last = std::min(bitsPerRow_, first + 64);
-        for (int bit = first; bit < last; ++bit) {
-            const HashRng cell(hashFinish(prefix, std::uint64_t(bit)));
-            min_uh = std::min(min_uh, cell.uniform(TAG_UH));
-            min_up = std::min(min_up, cell.uniform(TAG_UP));
-            min_ur = std::min(min_ur, cell.uniform(TAG_RET));
+        const int n = std::min(64, bitsPerRow_ - first);
+        drawWord(prefix, std::uint64_t(first), d);
+        std::uint64_t min_dh = kDrawOne;
+        std::uint64_t min_dp = kDrawOne;
+        std::uint64_t min_dr = kDrawOne;
+        for (int i = 0; i < n; ++i) {
+            min_dh = std::min(min_dh, d.hammer[i]);
+            min_dp = std::min(min_dp, d.press[i]);
+            min_dr = std::min(min_dr, d.retention[i]);
         }
 
         const RowWordZ z = computeWordZ(row_z, seed_, bank, row, int(w));
-        const double min_h =
-            std::exp(p.muH + p.sigmaH * probit(min_uh) +
-                     p.sigmaRowH * z.rowH + p.sigmaWordH * z.wordH);
-        const double min_p =
-            std::exp(p.muP + p.sigmaP * probit(min_up) +
-                     p.sigmaRowP * z.rowP + p.sigmaWordP * z.wordP);
-        const double min_r =
-            std::exp(p.muRet + p.sigmaRet * probit(min_ur));
+        const double min_h = hammerThreshold(p, drawUniform(min_dh), z);
+        const double min_p = pressThreshold(p, drawUniform(min_dp), z);
+        const double min_r = retentionThreshold(p, drawUniform(min_dr));
         row_min_p = std::min(row_min_p, min_p);
         row_min_r = std::min(row_min_r, min_r);
 

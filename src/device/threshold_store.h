@@ -159,6 +159,21 @@ CellProps computeCellProps(const CellModelParams &params,
                            const HashRng &cell, const RowWordZ &z);
 
 /**
+ * The pieces computeCellProps assembles, for loops that need only
+ * some of a cell's properties: each threshold from its uniform draw
+ * (@p u_h, @p u_p, @p u_ret) and the row/word context, and the
+ * polarity and dominant side from the cell's hash.  The same
+ * expressions as computeCellProps, so the same doubles.
+ */
+double hammerThreshold(const CellModelParams &params, double u_h,
+                       const RowWordZ &z);
+double pressThreshold(const CellModelParams &params, double u_p,
+                      const RowWordZ &z);
+double retentionThreshold(const CellModelParams &params, double u_ret);
+bool cellIsAnti(const CellModelParams &params, const HashRng &cell);
+int cellDomSide(const HashRng &cell);
+
+/**
  * Conservative uniform-quantile cutoff for a log-normal threshold
  * theta = exp(mu + sigma * probit(u) + shift): every cell whose
  * uniform draw u is >= the returned value provably has theta >

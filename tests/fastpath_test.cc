@@ -8,9 +8,11 @@
  *  - the candidate-path CellModel::evaluate (shared ThresholdStore,
  *    SoA scan, O(1) cannot-flip early exit) must report the same flip
  *    set as an exhaustive full scan at ACmin-level doses;
- *  - the word-mask full scan (per-row occupancy masks + per-cell
- *    uniform-quantile prefilter) must be bit-identical to the plain
- *    per-bit reference loop (evaluateFullScanReference) at any dose,
+ *  - the word-mask full scan (per-row occupancy masks, per-cell
+ *    draw cutoffs, charge-state-first derivation) must be
+ *    bit-identical to the plain per-bit reference loop
+ *    (tests/full_scan_reference.h) at any dose, fill, polarity,
+ *    override set, row width and parameter edit,
  *    and the (location, victim-chunk) BER task chunking must merge
  *    back to the serial per-location scan;
  *  - findAcmin / findTAggOnMin, whose probes the AttemptOracle
@@ -33,6 +35,8 @@
 #include "chr/ecc.h"
 #include "chr/oracle.h"
 #include "core/rowpress.h"
+#include "device/cell_tags.h"
+#include "full_scan_reference.h"
 #include "replay_reference.h"
 
 namespace rp {
@@ -80,6 +84,13 @@ kappa0Rho1(device::CellModelParams &p)
 {
     p.kappaDs = 0.0;
     p.rhoWeakSide = 1.0;
+}
+
+/** The degenerate press spread: every cutoff is exactly 0 or 1. */
+void
+sigmaP0(device::CellModelParams &p)
+{
+    p.sigmaP = 0.0;
 }
 
 chr::Module
@@ -140,6 +151,21 @@ TEST(FastPath, CandidateEvaluateMatchesFullScanAtAcminDose)
     EXPECT_GT(flipping_cases, 0u);
 }
 
+/**
+ * The word-mask full scan of (1, @p row) against the reference loop,
+ * flip for flip and in order; returns the reference's flips.
+ */
+std::vector<device::FlipRecord>
+compareFullScan(const device::CellModel &model, std::uint64_t seed,
+                int row, const device::RowContext &ctx, double temp)
+{
+    const auto fast = model.evaluate(1, row, ctx, true, temp);
+    std::vector<device::FlipRecord> want;
+    ref::evaluateFullScanReference(model, seed, 1, row, ctx, temp, want);
+    EXPECT_EQ(flipsOf(fast), flipsOf(want));
+    return want;
+}
+
 TEST(FastPath, WordMaskFullScanMatchesReferenceScan)
 {
     // The word-mask full scan must reproduce the plain per-bit loop
@@ -179,25 +205,252 @@ TEST(FastPath, WordMaskFullScanMatchesReferenceScan)
             ctx.noiseNonce = 987654;
             for (double temp : {50.0, 80.0}) {
                 for (int row = 62; row < 67; ++row) {
-                    auto fast =
-                        model.evaluate(1, row, ctx, true, temp);
-                    std::vector<device::FlipRecord> ref;
-                    model.evaluateFullScanReference(1, row, ctx, temp,
-                                                    ref);
-                    ASSERT_EQ(fast.size(), ref.size())
-                        << die.id << " press=" << r.press
-                        << " hammer=" << r.hammer << " row=" << row;
-                    for (std::size_t i = 0; i < ref.size(); ++i) {
-                        EXPECT_EQ(fast[i].bit, ref[i].bit);
-                        EXPECT_EQ(fast[i].oneToZero, ref[i].oneToZero);
-                        EXPECT_EQ(fast[i].mechanism, ref[i].mechanism);
-                    }
-                    flips_seen += ref.size();
+                    SCOPED_TRACE(testing::Message()
+                                 << die.id << " press=" << r.press
+                                 << " hammer=" << r.hammer
+                                 << " row=" << row);
+                    flips_seen +=
+                        compareFullScan(model, 7, row, ctx, temp).size();
                 }
             }
         }
         // The regimes must exercise real flips, not just empty scans.
         EXPECT_GT(flips_seen, 100u) << die.id;
+    }
+}
+
+/**
+ * One dose of the full-scan differential tests, each term in units of
+ * the row's weakest candidate threshold of its mechanism, so that the
+ * low multiples flip a few cells of the row and the "far" ones most
+ * of the cells their charge state allows.
+ */
+struct ScanDose
+{
+    const char *name;
+    double press;     ///< press[0], of minThetaP; press[1] is a tenth
+    double hammer;    ///< each side, of minThetaH
+    double retention; ///< retention time, of minTauRet
+};
+
+const ScanDose kScanDoses[] = {
+    {"press", 3.0, 0.0, 0.0},
+    {"press, far", 1e3, 0.0, 0.0},
+    {"hammer", 0.0, 0.6, 0.0},
+    {"hammer, far", 0.0, 20.0, 0.0},
+    {"mixed", 3.0, 0.6, 0.0},
+    {"mixed, retention", 3.0, 0.6, 2.0},
+};
+
+/** The flips of every full-scan comparison of one test, by kind. */
+struct ScanTally
+{
+    std::size_t rowHammer = 0;
+    std::size_t rowPress = 0;
+    std::size_t retention = 0;
+    std::size_t pressWithoutRetentionTime = 0;
+};
+
+void
+compareAt(const device::CellModel &model, std::uint64_t seed, int row,
+          device::RowContext ctx, const ScanDose &sd, ScanTally &tally)
+{
+    const device::RowCandidates &cands = model.rowCandidates(1, row);
+    device::DoseState dose;
+    dose.press[0] = sd.press * cands.minThetaP;
+    dose.press[1] = dose.press[0] * 0.1;
+    dose.hammer[0] = dose.hammer[1] = sd.hammer * cands.minThetaH;
+    ctx.dose = &dose;
+    ctx.retentionSeconds = sd.retention * cands.minTauRet;
+    ctx.noiseSigma = 0.05;
+    ctx.noiseNonce = 1234 + std::uint64_t(row);
+    SCOPED_TRACE(testing::Message() << sd.name << ", row " << row);
+    for (const auto &f : compareFullScan(model, seed, row, ctx, 50.0)) {
+        switch (f.mechanism) {
+        case device::Mechanism::RowHammer:
+            ++tally.rowHammer;
+            break;
+        case device::Mechanism::RowPress:
+            ++tally.rowPress;
+            tally.pressWithoutRetentionTime += sd.retention == 0.0;
+            break;
+        case device::Mechanism::Retention:
+            ++tally.retention;
+            break;
+        }
+    }
+}
+
+TEST(FastPath, FullScanMatchesReferenceAcrossFillsAndPolarities)
+{
+    // The scan reads a cell's charge state (polarity and stored bit)
+    // before its thresholds, so every fill meets dies of both
+    // polarities: S-8Gb-B has only true cells, M-16Gb-E mostly
+    // anti-cells.  The aggressor rows hold the inverse fill below and
+    // the same fill above, so both coupling cases occur.  Without a
+    // retention time the charged branch never reads tauRet.
+    for (const auto &die :
+         {device::dieS8GbB(), device::dieById("M-16Gb-E")}) {
+        device::CellModel model(die, 65536, 11);
+        ScanTally tally;
+        for (std::uint8_t fill : {0x00, 0xFF, 0x55, 0xAA}) {
+            device::RowContext ctx;
+            ctx.victimFill = fill;
+            ctx.aggrFill[0] = std::uint8_t(~fill);
+            ctx.aggrFill[1] = fill;
+            for (const ScanDose &sd : kScanDoses) {
+                SCOPED_TRACE(testing::Message()
+                             << die.id << " fill " << int(fill));
+                compareAt(model, 11, 70, ctx, sd, tally);
+            }
+        }
+        EXPECT_GT(tally.rowHammer, 100u) << die.id;
+        EXPECT_GT(tally.rowPress, 100u) << die.id;
+        EXPECT_GT(tally.pressWithoutRetentionTime, 100u) << die.id;
+    }
+}
+
+TEST(FastPath, FullScanMatchesReferenceWithOverrides)
+{
+    // Accumulated flips live in the victim's byte overrides, which
+    // the scan reads (rowBit) for each cell's charge state: override
+    // every third byte, and two whole words, with hashed values.
+    device::CellModel model(device::dieM16GbF(), 65536, 5);
+    std::unordered_map<int, std::uint8_t> overrides;
+    for (int byte = 0; byte < 65536 / 8; byte += 3)
+        overrides[byte] = std::uint8_t(hashU64(byte, 99));
+    for (int byte = 8 * 17; byte < 8 * 19; ++byte)
+        overrides[byte] = std::uint8_t(hashU64(byte, 98));
+    ScanTally tally;
+    for (std::uint8_t fill : {0x00, 0x55}) {
+        device::RowContext ctx;
+        ctx.victimFill = fill;
+        ctx.victimOverrides = &overrides;
+        ctx.aggrFill[0] = 0xAA;
+        ctx.aggrFill[1] = 0x55;
+        for (const ScanDose &sd : kScanDoses)
+            for (int row = 80; row < 82; ++row)
+                compareAt(model, 5, row, ctx, sd, tally);
+    }
+    EXPECT_GT(tally.rowHammer, 100u);
+    EXPECT_GT(tally.rowPress, 100u);
+}
+
+TEST(FastPath, FullScanMatchesReferenceOnMutatedModels)
+{
+    // kappa = 0 / rho = 1 changes the damage bounds; sigmaP = 0 makes
+    // every press cutoff exactly 0 or 1 (weakQuantileCutoff's
+    // degenerate spread).  The "near" doses sit just above the row's
+    // weakest press threshold.
+    const std::pair<const char *, Edit> edits[] = {
+        {"kappa = 0, rho = 1", kappa0Rho1}, {"sigmaP = 0", sigmaP0}};
+    for (const auto &[name, edit] : edits) {
+        device::CellModel model(device::dieS8GbB(), 65536, 13);
+        edit(model.mutableParams());
+        model.invalidateCaches();
+        ScanTally tally;
+        for (std::uint8_t fill : {0x55, 0xFF}) {
+            device::RowContext ctx;
+            ctx.victimFill = fill;
+            ctx.aggrFill[0] = 0xAA;
+            ctx.aggrFill[1] = 0x55;
+            for (const ScanDose &sd : kScanDoses) {
+                SCOPED_TRACE(name);
+                compareAt(model, 13, 90, ctx, sd, tally);
+            }
+            for (double press : {1.2, 2.0}) {
+                SCOPED_TRACE(name);
+                compareAt(model, 13, 91, ctx, {"press, near", press, 0, 0},
+                          tally);
+            }
+        }
+        EXPECT_GT(tally.rowPress, 100u) << name;
+        EXPECT_GT(tally.rowHammer, 100u) << name;
+    }
+}
+
+TEST(FastPath, FullScanMatchesReferenceOnRowsNotAMultipleOf64)
+{
+    // 1,000-bit rows end 40 bits into their last word, while the draw
+    // kernel always draws 64 cells: the 24 cells past the end must
+    // reach no flip, no candidate and no word mask.
+    constexpr int kBits = 1000;
+    for (const auto &die :
+         {device::dieS8GbB(), device::dieById("M-16Gb-E")}) {
+        device::CellModel model(die, kBits, 17);
+        const device::CellModelParams &p = model.params();
+        ScanTally tally;
+        std::size_t outside_lower = 0;
+        for (int row = 0; row < 48; ++row) {
+            device::RowContext ctx;
+            ctx.victimFill = 0x55;
+            ctx.aggrFill[0] = 0xAA;
+            ctx.aggrFill[1] = 0x55;
+            for (const ScanDose &sd : kScanDoses)
+                compareAt(model, 17, row, ctx, sd, tally);
+
+            // Candidates: exactly the in-row cells under the cap.
+            const device::RowCandidates &cands =
+                model.rowCandidates(1, row);
+            const double cap = 96.0 / double(kBits);
+            std::vector<std::int32_t> want_bits;
+            for (int bit = 0; bit < kBits; ++bit) {
+                const HashRng cell(hashU64(17, 1, std::uint64_t(row),
+                                           std::uint64_t(bit)));
+                if (std::min({cell.uniform(device::celltags::TAG_UH),
+                              cell.uniform(device::celltags::TAG_UP),
+                              cell.uniform(device::celltags::TAG_RET)}) <
+                    cap)
+                    want_bits.push_back(bit);
+            }
+            EXPECT_EQ(cands.bit, want_bits) << die.id << " row " << row;
+
+            // The last word's weakest cells, in-row only: its masks
+            // start one ladder level below each minimum threshold.
+            const device::RowWordMasks &wm = model.rowWordMasks(1, row);
+            ASSERT_EQ(wm.numWords, 16u);
+            const device::RowWordZ z =
+                device::computeRowWordZ(17, 1, row, 15);
+            auto firstLevelOf = [&](const device::BucketLadder &l,
+                                    const std::vector<std::uint64_t> &m,
+                                    double v) {
+                const std::size_t k = l.indexFor(v);
+                const std::size_t want = k > 0 ? k - 1 : 0;
+                std::size_t got = 0;
+                while (got < l.size() &&
+                       !((m[got * wm.numGroups] >> 15) & 1))
+                    ++got;
+                EXPECT_EQ(got, want) << die.id << " row " << row;
+            };
+            double min_u[3] = {1.0, 1.0, 1.0};
+            double min_u_all[3] = {1.0, 1.0, 1.0};
+            const std::uint64_t tags[3] = {device::celltags::TAG_UH,
+                                           device::celltags::TAG_UP,
+                                           device::celltags::TAG_RET};
+            for (int bit = 960; bit < 1024; ++bit) {
+                const HashRng cell(hashU64(17, 1, std::uint64_t(row),
+                                           std::uint64_t(bit)));
+                for (int m = 0; m < 3; ++m) {
+                    const double u = cell.uniform(tags[m]);
+                    min_u_all[m] = std::min(min_u_all[m], u);
+                    if (bit < kBits)
+                        min_u[m] = std::min(min_u[m], u);
+                }
+            }
+            for (int m = 0; m < 3; ++m)
+                outside_lower += min_u_all[m] < min_u[m];
+            const auto store = device::ThresholdStore::makePrivate(
+                p, kBits, 17);
+            firstLevelOf(store->hammerLadder(), wm.hammer,
+                         device::hammerThreshold(p, min_u[0], z));
+            firstLevelOf(store->pressLadder(), wm.press,
+                         device::pressThreshold(p, min_u[1], z));
+            firstLevelOf(store->retentionLadder(), wm.retention,
+                         device::retentionThreshold(p, min_u[2]));
+        }
+        // The cells past the end must have mattered somewhere.
+        EXPECT_GT(outside_lower, 10u) << die.id;
+        EXPECT_GT(tally.rowHammer + tally.rowPress, 50u) << die.id;
     }
 }
 
