@@ -82,18 +82,4 @@ parseBool(const std::string &text, const std::string &what)
     throw ConfigError(what + ": not a boolean: '" + text + "'");
 }
 
-int
-envInt(const char *name, int def, long long min_value)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return def;
-    const int parsed = parseInt32(v, name);
-    if (parsed < min_value)
-        throw ConfigError(std::string(name) + ": value " +
-                          std::to_string(parsed) + " is below the "
-                          "minimum of " + std::to_string(min_value));
-    return parsed;
-}
-
 } // namespace rp::api

@@ -44,12 +44,6 @@ double parseDouble(const std::string &text, const std::string &what);
 /** Parse "1"/"0"/"true"/"false"/"yes"/"no"/"on"/"off". */
 bool parseBool(const std::string &text, const std::string &what);
 
-/**
- * Read an integer environment variable: unset returns @p def; a set
- * but malformed or below-@p min_value value raises ConfigError.
- */
-int envInt(const char *name, int def, long long min_value = 0);
-
 } // namespace rp::api
 
 #endif // ROWPRESS_API_ENV_H

@@ -745,14 +745,12 @@ serveFd(Service &service, int in_fd, std::ostream &out, int grace_ms)
     ::sigaction(SIGTERM, &old_term, nullptr);
     ::sigaction(SIGINT, &old_int, nullptr);
 
-    // After a signal, shed new submissions and give in-flight work
-    // the grace budget; the exit code tells a supervisor whether it
-    // drained (3) or had to be cancelled (4).
+    // After a signal, give in-flight work the grace budget; the exit
+    // code tells a supervisor whether it drained (3) or had to be
+    // cancelled (4).
     int code = 0;
-    if (serveSignalled()) {
-        service.setLoadShed(true);
+    if (serveSignalled())
         code = service.drainFor(grace_ms) ? 3 : 4;
-    }
     if (force || code == 4)
         service.shutdownNow();
     else

@@ -63,12 +63,11 @@ int serveSession(Service &service, std::istream &in, std::ostream &out);
  * `rowpress serve`: serveSession over the file descriptor @p in_fd
  * (stdin), supervised by SIGTERM/SIGINT.  A signal wakes the request
  * reader at once, whichever thread received it; serveFd then stops
- * reading, turns load-shed on, gives in-flight jobs @p grace_ms,
- * cancels whatever remains, and writes every queued event line.  The
- * caller's handlers are restored as soon as reading stops, so a
- * second signal acts as it would without serve.  A `wait` request in
- * progress is answered (after at most its timeout_ms) before the
- * drain starts.
+ * reading, gives in-flight jobs @p grace_ms, cancels whatever
+ * remains, and writes every queued event line.  The caller's handlers
+ * are restored as soon as reading stops, so a second signal acts as
+ * it would without serve.  A `wait` request in progress is answered
+ * (after at most its timeout_ms) before the drain starts.
  *
  * Returns the process exit code: 0 or 1 as serveSession does after
  * EOF or a shutdown op; after a signal, 3 when in-flight jobs drained

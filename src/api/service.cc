@@ -123,11 +123,6 @@ Service::submit(const JobRequest &request)
         // service nothing.  `admitting_` counts submissions past
         // this gate whose queue push is still in flight, so a burst
         // cannot overshoot the bound between gate and push.
-        if (shedding_)
-            throw AdmissionError(
-                "load_shed",
-                "service is shedding load (draining in-flight jobs); "
-                "retry later");
         if (opts_.maxQueue > 0 &&
             queue_.size() + admitting_ >= opts_.maxQueue)
             throw AdmissionError(
@@ -396,13 +391,6 @@ Service::drainFor(int timeout_ms)
             return allJobsDoneLocked();
     }
     return true;
-}
-
-void
-Service::setLoadShed(bool on)
-{
-    core::LockGuard lock(mutex_);
-    shedding_ = on;
 }
 
 void

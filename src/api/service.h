@@ -50,10 +50,10 @@ namespace rp::api {
 
 /**
  * A submission the service refused by *policy* (not by validation):
- * the pending queue is full, or the service is shedding load while it
- * drains.  Distinct from ConfigError so front-ends can answer with a
- * machine-readable rejection ("queue_full" / "load_shed") that tells
- * the client to back off and retry, rather than to fix its request.
+ * the pending queue is full.  Distinct from ConfigError so front-ends
+ * can answer with a machine-readable rejection ("queue_full") that
+ * tells the client to back off and retry, rather than to fix its
+ * request.
  */
 class AdmissionError : public std::runtime_error
 {
@@ -63,7 +63,7 @@ class AdmissionError : public std::runtime_error
     {
     }
 
-    /** "queue_full" | "load_shed". */
+    /** "queue_full". */
     const std::string &reason() const { return reason_; }
 
   private:
@@ -172,13 +172,6 @@ class Service
      * false when work is still in flight after it.
      */
     bool drainFor(int timeout_ms);
-
-    /**
-     * Load-shed mode: while set, submissions are rejected with
-     * AdmissionError("load_shed") but queued and running jobs keep
-     * draining.  The signal drain of `rowpress serve` turns it on.
-     */
-    void setLoadShed(bool on);
 
     /** Stop accepting submissions, then drain (graceful shutdown). */
     void shutdown();
@@ -328,8 +321,6 @@ class Service
     std::deque<Job *> queue_ RP_GUARDED_BY(mutex_);
     std::uint64_t lastId_ RP_GUARDED_BY(mutex_) = 0;
     bool stopping_ RP_GUARDED_BY(mutex_) = false;
-    /// Load-shed admissions off.
-    bool shedding_ RP_GUARDED_BY(mutex_) = false;
     /// Submissions past the admission gate, queue push in flight.
     std::size_t admitting_ RP_GUARDED_BY(mutex_) = 0;
     /// Deadline loop exit flag.

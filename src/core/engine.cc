@@ -1,10 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <thread>
 
-#include "api/env.h"
-#include "common/logging.h"
 #include "core/fault.h"
 
 namespace rp::core {
@@ -12,42 +10,16 @@ namespace rp::core {
 int
 ExperimentEngine::defaultThreadCount()
 {
-    // Strictly validated (api::envInt): a garbage or negative
-    // RP_THREADS raises api::ConfigError instead of being silently
-    // replaced by the hardware default.  0 selects the hardware
-    // concurrency, matching the CLI's --threads contract.
-    const int n = api::envInt("RP_THREADS", 0, 0);
-    if (n >= 1)
-        return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? int(hw) : 1;
 }
 
-ExperimentEngine::ExperimentEngine() : ExperimentEngine(Options()) {}
-
 ExperimentEngine::ExperimentEngine(Options opts)
-    : rootSeed_(opts.rootSeed), cancel_(std::move(opts.cancel)),
+    : numThreads_(opts.numThreads > 0 ? opts.numThreads
+                                      : defaultThreadCount()),
+      rootSeed_(opts.rootSeed), cancel_(std::move(opts.cancel)),
       defaultProgress_(std::move(opts.progress))
 {
-    const int n =
-        opts.numThreads > 0 ? opts.numThreads : defaultThreadCount();
-    queues_.reserve(std::size_t(n));
-    for (int i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
-    workers_.reserve(std::size_t(n));
-    for (int i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ExperimentEngine::~ExperimentEngine()
-{
-    {
-        LockGuard lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    for (auto &w : workers_)
-        w.join();
 }
 
 void
@@ -62,18 +34,6 @@ ExperimentEngine::run(std::vector<Task> tasks, const RunOptions &opts)
     if (tasks.empty())
         return;
 
-    // A task calling back into its own engine would deadlock on
-    // runMutex_; nested grids must be flattened into one task set.
-    const auto self = std::this_thread::get_id();
-    for (const auto &w : workers_) {
-        if (w.get_id() == self)
-            panic("ExperimentEngine::run called from one of its own "
-                  "workers; flatten nested task sets instead");
-    }
-
-    // One task set at a time; concurrent callers queue up here.
-    LockGuard run_lock(runMutex_);
-
     // Cancellation point: a cancelled job never starts another task
     // set (the per-task checks in execute() cover sets in flight).
     if (cancelRequested())
@@ -84,78 +44,62 @@ ExperimentEngine::run(std::vector<Task> tasks, const RunOptions &opts)
     state.rootSeed = opts.rootSeed ? opts.rootSeed : rootSeed_;
     state.progress = opts.progress ? opts.progress : defaultProgress_;
 
-    // Deal tasks round-robin into the per-worker deques.
-    const std::size_t n_workers = queues_.size();
-    for (std::size_t i = 0; i < state.tasks.size(); ++i) {
-        WorkerQueue &q = *queues_[i % n_workers];
-        LockGuard lock(q.mutex);
-        q.tasks.push_back(i);
-    }
-
-    {
-        LockGuard lock(mutex_);
-        run_ = &state;
-        activeWorkers_ = int(n_workers);
-        ++epoch_;
-    }
-    wake_.notify_all();
-
-    {
-        UniqueLock lock(mutex_);
-        while (activeWorkers_ != 0)
-            idle_.wait(lock);
-        run_ = nullptr;
-    }
-
-    // All workers are idle again, but read the outcome under its lock
-    // anyway: the annotation (and TSan) cannot see the idle_ handshake
-    // that orders the workers' last writes before this read.
-    std::exception_ptr first_error;
-    {
-        LockGuard lock(state.doneMutex);
-        first_error = state.firstError;
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
-
-bool
-ExperimentEngine::claimTask(int id, std::size_t *out)
-{
-    // Own queue first (front: cache-friendly submission order) ...
-    {
-        WorkerQueue &own = *queues_[std::size_t(id)];
-        LockGuard lock(own.mutex);
-        if (!own.tasks.empty()) {
-            *out = own.tasks.front();
-            own.tasks.pop_front();
-            return true;
+    // Fork: the calling thread claims tasks next to the threads started
+    // for this set.  If one fails to start, the set finishes on the
+    // threads already running; results do not depend on their number.
+    const std::size_t helpers =
+        std::min(std::size_t(numThreads_), state.tasks.size()) - 1;
+    std::vector<std::thread> threads;
+    threads.reserve(helpers);
+    for (std::size_t i = 0; i < helpers; ++i) {
+        try {
+            threads.emplace_back([this, &state] { claimTasks(state); });
+        } catch (...) {
+            break;
         }
     }
-    // ... then steal from the back of the other workers' queues.
-    const std::size_t n = queues_.size();
-    for (std::size_t k = 1; k < n; ++k) {
-        WorkerQueue &victim = *queues_[(std::size_t(id) + k) % n];
-        LockGuard lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            *out = victim.tasks.back();
-            victim.tasks.pop_back();
-            return true;
-        }
+
+    // Join on every path: no thread may outlive `state`, and destroying
+    // a joinable std::thread ends the program.
+    auto join = [&threads] {
+        for (std::thread &t : threads)
+            t.join();
+    };
+    try {
+        claimTasks(state);
+    } catch (...) {
+        join();
+        throw;
     }
-    return false;
+    join();
+
+    LockGuard lock(state.doneMutex);
+    if (state.firstError)
+        std::rethrow_exception(state.firstError);
 }
 
 void
-ExperimentEngine::execute(int id, RunState &state,
-                          std::size_t task_index)
+ExperimentEngine::claimTasks(RunState &state) const
+{
+    const std::size_t n = state.tasks.size();
+    for (;;) {
+        const std::size_t i =
+            state.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n)
+            return;
+        execute(state, i);
+    }
+}
+
+void
+ExperimentEngine::execute(RunState &state, std::size_t task_index) const
 {
     bool skip;
     {
         LockGuard lock(state.doneMutex);
         // Cancellation point: between any two tasks of a set.  The
         // token fires asynchronously (Service::cancel); the first
-        // worker to notice records CancelledError as the run's
+        // thread to notice records CancelledError as the run's
         // outcome and every remaining task is skipped.
         if (!state.cancelled && cancelRequested()) {
             state.cancelled = true;
@@ -170,9 +114,8 @@ ExperimentEngine::execute(int id, RunState &state,
         TaskContext ctx;
         ctx.index = task_index;
         ctx.seed = taskSeed(state.rootSeed, task_index);
-        ctx.worker = id;
         try {
-            // Fault point: a worker dying mid-task (the engine's
+            // Fault point: a thread dying mid-task (the engine's
             // first-error capture turns it into the run's outcome,
             // exactly like an experiment body throwing).
             faultPointThrow("core.engine.task");
@@ -190,7 +133,7 @@ ExperimentEngine::execute(int id, RunState &state,
     if (state.progress && !state.cancelled) {
         // A throwing progress callback is treated like a failing task:
         // captured and rethrown at the run() call site, never allowed
-        // to escape the worker thread (std::terminate).
+        // to escape a thread (std::terminate).
         try {
             state.progress(state.done, state.tasks.size());
         } catch (...) {
@@ -201,45 +144,13 @@ ExperimentEngine::execute(int id, RunState &state,
     }
 }
 
-void
-ExperimentEngine::workerLoop(int id)
-{
-    std::uint64_t seen_epoch = 0;
-    for (;;) {
-        // Snapshot the active run under mutex_; the snapshot stays
-        // valid for the whole epoch because run() does not return
-        // (and so cannot destroy the RunState) until every worker
-        // has decremented activeWorkers_ below.
-        RunState *state = nullptr;
-        {
-            UniqueLock lock(mutex_);
-            while (!stop_ && epoch_ == seen_epoch)
-                wake_.wait(lock);
-            if (stop_)
-                return;
-            seen_epoch = epoch_;
-            state = run_;
-        }
-
-        std::size_t task_index = 0;
-        while (claimTask(id, &task_index))
-            execute(id, *state, task_index);
-
-        {
-            LockGuard lock(mutex_);
-            if (--activeWorkers_ == 0)
-                idle_.notify_all();
-        }
-    }
-}
-
 std::size_t
 ExperimentEngine::chunksPerTask(std::size_t n_tasks) const
 {
     if (n_tasks == 0)
         return 1;
-    const std::size_t workers = std::size_t(numThreads());
-    return (workers + n_tasks - 1) / n_tasks;
+    const std::size_t threads = std::size_t(numThreads_);
+    return (threads + n_tasks - 1) / n_tasks;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>>
@@ -259,13 +170,6 @@ splitRanges(std::size_t n_items, std::size_t n_chunks)
         begin += len;
     }
     return ranges;
-}
-
-ExperimentEngine &
-defaultEngine()
-{
-    static ExperimentEngine engine;
-    return engine;
 }
 
 } // namespace rp::core

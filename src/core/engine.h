@@ -6,14 +6,14 @@
  * Every sweep in the repo — ACmin / tAggONmin searches over locations,
  * temperatures and patterns, `characterizeProfile` grids, multicore
  * simulator runs, bench figure series — is dozens-to-thousands of
- * *independent* experiments.  The engine runs such a task set on a
- * work-stealing thread pool while keeping the results bit-identical to
- * a serial run:
+ * *independent* experiments.  The engine runs such a task set on
+ * several threads while keeping the results bit-identical to a serial
+ * run:
  *
  *  - results are collected into a caller-indexed vector, so the
  *    completion order never reorders output;
  *  - every task receives a deterministic seed derived as
- *    `hashU64(rootSeed, taskIndex)` — independent of which worker runs
+ *    `hashU64(rootSeed, taskIndex)` — independent of which thread runs
  *    the task, of the thread count, and of scheduling;
  *  - tasks must be *closed*: they may only touch their own state (e.g.
  *    a per-task platform/Module built from the task description) and
@@ -21,13 +21,15 @@
  *    guarantees run(tasks, 1 thread) == run(tasks, N threads) bit for
  *    bit.
  *
- * Scheduling: tasks are dealt round-robin into per-worker deques;
- * a worker pops from the front of its own deque and steals from the
- * back of the others when it runs dry.  The pool is persistent — one
- * engine can serve many successive task sets.
+ * Scheduling is fork-join: `run` starts min(numThreads, tasks) - 1
+ * threads for the set, they and the calling thread claim task indices
+ * from one atomic cursor, and `run` joins them before it returns.  No
+ * thread outlives its set, so several threads may call `run` on one
+ * engine at once, and a task may call `run` on its own engine.
  *
- * The default thread count honours the `RP_THREADS` environment
- * variable and falls back to the hardware concurrency.
+ * The thread count is Options::numThreads, or the hardware concurrency
+ * when that is 0.  `RP_THREADS` reaches an engine only through the
+ * `threads` option that api::Config resolves.
  *
  * Job-scoped task groups: the api::Service constructs one engine per
  * job, so an engine doubles as the job's task group — its Options
@@ -43,12 +45,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -81,10 +81,9 @@ struct TaskContext
 {
     std::size_t index = 0;    ///< Index within the submitted task set.
     std::uint64_t seed = 0;   ///< hashU64(rootSeed, index).
-    int worker = -1;          ///< Executing worker (diagnostics only).
 };
 
-/** Work-stealing thread-pool runner for independent experiment tasks. */
+/** Fork-join runner for independent experiment tasks. */
 class ExperimentEngine
 {
   public:
@@ -92,7 +91,7 @@ class ExperimentEngine
 
     struct Options
     {
-        /** Worker threads; 0 selects defaultThreadCount(). */
+        /** Threads per task set; 0 selects defaultThreadCount(). */
         int numThreads = 0;
         /** Root of the per-task seed derivation. */
         std::uint64_t rootSeed = 1;
@@ -122,21 +121,17 @@ class ExperimentEngine
         std::function<void(std::size_t, std::size_t)> progress;
     };
 
-    ExperimentEngine();
+    ExperimentEngine() : ExperimentEngine(Options()) {}
     explicit ExperimentEngine(Options opts);
-    ~ExperimentEngine();
 
+    // The threads of a run hold `this`.
     ExperimentEngine(const ExperimentEngine &) = delete;
     ExperimentEngine &operator=(const ExperimentEngine &) = delete;
 
-    int numThreads() const { return int(workers_.size()); }
+    int numThreads() const { return numThreads_; }
     std::uint64_t rootSeed() const { return rootSeed_; }
 
-    /**
-     * `RP_THREADS` if set and >= 1, else the hardware concurrency
-     * (`RP_THREADS=0` selects hardware explicitly).  Garbage or
-     * negative values raise api::ConfigError.
-     */
+    /** The hardware concurrency, at least 1. */
     static int defaultThreadCount();
 
     /** The seed a task at @p index receives under @p root_seed. */
@@ -149,16 +144,17 @@ class ExperimentEngine
     /**
      * How many pieces a driver should split each of @p n_tasks
      * coarse-grained tasks into so the task set can occupy every
-     * worker (ceil(numThreads / n_tasks), at least 1).  Used by the
+     * thread (ceil(numThreads / n_tasks), at least 1).  Used by the
      * full-scan BER drivers to re-chunk one-task-per-location work
-     * into (location, row-chunk) tasks when locations < workers.
+     * into (location, row-chunk) tasks when locations < threads.
      */
     std::size_t chunksPerTask(std::size_t n_tasks) const;
 
     /**
-     * Execute all tasks; blocks until the set is complete.  The first
-     * exception thrown by a task is rethrown here (remaining tasks are
-     * skipped).  An empty task set returns immediately.
+     * Execute all tasks; returns once the set is complete and every
+     * thread started for it has been joined.  The first exception
+     * thrown by a task is rethrown here (remaining tasks are skipped).
+     * An empty task set returns immediately.
      */
     void run(std::vector<Task> tasks);
     void run(std::vector<Task> tasks, const RunOptions &opts);
@@ -191,20 +187,16 @@ class ExperimentEngine
     }
 
   private:
-    struct WorkerQueue
-    {
-        Mutex mutex;
-        /// Indices into the active RunState's tasks.
-        std::deque<std::size_t> tasks RP_GUARDED_BY(mutex);
-    };
-
     struct RunState
     {
         // Immutable while the set is in flight (written by run()
-        // before workers wake, read-only afterwards): no guard.
+        // before any thread starts, read-only afterwards): no guard.
         std::vector<Task> tasks;
         std::uint64_t rootSeed = 0;
         std::function<void(std::size_t, std::size_t)> progress;
+
+        /// Next unclaimed task index.
+        std::atomic<std::size_t> cursor{0};
 
         Mutex doneMutex;
         std::size_t done RP_GUARDED_BY(doneMutex) = 0;
@@ -212,41 +204,19 @@ class ExperimentEngine
         std::exception_ptr firstError RP_GUARDED_BY(doneMutex);
     };
 
-    void workerLoop(int id);
-    bool claimTask(int id, std::size_t *out);
-    void execute(int id, RunState &state, std::size_t task_index);
+    void claimTasks(RunState &state) const;
+    void execute(RunState &state, std::size_t task_index) const;
 
     bool cancelRequested() const
     {
         return cancel_ && cancel_->load(std::memory_order_relaxed);
     }
 
+    int numThreads_;
     std::uint64_t rootSeed_;
     CancelToken cancel_;
     std::function<void(std::size_t, std::size_t)> defaultProgress_;
-
-    std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-
-    Mutex mutex_;                      ///< Pool coordination.
-    CondVar wake_;                     ///< Signals a new epoch / stop.
-    CondVar idle_;                     ///< Signals all workers idle.
-    /// Incremented per run().
-    std::uint64_t epoch_ RP_GUARDED_BY(mutex_) = 0;
-    int activeWorkers_ RP_GUARDED_BY(mutex_) = 0;
-    bool stop_ RP_GUARDED_BY(mutex_) = false;
-    /// Valid during a run; workers snapshot it under mutex_ at epoch
-    /// start and use the snapshot for the whole set.
-    RunState *run_ RP_GUARDED_BY(mutex_) = nullptr;
-
-    Mutex runMutex_;                   ///< Serializes run() callers.
 };
-
-/**
- * Process-wide engine with default options (RP_THREADS workers, root
- * seed 1), for callers that do not manage their own pool.
- */
-ExperimentEngine &defaultEngine();
 
 /**
  * Split @p n_items into at most @p n_chunks contiguous, non-empty

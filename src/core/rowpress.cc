@@ -67,7 +67,8 @@ mitigation::DisturbProfile
 characterizeProfile(const device::DieConfig &die,
                     const ProfileOptions &opts)
 {
-    return characterizeProfile(die, core::defaultEngine(), opts);
+    core::ExperimentEngine engine;
+    return characterizeProfile(die, engine, opts);
 }
 
 const char *

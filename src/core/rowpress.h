@@ -64,7 +64,7 @@ characterizeProfile(const device::DieConfig &die,
                     core::ExperimentEngine &engine,
                     const ProfileOptions &opts = {});
 
-/** Same, on the process-wide core::defaultEngine(). */
+/** Same, on a local engine with default options. */
 mitigation::DisturbProfile
 characterizeProfile(const device::DieConfig &die,
                     const ProfileOptions &opts = {});

@@ -169,28 +169,6 @@ TEST(ApiEnv, StrictParsing)
     EXPECT_FALSE(parseBool("off", "x"));
 }
 
-TEST(ApiEnv, EnvIntValidation)
-{
-    {
-        ScopedEnv env("RP_TEST_UNSET", nullptr);
-        EXPECT_EQ(envInt("RP_TEST_UNSET", 3), 3);
-    }
-    {
-        ScopedEnv env("RP_TEST_INT", "12");
-        EXPECT_EQ(envInt("RP_TEST_INT", 3), 12);
-    }
-    {
-        ScopedEnv env("RP_TEST_INT", "garbage");
-        EXPECT_THROW(envInt("RP_TEST_INT", 3), ConfigError);
-    }
-    {
-        // Negative rejected by the default min of 0 rather than
-        // silently used.
-        ScopedEnv env("RP_TEST_INT", "-4");
-        EXPECT_THROW(envInt("RP_TEST_INT", 3), ConfigError);
-    }
-}
-
 TEST(ApiContext, BaseSchemaHasLegacyEnvAliases)
 {
     ConfigSchema schema = baseSchema();

@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "api/cli.h"
 #include "api/context.h"
@@ -231,6 +234,39 @@ TEST(ApiService, SubmitValidatesBeforeRunning)
 
     EXPECT_THROW(service.status(999), ConfigError);
     EXPECT_FALSE(service.cancel(999));
+}
+
+/** Engine threads of a zzsvc_other job run with @p overlay. */
+int
+engineThreadsOf(
+    const std::vector<std::pair<std::string, std::string>> &overlay)
+{
+    JobRequest req;
+    req.experiment = "zzsvc_other";
+    req.overlay = overlay;
+    req.outDir = tempDir("rp_svc_threads");
+    Service service;
+    const JobStatus st = service.wait(service.submit(req));
+    EXPECT_EQ(st.state, JobState::Finished) << st.error;
+    return st.engineThreads;
+}
+
+TEST(ApiService, EngineThreadsFollowRpThreadsWithoutOverlay)
+{
+    ::setenv("RP_THREADS", "3", 1);
+    const int threads = engineThreadsOf({});
+    ::unsetenv("RP_THREADS");
+    EXPECT_EQ(threads, 3);
+}
+
+TEST(ApiService, ThreadsZeroOverlaySelectsHardwareOverRpThreads)
+{
+    // `--threads 0` means hardware; RP_THREADS must not override it.
+    const int hw = std::max(1, int(std::thread::hardware_concurrency()));
+    ::setenv("RP_THREADS", std::to_string(hw + 1).c_str(), 1);
+    const int threads = engineThreadsOf({{"threads", "0"}});
+    ::unsetenv("RP_THREADS");
+    EXPECT_EQ(threads, hw);
 }
 
 TEST(ApiService, FailedJobReportsErrorAndWritesNoResult)

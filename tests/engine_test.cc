@@ -2,15 +2,19 @@
  * @file
  * ExperimentEngine tests: deterministic seed derivation, bit-identical
  * results at 1 vs N threads, ordered result collection, exception
- * propagation, and the empty-task-set edge case.
+ * propagation, the empty-task-set edge case, and the fork-join
+ * contract: the caller runs tasks, concurrent and nested runs are
+ * independent, and cancellation lands after the join.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/engine.h"
 
@@ -157,12 +161,96 @@ TEST(Engine, ManyMoreTasksThanWorkersCompletes)
     EXPECT_EQ(count.load(), 500);
 }
 
-TEST(Engine, DefaultThreadCountHonoursEnv)
+TEST(Engine, OneThreadRunsEveryTaskOnTheCaller)
 {
-    setenv("RP_THREADS", "3", 1);
-    EXPECT_EQ(ExperimentEngine::defaultThreadCount(), 3);
-    unsetenv("RP_THREADS");
-    EXPECT_GE(ExperimentEngine::defaultThreadCount(), 1);
+    ExperimentEngine engine(withThreads(1));
+    const auto caller = std::this_thread::get_id();
+    auto on_caller = engine.map<int>(16, [&](const TaskContext &) {
+        return int(std::this_thread::get_id() == caller);
+    });
+    ASSERT_EQ(on_caller.size(), 16u);
+    for (std::size_t i = 0; i < on_caller.size(); ++i)
+        EXPECT_EQ(on_caller[i], 1) << "task " << i;
+}
+
+TEST(Engine, ConcurrentRunsOnOneEngineAreIndependent)
+{
+    // Two callers share one engine: each run has its own cursor and
+    // result slots, so both get complete, index-ordered results.
+    ExperimentEngine engine(withThreads(4));
+    auto square = [&engine](std::size_t n, std::size_t offset) {
+        return engine.map<std::size_t>(n, [offset](const TaskContext &ctx) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            return ctx.index * ctx.index + offset;
+        });
+    };
+    for (int round = 0; round < 10; ++round) {
+        std::vector<std::size_t> a, b;
+        std::thread other([&] { a = square(200, 1); });
+        b = square(150, 7);
+        other.join();
+        ASSERT_EQ(a.size(), 200u);
+        ASSERT_EQ(b.size(), 150u);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i], i * i + 1) << "round " << round;
+        for (std::size_t i = 0; i < b.size(); ++i)
+            ASSERT_EQ(b[i], i * i + 7) << "round " << round;
+    }
+}
+
+TEST(Engine, TaskMayRunItsOwnEngine)
+{
+    ExperimentEngine engine(withThreads(4));
+    auto rows = engine.map<std::vector<std::size_t>>(
+        6, [&engine](const TaskContext &outer) {
+            return engine.map<std::size_t>(
+                5, [&outer](const TaskContext &inner) {
+                    return outer.index * 10 + inner.index;
+                });
+        });
+    ASSERT_EQ(rows.size(), 6u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(rows[i].size(), 5u);
+        for (std::size_t j = 0; j < rows[i].size(); ++j)
+            EXPECT_EQ(rows[i][j], i * 10 + j);
+    }
+}
+
+TEST(Engine, CancelFromTaskSkipsUnclaimedTasksAfterJoin)
+{
+    // Task 0 fires the token; every other task waits for it first, so
+    // each thread holds at most one task when it fires, and no task
+    // claimed after it may run.  run() throws only after the join, so
+    // no task is still running when it returns.
+    constexpr int kThreads = 4;
+    constexpr std::size_t kTasks = 64;
+    ExperimentEngine::Options opts = withThreads(kThreads);
+    opts.cancel = std::make_shared<std::atomic<bool>>(false);
+    const CancelToken token = opts.cancel;
+    ExperimentEngine engine(opts);
+
+    std::vector<std::atomic<int>> state(kTasks); // 0 idle, 1 running, 2 done
+    std::vector<ExperimentEngine::Task> tasks;
+    for (std::size_t i = 0; i < kTasks; ++i) {
+        tasks.push_back([&](const TaskContext &ctx) {
+            state[ctx.index] = 1;
+            if (ctx.index == 0)
+                token->store(true);
+            while (!token->load())
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            state[ctx.index] = 2;
+        });
+    }
+    EXPECT_THROW(engine.run(std::move(tasks)), CancelledError);
+
+    EXPECT_EQ(state[0].load(), 2);
+    for (std::size_t i = 0; i < kTasks; ++i) {
+        EXPECT_NE(state[i].load(), 1) << "task " << i << " still running";
+        if (i >= std::size_t(kThreads)) {
+            EXPECT_EQ(state[i].load(), 0) << "task " << i << " ran";
+        }
+    }
 }
 
 } // namespace

@@ -9,9 +9,8 @@
  * a serve session while its submitted jobs still finish; a deadline
  * ends a long run as deadline_exceeded with a terminated event
  * stream; a failed job resubmitted reproduces a no-fault run byte
- * for byte; full queues and load-shed mode reject with
- * machine-readable reasons; SIGTERM drains `serve` with the
- * documented exit codes.
+ * for byte; a full queue rejects with a machine-readable reason;
+ * SIGTERM drains `serve` with the documented exit codes.
  */
 
 #include <gtest/gtest.h>
@@ -502,7 +501,7 @@ TEST(FaultService, PreDispatchFaultFailsJobBeforeItStarts)
     }
 }
 
-TEST(FaultService, QueueFullAndLoadShedRejectWithReasons)
+TEST(FaultService, QueueFullRejectsWithReason)
 {
     DisarmGuard guard;
     g_gate.reset();
@@ -526,15 +525,6 @@ TEST(FaultService, QueueFullAndLoadShedRejectWithReasons)
     } catch (const AdmissionError &e) {
         EXPECT_EQ(e.reason(), "queue_full");
     }
-
-    service.setLoadShed(true);
-    try {
-        service.submit(artifactRequest(out / "4"));
-        FAIL() << "expected load_shed";
-    } catch (const AdmissionError &e) {
-        EXPECT_EQ(e.reason(), "load_shed");
-    }
-    service.setLoadShed(false);
 
     g_gate.open();
     EXPECT_EQ(service.wait(gate_id).state, JobState::Finished);
