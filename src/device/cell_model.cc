@@ -35,7 +35,7 @@ CellModel::CellModel(const DieConfig &die, int bits_per_row,
     if (bitsPerRow_ <= 0)
         fatal("CellModel: bits_per_row must be positive");
     deriveParams();
-    store_ = ThresholdStore::acquire(die_, params_, bitsPerRow_, seed_);
+    store_ = ThresholdStore::acquire(die_.id, params_, bitsPerRow_, seed_);
 }
 
 void
@@ -208,7 +208,7 @@ CellModel::invalidateCaches()
     rowMemo_.clear();
     wordMemo_.clear();
     tempMemo_.tempC = std::numeric_limits<double>::quiet_NaN();
-    store_ = ThresholdStore::makePrivate(params_, bitsPerRow_, seed_);
+    store_ = ThresholdStore::acquire(die_.id, params_, bitsPerRow_, seed_);
 }
 
 void

@@ -28,9 +28,10 @@
  * clustering that defeats ECC (section 7.1).
  *
  * The per-row weakest-cell candidate lists live in a ThresholdStore
- * shared by every CellModel built from the same (die, seed), so the
- * expensive enumeration happens once per row per process regardless of
- * how many models / platforms / search tasks exist.
+ * shared by every CellModel with the same threshold parameters, row
+ * width and seed, so the expensive enumeration happens once per row per
+ * process regardless of how many models / platforms / search tasks
+ * exist.
  */
 
 #ifndef ROWPRESS_DEVICE_CELL_MODEL_H
@@ -293,10 +294,13 @@ class CellModel
                     double retention_seconds, double temp_c) const;
 
     /**
-     * Rebuild the candidate source after parameter mutation: detaches
-     * this model onto a private ThresholdStore generated from the
-     * current (possibly mutated) parameters, leaving the shared store
-     * of other models untouched.
+     * Apply parameter mutations: drop the per-model memos and
+     * re-acquire the registered ThresholdStore of the current
+     * parameters.  An edit that leaves the eleven threshold fields
+     * alone (kappa, rho, tauOff, ...) keeps the shared store; a
+     * threshold edit moves to the registered store of the edited
+     * values.  No store is ever modified, so other models are
+     * untouched.
      */
     void invalidateCaches();
 

@@ -48,27 +48,27 @@ computeRowWordZ(std::uint64_t seed, int bank, int row, int word_index)
 }
 
 double
-hammerThreshold(const CellModelParams &p, double u_h, const RowWordZ &z)
+hammerThreshold(const ThresholdParams &p, double u_h, const RowWordZ &z)
 {
     return std::exp(p.muH + p.sigmaH * probit(u_h) + p.sigmaRowH * z.rowH +
                     p.sigmaWordH * z.wordH);
 }
 
 double
-pressThreshold(const CellModelParams &p, double u_p, const RowWordZ &z)
+pressThreshold(const ThresholdParams &p, double u_p, const RowWordZ &z)
 {
     return std::exp(p.muP + p.sigmaP * probit(u_p) + p.sigmaRowP * z.rowP +
                     p.sigmaWordP * z.wordP);
 }
 
 double
-retentionThreshold(const CellModelParams &p, double u_ret)
+retentionThreshold(const ThresholdParams &p, double u_ret)
 {
     return std::exp(p.muRet + p.sigmaRet * probit(u_ret));
 }
 
 bool
-cellIsAnti(const CellModelParams &p, const HashRng &cell)
+cellIsAnti(const ThresholdParams &p, const HashRng &cell)
 {
     return cell.uniform(TAG_ANTI) < p.antiFraction;
 }
@@ -80,7 +80,7 @@ cellDomSide(const HashRng &cell)
 }
 
 CellProps
-computeCellProps(const CellModelParams &p, const HashRng &cell,
+computeCellProps(const ThresholdParams &p, const HashRng &cell,
                  const RowWordZ &z)
 {
     CellProps props;
@@ -95,7 +95,7 @@ computeCellProps(const CellModelParams &p, const HashRng &cell,
 }
 
 CellProps
-computeCellProps(const CellModelParams &p, std::uint64_t seed, int bank,
+computeCellProps(const ThresholdParams &p, std::uint64_t seed, int bank,
                  int row, int bit)
 {
     HashRng cell(hashU64(seed, std::uint64_t(bank), std::uint64_t(row),
@@ -153,20 +153,24 @@ BucketLadder::indexFor(double bound) const
 
 namespace {
 
-/** Content key of a shared store: die targets + geometry + seed. */
+/**
+ * Content key of a shared store: the die id (a readable label, up to
+ * the first NUL), then the raw bits of every field a store reads,
+ * bits per row and seed.
+ */
 std::string
-storeKeyOf(const DieConfig &die, int bits_per_row, std::uint64_t seed)
+storeKeyOf(const std::string &die_id, const ThresholdParams &p,
+           int bits_per_row, std::uint64_t seed)
 {
-    std::string key = die.id;
+    std::string key = die_id;
     key.push_back('\0');
-    auto put = [&key](const void *p, std::size_t n) {
-        key.append(static_cast<const char *>(p), n);
+    auto put = [&key](const void *ptr, std::size_t n) {
+        key.append(static_cast<const char *>(ptr), n);
     };
     const double doubles[] = {
-        die.acminRh50,   die.acminRh50Min, die.acminRh80,
-        die.berRhSs,     die.berRhDs,      die.rpDose50Ms,
-        die.rpDose50MinMs, die.rpDose80Ms, die.berRp78,
-        die.antiFraction, die.retWeakPerMillion,
+        p.muH,   p.sigmaH,   p.sigmaRowH, p.sigmaWordH,
+        p.muP,   p.sigmaP,   p.sigmaRowP, p.sigmaWordP,
+        p.muRet, p.sigmaRet, p.antiFraction,
     };
     put(doubles, sizeof(doubles));
     put(&bits_per_row, sizeof(bits_per_row));
@@ -180,10 +184,10 @@ struct StoreRegistry
     // Strong references: a store is a pure deterministic cache, and
     // the engine drivers churn through short-lived Modules (one per
     // task), so a weak registry would rebuild every tier each time
-    // the last model of a config died between tasks.  Keeping stores
+    // the last model of a key died between tasks.  Keeping stores
     // for the life of the process is what makes "candidate
     // enumeration happens once per row per process" actually true;
-    // memory stays bounded by (distinct configs) x (touched rows).
+    // memory stays bounded by (distinct keys) x (touched rows).
     std::unordered_map<std::string,
                        std::shared_ptr<const ThresholdStore>>
         stores RP_GUARDED_BY(mutex);
@@ -209,7 +213,7 @@ std::atomic<ThresholdStore::WarmStartHook> warmStartHook{nullptr};
 
 } // namespace
 
-ThresholdStore::ThresholdStore(const CellModelParams &params,
+ThresholdStore::ThresholdStore(const ThresholdParams &params,
                                int bits_per_row, std::uint64_t seed)
     : params_(params), bitsPerRow_(bits_per_row), seed_(seed),
       hammerLadder_(params.muH, params.sigmaH + params.sigmaRowH +
@@ -221,12 +225,12 @@ ThresholdStore::ThresholdStore(const CellModelParams &params,
 }
 
 std::shared_ptr<const ThresholdStore>
-ThresholdStore::acquire(const DieConfig &die,
-                        const CellModelParams &params, int bits_per_row,
+ThresholdStore::acquire(const std::string &die_id,
+                        const ThresholdParams &params, int bits_per_row,
                         std::uint64_t seed)
 {
     StoreRegistry &reg = registry();
-    std::string key = storeKeyOf(die, bits_per_row, seed);
+    std::string key = storeKeyOf(die_id, params, bits_per_row, seed);
     std::shared_ptr<const ThresholdStore> store;
     {
         core::LockGuard lock(reg.mutex);
@@ -284,6 +288,8 @@ ThresholdStore::stats() const
 {
     ThresholdStoreStats out;
     core::LockGuard lock(mutex_);
+    out.rowBuilds = rowBuilds_;
+    out.wordMaskBuilds = wordMaskBuilds_;
     out.candidateRows = rows_.size();
     for (const auto &[key, row] : rows_) {
         (void)key;
@@ -331,6 +337,8 @@ ThresholdStore::registryStats()
         out.totals.candidateCells += s.candidateCells;
         out.totals.wordMaskRows += s.wordMaskRows;
         out.totals.approxBytes += s.approxBytes;
+        out.totals.rowBuilds += s.rowBuilds;
+        out.totals.wordMaskBuilds += s.wordMaskBuilds;
     }
     return out;
 }
@@ -347,7 +355,7 @@ ThresholdStore::evictRegistry()
 }
 
 std::shared_ptr<const ThresholdStore>
-ThresholdStore::makePrivate(const CellModelParams &params,
+ThresholdStore::makePrivate(const ThresholdParams &params,
                             int bits_per_row, std::uint64_t seed)
 {
     return std::shared_ptr<const ThresholdStore>(
@@ -396,7 +404,7 @@ ThresholdStore::buildRow(int bank, int row) const
 RowWordMasks
 ThresholdStore::buildWordMasks(int bank, int row) const
 {
-    const CellModelParams &p = params_;
+    const ThresholdParams &p = params_;
     RowWordMasks wm;
     wm.numWords = std::size_t(bitsPerRow_ + 63) / 64;
     wm.numGroups = (wm.numWords + 63) / 64;
@@ -465,24 +473,66 @@ ThresholdStore::buildWordMasks(int bank, int row) const
     return wm;
 }
 
+/**
+ * The in-flight mark of one tier build, taken by the caller that
+ * starts the build: its destructor clears the mark and wakes the
+ * waiters whether the build returned or threw, so a failed build
+ * leaves the row to the next caller instead of stranding waiters.
+ */
+class ThresholdStore::BuildMark
+{
+  public:
+    BuildMark(const ThresholdStore &store, bool word_tier,
+              std::uint64_t key)
+        : store_(store), wordTier_(word_tier), key_(key)
+    {
+    }
+    ~BuildMark() { store_.endBuild(wordTier_, key_); }
+
+    BuildMark(const BuildMark &) = delete;
+    BuildMark &operator=(const BuildMark &) = delete;
+
+  private:
+    const ThresholdStore &store_;
+    bool wordTier_;
+    std::uint64_t key_;
+};
+
+void
+ThresholdStore::endBuild(bool word_tier, std::uint64_t key) const
+{
+    core::LockGuard lock(mutex_);
+    if (word_tier)
+        wordMasksInFlight_.erase(key);
+    else
+        rowsInFlight_.erase(key);
+    built_.notify_all();
+}
+
 const RowWordMasks &
 ThresholdStore::wordMasks(int bank, int row) const
 {
     const std::uint64_t key = packRowKey(bank, row);
     {
-        core::LockGuard lock(mutex_);
-        if (auto it = wordMasks_.find(key); it != wordMasks_.end())
+        // Single flight: wait while another caller builds this row.
+        core::UniqueLock lock(mutex_);
+        auto it = wordMasks_.find(key);
+        while (it == wordMasks_.end() && wordMasksInFlight_.count(key)) {
+            built_.wait(lock);
+            it = wordMasks_.find(key);
+        }
+        if (it != wordMasks_.end())
             return *it->second;
+        wordMasksInFlight_.insert(key);
+        ++wordMaskBuilds_;
     }
-
-    // Built outside the lock; racing builders produce identical
-    // results (pure function of the key) and the loser is discarded.
+    const BuildMark mark(*this, /*word_tier=*/true, key);
     auto built =
         std::make_unique<RowWordMasks>(buildWordMasks(bank, row));
     core::LockGuard lock(mutex_);
-    auto [it, inserted] = wordMasks_.emplace(key, std::move(built));
-    (void)inserted;
-    return *it->second;
+    // A row adopted from a snapshot during the build wins; it is
+    // bit-identical, and this copy is discarded.
+    return *wordMasks_.emplace(key, std::move(built)).first->second;
 }
 
 std::vector<std::pair<std::uint64_t, const RowCandidates *>>
@@ -535,19 +585,22 @@ ThresholdStore::row(int bank, int row) const
 {
     const std::uint64_t key = packRowKey(bank, row);
     {
-        core::LockGuard lock(mutex_);
-        if (auto it = rows_.find(key); it != rows_.end())
+        // Single flight, as in wordMasks().
+        core::UniqueLock lock(mutex_);
+        auto it = rows_.find(key);
+        while (it == rows_.end() && rowsInFlight_.count(key)) {
+            built_.wait(lock);
+            it = rows_.find(key);
+        }
+        if (it != rows_.end())
             return *it->second;
+        rowsInFlight_.insert(key);
+        ++rowBuilds_;
     }
-
-    // Build outside the lock; if another thread raced us the two
-    // results are identical (pure function of the key) and the loser's
-    // copy is discarded.
+    const BuildMark mark(*this, /*word_tier=*/false, key);
     auto built = std::make_unique<RowCandidates>(buildRow(bank, row));
     core::LockGuard lock(mutex_);
-    auto [it, inserted] = rows_.emplace(key, std::move(built));
-    (void)inserted;
-    return *it->second;
+    return *rows_.emplace(key, std::move(built)).first->second;
 }
 
 } // namespace rp::device

@@ -7,17 +7,18 @@
  * a device model: for every row it draws three hash uniforms per bit
  * (~64Ki bits) to find the cells in the weak tails of the hammer /
  * press / retention threshold distributions.  The thresholds are a
- * pure function of (seed, die, bank, row, bit), so the result is
- * identical for every CellModel built from the same (die, seed) — yet
- * the engine-parallel search drivers used to rebuild the cache once
- * per task.
+ * pure function of (threshold parameters, seed, bank, row, bit), so
+ * the result is identical for every CellModel whose threshold
+ * parameters and seed agree — yet the engine-parallel search drivers
+ * used to rebuild the cache once per task.
  *
  * A ThresholdStore owns that enumeration once per process: CellModel
- * instances constructed from the same (die, bits-per-row, seed) share
- * one store through a process-wide registry (strong references — the
- * store is a pure deterministic cache and outlives the short-lived
- * Modules of engine tasks), and rows are built lazily, under a mutex,
- * in a structure-of-arrays layout.  Two tiers exist per row:
+ * instances whose threshold parameters, bits per row and seed agree
+ * share one store through a process-wide registry (strong references
+ * — the store is a pure deterministic cache and outlives the
+ * short-lived Modules of engine tasks), whatever their other
+ * parameters, and each row is built once, on first use, in a
+ * structure-of-arrays layout.  Two tiers exist per row:
  *
  *  - the candidate tier (RowCandidates): the weakest cells of the
  *    row, with row-minimum thresholds for the O(1) cannot-flip proof
@@ -40,13 +41,13 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/thread_annotations.h"
-#include "device/die_config.h"
 
 namespace rp::device {
 
@@ -62,14 +63,27 @@ packRowKey(int bank, int row)
            std::uint32_t(row);
 }
 
-/** Per-die derived model parameters; exposed for tests and ablations. */
-struct CellModelParams
+/**
+ * The eleven parameters a ThresholdStore reads: the log-space hammer,
+ * press and retention threshold distributions and the anti-cell
+ * fraction.  With the row width and the seed they determine every
+ * tier of a store, so they, not the die, key the store registry.
+ */
+struct ThresholdParams
 {
-    // Threshold distributions (log-space).
     double muH, sigmaH, sigmaRowH, sigmaWordH;
     double muP, sigmaP, sigmaRowP, sigmaWordP;
     double muRet, sigmaRet;
+    double antiFraction;
+};
 
+/**
+ * Per-die derived model parameters; exposed for tests and ablations.
+ * The threshold fields come from the ThresholdParams base; the rest
+ * shape doses and couplings, which no ThresholdStore reads.
+ */
+struct CellModelParams : ThresholdParams
+{
     // Temperature response (dose multiplier per degree C above 50C).
     double lambdaRp;
     double lambdaRh;
@@ -93,7 +107,6 @@ struct CellModelParams
     Time pressOnset;
     double dist2Rh, dist2Rp; ///< Distance-2 coupling attenuation.
     double dist3Rh, dist3Rp; ///< Distance-3 coupling attenuation.
-    double antiFraction;
 };
 
 /** Per-cell derived properties (pure in (seed, bank, row, bit)). */
@@ -109,7 +122,7 @@ struct CellProps
 };
 
 /** Derive one cell's properties from @p params under @p seed. */
-CellProps computeCellProps(const CellModelParams &params,
+CellProps computeCellProps(const ThresholdParams &params,
                            std::uint64_t seed, int bank, int row,
                            int bit);
 
@@ -155,7 +168,7 @@ RowWordZ computeRowWordZ(std::uint64_t seed, int bank, int row,
  * must be HashRng(hashU64(seed, bank, row, bit)).  Produces doubles
  * bit-identical to computeCellProps (same draws, same expressions).
  */
-CellProps computeCellProps(const CellModelParams &params,
+CellProps computeCellProps(const ThresholdParams &params,
                            const HashRng &cell, const RowWordZ &z);
 
 /**
@@ -165,12 +178,12 @@ CellProps computeCellProps(const CellModelParams &params,
  * polarity and dominant side from the cell's hash.  The same
  * expressions as computeCellProps, so the same doubles.
  */
-double hammerThreshold(const CellModelParams &params, double u_h,
+double hammerThreshold(const ThresholdParams &params, double u_h,
                        const RowWordZ &z);
-double pressThreshold(const CellModelParams &params, double u_p,
+double pressThreshold(const ThresholdParams &params, double u_p,
                       const RowWordZ &z);
-double retentionThreshold(const CellModelParams &params, double u_ret);
-bool cellIsAnti(const CellModelParams &params, const HashRng &cell);
+double retentionThreshold(const ThresholdParams &params, double u_ret);
+bool cellIsAnti(const ThresholdParams &params, const HashRng &cell);
 int cellDomSide(const HashRng &cell);
 
 /**
@@ -301,6 +314,13 @@ struct ThresholdStoreStats
     std::size_t candidateCells = 0;///< Total cached candidate cells.
     std::size_t wordMaskRows = 0;  ///< Rows with a built word tier.
     std::size_t approxBytes = 0;   ///< Rough heap footprint of both tiers.
+    /**
+     * Builds that row() / wordMasks() started.  Rows adopted from a
+     * snapshot are not builds.  Each row is built once, unless a
+     * build throws, which lets the next caller start another.
+     */
+    std::size_t rowBuilds = 0;
+    std::size_t wordMaskBuilds = 0;
 };
 
 /**
@@ -309,7 +329,8 @@ struct ThresholdStoreStats
  */
 struct ThresholdStoreRegistryStats
 {
-    std::size_t stores = 0;     ///< Registered (die, bits, seed) configs.
+    /** Registered (die id, threshold params, bits, seed) keys. */
+    std::size_t stores = 0;
     std::uint64_t hits = 0;     ///< acquire() calls served warm.
     std::uint64_t misses = 0;   ///< acquire() calls that built a store.
     std::uint64_t evictions = 0;///< Stores dropped by evictRegistry().
@@ -321,33 +342,40 @@ class ThresholdStore
 {
   public:
     /**
-     * The shared store for (die, bits_per_row, seed): every CellModel
-     * with the same key gets the same instance, so candidate
-     * enumeration happens once per row per process.  @p params must be
-     * the canonical parameters derived from @p die (callers pass what
-     * CellModel::deriveParams computed).
+     * The shared store of (@p die_id, @p params, bits_per_row, seed):
+     * every caller with the same key gets the same instance, so each
+     * row is enumerated once per process.  The key holds exactly what
+     * a store reads, so CellModels whose other parameters differ (an
+     * ablation's kappa, rho or tauOff edit) share one store, and a
+     * threshold edit gets a registered store of its own.  @p die_id
+     * is a readable label only: it prefixes the key, and persisted
+     * snapshots show it.
      */
     static std::shared_ptr<const ThresholdStore>
-    acquire(const DieConfig &die, const CellModelParams &params,
+    acquire(const std::string &die_id, const ThresholdParams &params,
             int bits_per_row, std::uint64_t seed);
 
     /**
-     * An unshared store generating from @p params as given — for
-     * ablation studies that mutate parameters (the instance is not
-     * registered, so mutations cannot leak into other models).
+     * An unregistered store generating from @p params: a test fixture
+     * that builds rows away from the registry, to compare them with a
+     * registered store's.  No production path uses it.
      */
     static std::shared_ptr<const ThresholdStore>
-    makePrivate(const CellModelParams &params, int bits_per_row,
+    makePrivate(const ThresholdParams &params, int bits_per_row,
                 std::uint64_t seed);
 
-    /** Candidate list of a row; built on first use (thread-safe). */
+    /**
+     * Candidate list of a row; built on first use (thread-safe).  The
+     * first caller builds it outside the lock, and concurrent callers
+     * of the same row wait for that build rather than repeat it.
+     */
     const RowCandidates &row(int bank, int row) const;
 
     /**
-     * Word-occupancy tier of a row; built on first use (thread-safe),
-     * like the candidate tier.  One build costs the same enumeration
-     * as a single legacy full scan and is then shared by every full
-     * scan of the row across all CellModels of this store.
+     * Word-occupancy tier of a row; built once on first use, like the
+     * candidate tier.  One build costs the same enumeration as a
+     * single legacy full scan and is then shared by every full scan
+     * of the row across all CellModels of this store.
      */
     const RowWordMasks &wordMasks(int bank, int row) const;
 
@@ -360,13 +388,13 @@ class ThresholdStore
 
     int bitsPerRow() const { return bitsPerRow_; }
     std::uint64_t seed() const { return seed_; }
-    const CellModelParams &params() const { return params_; }
+    const ThresholdParams &params() const { return params_; }
 
     /**
-     * The registry content key this store was acquired under (die
-     * targets + geometry + seed) — the identity a persisted snapshot
-     * is keyed and validated by.  Empty for makePrivate() stores,
-     * which are ablation-mutable and therefore never persisted.
+     * The registry content key this store was acquired under (die id,
+     * the eleven threshold parameters, bits per row and seed) — the
+     * identity a persisted snapshot is keyed and validated by.  Empty
+     * for makePrivate() stores, which are never persisted.
      */
     const std::string &contentKey() const { return contentKey_; }
 
@@ -448,13 +476,20 @@ class ThresholdStore
     static std::size_t evictRegistry();
 
   private:
-    ThresholdStore(const CellModelParams &params, int bits_per_row,
+    class BuildMark;
+
+    ThresholdStore(const ThresholdParams &params, int bits_per_row,
                    std::uint64_t seed);
 
+    // Pure functions of (key, bank, row).  They never call row() or
+    // wordMasks(), so a builder never waits on another build.
     RowCandidates buildRow(int bank, int row) const;
     RowWordMasks buildWordMasks(int bank, int row) const;
 
-    CellModelParams params_;
+    /** Clears one in-flight mark and wakes the waiters (BuildMark). */
+    void endBuild(bool word_tier, std::uint64_t key) const;
+
+    ThresholdParams params_;
     int bitsPerRow_;
     std::uint64_t seed_;
     std::string contentKey_; ///< Set by acquire(); "" for private stores.
@@ -463,16 +498,25 @@ class ThresholdStore
     BucketLadder pressLadder_;
     BucketLadder retentionLadder_;
 
-    // Tier builds happen outside the lock (racing builders discard);
-    // only the maps themselves are guarded.  Values are immutable
-    // once inserted, so returned references need no lock.
+    // Tier builds happen outside the lock, under a per-key in-flight
+    // mark: one thread builds a row while later callers of that row
+    // wait on built_, and builds of distinct rows run in parallel.
+    // Values are immutable once inserted, so returned references
+    // need no lock.
     mutable core::Mutex mutex_;
+    mutable core::CondVar built_;
     mutable std::unordered_map<std::uint64_t,
                                std::unique_ptr<RowCandidates>>
         rows_ RP_GUARDED_BY(mutex_);
     mutable std::unordered_map<std::uint64_t,
                                std::unique_ptr<RowWordMasks>>
         wordMasks_ RP_GUARDED_BY(mutex_);
+    mutable std::unordered_set<std::uint64_t>
+        rowsInFlight_ RP_GUARDED_BY(mutex_);
+    mutable std::unordered_set<std::uint64_t>
+        wordMasksInFlight_ RP_GUARDED_BY(mutex_);
+    mutable std::size_t rowBuilds_ RP_GUARDED_BY(mutex_) = 0;
+    mutable std::size_t wordMaskBuilds_ RP_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace rp::device

@@ -273,7 +273,8 @@ invariantsHashOf(const device::ThresholdStore &store)
         mix_u(bits);
     };
 
-    const device::CellModelParams &p = store.params();
+    // The fields the store reads; no other parameter reaches a tier.
+    const device::ThresholdParams &p = store.params();
     mix_d(p.muH);
     mix_d(p.sigmaH);
     mix_d(p.sigmaRowH);
@@ -284,20 +285,6 @@ invariantsHashOf(const device::ThresholdStore &store)
     mix_d(p.sigmaWordP);
     mix_d(p.muRet);
     mix_d(p.sigmaRet);
-    mix_d(p.lambdaRp);
-    mix_d(p.lambdaRh);
-    mix_d(p.kappaDs);
-    mix_d(p.rhoWeakSide);
-    mix_d(p.gammaRhAggr);
-    mix_d(p.gammaRpAggr0);
-    mix_d(p.gammaRpAggrT);
-    mix_u(std::uint64_t(p.tauOff));
-    mix_d(p.offFloor);
-    mix_u(std::uint64_t(p.pressOnset));
-    mix_d(p.dist2Rh);
-    mix_d(p.dist2Rp);
-    mix_d(p.dist3Rh);
-    mix_d(p.dist3Rp);
     mix_d(p.antiFraction);
 
     // Bucket ladders: every edge, per mechanism.

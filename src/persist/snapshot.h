@@ -4,15 +4,16 @@
  * tiers.
  *
  * Every tier of a ThresholdStore is a pure deterministic function of
- * its content key (die targets, bits-per-row, seed), so the expensive
- * candidate enumeration and word-mask build can be done once and
- * reused by every later process.  A snapshot serializes both tiers —
- * the candidate SoA lists with their row minima and the RowWordMasks
- * word-occupancy tier — into a little-endian format with a fixed
- * header and a section table of fixed offsets, so a reader can mmap
- * the file and copy each SoA array straight into the tier vectors
- * with one memcpy per array (the arrays are stored contiguously,
- * field-major, exactly as the in-memory layout wants them).
+ * its content key (die id, threshold parameters, bits-per-row, seed),
+ * so the expensive candidate enumeration and word-mask build can be
+ * done once and reused by every later process.  A snapshot serializes
+ * both tiers — the candidate SoA lists with their row minima and the
+ * RowWordMasks word-occupancy tier — into a little-endian format with
+ * a fixed header and a section table of fixed offsets, so a reader
+ * can mmap the file and copy each SoA array straight into the tier
+ * vectors with one memcpy per array (the arrays are stored
+ * contiguously, field-major, exactly as the in-memory layout wants
+ * them).
  *
  * Trust model: a snapshot is only adopted when
  *
@@ -20,9 +21,9 @@
  *  - the FNV-1a checksum over the whole file matches;
  *  - the embedded content key equals the store's key; and
  *  - the build-invariants hash matches invariantsHashOf(store) — a
- *    fingerprint of the derived model parameters, the bucket-ladder
- *    edges, the candidate quantile cap, and probe values of the
- *    actual generation math, so any change to how tiers are built
+ *    fingerprint of the store's threshold parameters, the
+ *    bucket-ladder edges, the candidate quantile cap, and probe values
+ *    of the actual generation math, so any change to how tiers are built
  *    invalidates every old snapshot automatically (stale math is
  *    never served).
  *
@@ -65,10 +66,11 @@ std::uint64_t fnv1a(const void *data, std::size_t size,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 /**
- * Build-invariants fingerprint of @p store: the derived
- * CellModelParams, all bucket-ladder edges, the candidate quantile
- * cap, and probe outputs of computeCellProps / computeRowWordZ /
- * weakQuantileCutoff.  Hashing probe *outputs* (not just constants)
+ * Build-invariants fingerprint of @p store: its ThresholdParams (the
+ * only parameters a tier depends on, so the hash is the same whichever
+ * model acquired the store first), all bucket-ladder edges, the
+ * candidate quantile cap, and probe outputs of computeCellProps /
+ * computeRowWordZ / weakQuantileCutoff.  Hashing probe *outputs* (not just constants)
  * means a change to the draw sequence, the probit approximation, or
  * any expression shape changes the hash even when no named constant
  * moved — old snapshots then mismatch and rebuild.

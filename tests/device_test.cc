@@ -1,14 +1,17 @@
 /**
  * @file
  * Device-model tests: die registry, calibration derivation, per-cell
- * determinism, eligibility/direction rules, dose accounting, and chip
- * materialization.
+ * determinism, eligibility/direction rules, threshold-store keys and
+ * single-flight builds, dose accounting, and chip materialization.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -246,6 +249,184 @@ TEST(CellModel, DoubleSidedSynergyRaisesDamage)
     ctx.dose = &single;
     auto flips_single = cells.evaluate(1, 14, ctx, false, 50.0);
     EXPECT_GT(flips_split.size(), flips_single.size());
+}
+
+// ---------------------------------------------------------------
+// ThresholdStore: content keys and single-flight builds
+// ---------------------------------------------------------------
+
+/** One parameter edit, applied alone to an otherwise derived model. */
+struct ParamEdit
+{
+    const char *field;
+    void (*apply)(CellModelParams &);
+};
+
+/** Every field a ThresholdStore reads (ThresholdParams), edited. */
+const std::vector<ParamEdit> kThresholdEdits = {
+    {"muH", [](CellModelParams &p) { p.muH += 0.5; }},
+    {"sigmaH", [](CellModelParams &p) { p.sigmaH *= 1.5; }},
+    {"sigmaRowH", [](CellModelParams &p) { p.sigmaRowH *= 1.5; }},
+    {"sigmaWordH", [](CellModelParams &p) { p.sigmaWordH *= 1.5; }},
+    {"muP", [](CellModelParams &p) { p.muP += 0.5; }},
+    {"sigmaP", [](CellModelParams &p) { p.sigmaP *= 1.5; }},
+    {"sigmaRowP", [](CellModelParams &p) { p.sigmaRowP *= 1.5; }},
+    {"sigmaWordP", [](CellModelParams &p) { p.sigmaWordP *= 1.5; }},
+    {"muRet", [](CellModelParams &p) { p.muRet += 0.5; }},
+    {"sigmaRet", [](CellModelParams &p) { p.sigmaRet *= 1.5; }},
+    {"antiFraction", [](CellModelParams &p) { p.antiFraction += 0.5; }},
+};
+
+/** Every other CellModelParams field, edited. */
+const std::vector<ParamEdit> kOtherEdits = {
+    {"lambdaRp", [](CellModelParams &p) { p.lambdaRp *= 2.0; }},
+    {"lambdaRh", [](CellModelParams &p) { p.lambdaRh *= 2.0; }},
+    {"kappaDs", [](CellModelParams &p) { p.kappaDs = 8.0; }},
+    {"rhoWeakSide", [](CellModelParams &p) { p.rhoWeakSide = 1.0; }},
+    {"gammaRhAggr", [](CellModelParams &p) { p.gammaRhAggr = 0.9; }},
+    {"gammaRpAggr0", [](CellModelParams &p) { p.gammaRpAggr0 = 0.9; }},
+    {"gammaRpAggrT", [](CellModelParams &p) { p.gammaRpAggrT = 0.1; }},
+    {"tauOff", [](CellModelParams &p) { p.tauOff = 5000_ns; }},
+    {"offFloor", [](CellModelParams &p) { p.offFloor = 0.1; }},
+    {"pressOnset", [](CellModelParams &p) { p.pressOnset = 100_ns; }},
+    {"dist2Rh", [](CellModelParams &p) { p.dist2Rh *= 2.0; }},
+    {"dist2Rp", [](CellModelParams &p) { p.dist2Rp *= 2.0; }},
+    {"dist3Rh", [](CellModelParams &p) { p.dist3Rh *= 2.0; }},
+    {"dist3Rp", [](CellModelParams &p) { p.dist3Rp *= 2.0; }},
+};
+
+constexpr int kKeyBits = 65536;
+constexpr std::uint64_t kKeySeed = 4242;
+const std::pair<int, int> kKeyRows[] = {{0, 10}, {3, 40000}};
+
+/** A model of S-8Gb-D with one edit applied through invalidateCaches. */
+CellModel
+editedModel(const ParamEdit &edit)
+{
+    CellModel model(dieS8GbD(), kKeyBits, kKeySeed);
+    edit.apply(model.mutableParams());
+    model.invalidateCaches();
+    return model;
+}
+
+/** Field-by-field (exact) equality of two candidate rows. */
+void
+expectSameRow(const RowCandidates &a, const RowCandidates &b,
+              const std::string &what)
+{
+    EXPECT_EQ(a.bit, b.bit) << what;
+    EXPECT_EQ(a.thetaH, b.thetaH) << what;
+    EXPECT_EQ(a.thetaP, b.thetaP) << what;
+    EXPECT_EQ(a.tauRet, b.tauRet) << what;
+    EXPECT_EQ(a.anti, b.anti) << what;
+    EXPECT_EQ(a.domSide, b.domSide) << what;
+    EXPECT_EQ(a.minThetaH, b.minThetaH) << what;
+    EXPECT_EQ(a.minThetaP, b.minThetaP) << what;
+    EXPECT_EQ(a.minTauRet, b.minTauRet) << what;
+}
+
+TEST(ThresholdStore, EditListsCoverEveryParameter)
+{
+    // A new CellModelParams field must join one of the two lists.
+    EXPECT_EQ(sizeof(ThresholdParams), kThresholdEdits.size() * 8);
+    EXPECT_EQ(sizeof(CellModelParams),
+              (kThresholdEdits.size() + kOtherEdits.size()) * 8);
+}
+
+TEST(ThresholdStore, NonThresholdEditsKeepTheSharedStore)
+{
+    const CellModel plain(dieS8GbD(), kKeyBits, kKeySeed);
+    for (const ParamEdit &edit : kOtherEdits) {
+        const CellModel model = editedModel(edit);
+        for (const auto &[bank, row] : kKeyRows)
+            EXPECT_EQ(&model.rowCandidates(bank, row),
+                      &plain.rowCandidates(bank, row))
+                << edit.field;
+    }
+}
+
+TEST(ThresholdStore, ThresholdEditsGetARegisteredStoreOfTheirOwn)
+{
+    const CellModel plain(dieS8GbD(), kKeyBits, kKeySeed);
+    for (const ParamEdit &edit : kThresholdEdits) {
+        const CellModel model = editedModel(edit);
+        const CellModel again = editedModel(edit);
+        const auto fresh =
+            ThresholdStore::makePrivate(model.params(), kKeyBits, kKeySeed);
+        for (const auto &[bank, row] : kKeyRows) {
+            const RowCandidates &edited = model.rowCandidates(bank, row);
+            const RowCandidates &base = plain.rowCandidates(bank, row);
+            EXPECT_NE(&edited, &base) << edit.field;
+            // Registered: the same edit finds the same store.
+            EXPECT_EQ(&edited, &again.rowCandidates(bank, row))
+                << edit.field;
+            expectSameRow(edited, fresh->row(bank, row), edit.field);
+            // The edit shows in the row, so a key that left the
+            // field out would hand this model the wrong rows.
+            EXPECT_TRUE(edited.thetaH != base.thetaH ||
+                        edited.thetaP != base.thetaP ||
+                        edited.tauRet != base.tauRet ||
+                        edited.anti != base.anti)
+                << edit.field;
+        }
+    }
+}
+
+TEST(ThresholdStore, ConcurrentFirstTouchesBuildEachRowOnce)
+{
+    const CellModel model(dieS8GbB(), kKeyBits, 17);
+    const auto store =
+        ThresholdStore::makePrivate(model.params(), kKeyBits, 17);
+    constexpr int kThreads = 8;
+    std::atomic<int> arrived{0};
+    const auto barrier = [&arrived](int round) {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads * round)
+            std::this_thread::yield();
+    };
+    std::vector<const RowCandidates *> rows(kThreads);
+    std::vector<const RowWordMasks *> masks(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            barrier(1);
+            rows[t] = &store->row(2, 300);
+            barrier(2);
+            masks[t] = &store->wordMasks(2, 300);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(rows[t], rows[0]);
+        EXPECT_EQ(masks[t], masks[0]);
+    }
+    const ThresholdStoreStats stats = store->stats();
+    EXPECT_EQ(stats.rowBuilds, 1u);
+    EXPECT_EQ(stats.wordMaskBuilds, 1u);
+    EXPECT_EQ(stats.candidateRows, 1u);
+    EXPECT_EQ(stats.wordMaskRows, 1u);
+}
+
+TEST(ThresholdStore, AdoptedRowsAreNotBuilds)
+{
+    const CellModel model(dieS8GbB(), kKeyBits, 18);
+    const auto source =
+        ThresholdStore::makePrivate(model.params(), kKeyBits, 18);
+    const auto target =
+        ThresholdStore::makePrivate(model.params(), kKeyBits, 18);
+    RowCandidates copy = source->row(1, 7);
+    RowWordMasks mask_copy = source->wordMasks(1, 7);
+    EXPECT_TRUE(target->adoptRow(packRowKey(1, 7), std::move(copy)));
+    EXPECT_TRUE(
+        target->adoptWordMasks(packRowKey(1, 7), std::move(mask_copy)));
+    expectSameRow(target->row(1, 7), source->row(1, 7), "adopted");
+    target->wordMasks(1, 7);
+    const ThresholdStoreStats stats = target->stats();
+    EXPECT_EQ(stats.rowBuilds, 0u);
+    EXPECT_EQ(stats.wordMaskBuilds, 0u);
+    EXPECT_EQ(stats.candidateRows, 1u);
 }
 
 TEST(FaultModel, HammerDoseGoesToNeighborsWithAttenuation)

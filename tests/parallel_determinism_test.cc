@@ -145,14 +145,15 @@ TEST(ParallelDeterminism, OverlapAtAcminUnchunkedVsChunked)
 
 TEST(ParallelDeterminism, SharedStoreIdenticalToUnsharedStore)
 {
-    // Two models acquire the same shared store; a third is detached
-    // onto a private (unshared) store via invalidateCaches().  All
-    // three must evaluate identically: sharing is a pure cache.
+    // Two models acquire the same shared store; an unregistered store
+    // builds the same rows on its own.  The two models must evaluate
+    // identically, and the shared rows must equal the unshared ones
+    // field by field: sharing is a pure cache.
     const auto &die = device::dieS8GbB();
     device::CellModel shared_a(die, 65536, 5);
     device::CellModel shared_b(die, 65536, 5);
-    device::CellModel unshared(die, 65536, 5);
-    unshared.invalidateCaches(); // detach onto a private store
+    const auto unshared =
+        device::ThresholdStore::makePrivate(shared_a.params(), 65536, 5);
 
     device::DoseState dose;
     dose.press[0] = 1e12 * 40.0;
@@ -167,22 +168,26 @@ TEST(ParallelDeterminism, SharedStoreIdenticalToUnsharedStore)
     for (int row = 60; row < 70; ++row) {
         auto fa = shared_a.evaluate(1, row, ctx, false, 50.0);
         auto fb = shared_b.evaluate(1, row, ctx, false, 50.0);
-        auto fu = unshared.evaluate(1, row, ctx, false, 50.0);
         ASSERT_EQ(fa.size(), fb.size());
-        ASSERT_EQ(fa.size(), fu.size());
         for (std::size_t i = 0; i < fa.size(); ++i) {
             EXPECT_EQ(fa[i].bit, fb[i].bit);
-            EXPECT_EQ(fa[i].bit, fu[i].bit);
-            EXPECT_EQ(fa[i].oneToZero, fu[i].oneToZero);
+            EXPECT_EQ(fa[i].oneToZero, fb[i].oneToZero);
         }
-        // The shared row candidates are the same object; the private
+        // The shared row candidates are the same object; the unshared
         // ones are a distinct but identical copy.
-        EXPECT_EQ(&shared_a.rowCandidates(1, row),
-                  &shared_b.rowCandidates(1, row));
-        EXPECT_NE(&shared_a.rowCandidates(1, row),
-                  &unshared.rowCandidates(1, row));
-        EXPECT_EQ(shared_a.rowCandidates(1, row).minThetaP,
-                  unshared.rowCandidates(1, row).minThetaP);
+        const device::RowCandidates &s = shared_a.rowCandidates(1, row);
+        const device::RowCandidates &u = unshared->row(1, row);
+        EXPECT_EQ(&s, &shared_b.rowCandidates(1, row));
+        EXPECT_NE(&s, &u);
+        EXPECT_EQ(s.bit, u.bit);
+        EXPECT_EQ(s.thetaH, u.thetaH);
+        EXPECT_EQ(s.thetaP, u.thetaP);
+        EXPECT_EQ(s.tauRet, u.tauRet);
+        EXPECT_EQ(s.anti, u.anti);
+        EXPECT_EQ(s.domSide, u.domSide);
+        EXPECT_EQ(s.minThetaH, u.minThetaH);
+        EXPECT_EQ(s.minThetaP, u.minThetaP);
+        EXPECT_EQ(s.minTauRet, u.minTauRet);
     }
 }
 

@@ -343,7 +343,7 @@ std::shared_ptr<const ThresholdStore>
 acquireShared(std::uint64_t seed)
 {
     CellModel model(dieS8GbB(), 65536, seed);
-    return ThresholdStore::acquire(dieS8GbB(), model.params(), 65536,
+    return ThresholdStore::acquire(dieS8GbB().id, model.params(), 65536,
                                    seed);
 }
 
@@ -387,6 +387,88 @@ TEST(PersistCache, WarmStartRoundTripThroughDisk)
     EXPECT_EQ(cache.publishRegistry(), 0u);
     EXPECT_GE(cache.stats().publishSkips, 1u);
     ThresholdStore::evictRegistry();
+}
+
+TEST(PersistCache, StoreIdentityIsIndependentOfTheFirstAcquirer)
+{
+    // A kappa edit leaves the store key alone, so a kappa-edited model
+    // and an unedited one share a store, and whichever acquires it
+    // first must not change what the store is, hashes to or is
+    // persisted as.  Each order publishes a snapshot that the other
+    // order then loads warm.
+    CacheGuard guard;
+    auto &cache = SnapshotCache::instance();
+    const std::string die = dieS8GbB().id;
+    const CellModel model(dieS8GbB(), 65536, 1005);
+    const device::CellModelParams plain = model.params();
+    device::CellModelParams kappa = plain;
+    kappa.kappaDs = 8.0;
+    const device::CellModelParams *orders[2][2] = {{&kappa, &plain},
+                                                   {&plain, &kappa}};
+
+    const auto acquireInOrder = [&](int order) {
+        const auto first =
+            ThresholdStore::acquire(die, *orders[order][0], 65536, 1005);
+        const auto second =
+            ThresholdStore::acquire(die, *orders[order][1], 65536, 1005);
+        EXPECT_EQ(first.get(), second.get()) << "order " << order;
+        return first;
+    };
+    struct Identity
+    {
+        std::string key;
+        device::ThresholdParams params;
+        std::uint64_t hash;
+        std::string file;
+    };
+    std::vector<Identity> seen;
+    const auto record = [&seen](const ThresholdStore &store) {
+        const std::uint64_t hash = invariantsHashOf(store);
+        seen.push_back({store.contentKey(), store.params(), hash,
+                        SnapshotCache::snapshotFileName(
+                            store.contentKey(), hash)});
+    };
+
+    for (int order = 0; order < 2; ++order) {
+        cache.configure(
+            freshDir("rp_persist_first_" + std::to_string(order))
+                .string());
+        cache.resetStats(); // drops the publish memo of the last order
+        ThresholdStore::evictRegistry();
+        {
+            const auto cold = acquireInOrder(order);
+            record(*cold);
+            cold->row(0, 9);
+            cold->wordMasks(0, 9);
+            EXPECT_EQ(cache.publishRegistry(), 1u);
+        }
+        ThresholdStore::evictRegistry();
+
+        cache.resetStats();
+        const auto warm = acquireInOrder(1 - order);
+        record(*warm);
+        EXPECT_EQ(cache.stats().hits, 1u) << "order " << order;
+        EXPECT_EQ(warm->stats().candidateRows, 1u);
+        EXPECT_EQ(warm->stats().wordMaskRows, 1u);
+        const auto fresh = ThresholdStore::makePrivate(plain, 65536, 1005);
+        fresh->row(0, 9);
+        fresh->wordMasks(0, 9);
+        expectRowsIdentical(*fresh, *warm);
+        expectMasksIdentical(*fresh, *warm);
+        EXPECT_EQ(warm->stats().rowBuilds, 0u);
+        EXPECT_EQ(warm->stats().wordMaskBuilds, 0u);
+    }
+    ThresholdStore::evictRegistry();
+
+    ASSERT_EQ(seen.size(), 4u);
+    for (const Identity &id : seen) {
+        EXPECT_EQ(id.key, seen[0].key);
+        EXPECT_EQ(0, std::memcmp(&id.params, &seen[0].params,
+                                 sizeof(id.params)));
+        EXPECT_EQ(id.hash, seen[0].hash);
+        EXPECT_EQ(id.file, seen[0].file);
+    }
+    EXPECT_EQ(seen[0].key.substr(0, seen[0].key.find('\0')), die);
 }
 
 TEST(PersistCache, CorruptSnapshotQuarantinedAndRepublished)
@@ -664,7 +746,7 @@ struct RegisterPersistProbe
              [](api::ExperimentContext &ctx) {
                  CellModel model(dieS8GbB(), 65536, ctx.seed());
                  const auto store = ThresholdStore::acquire(
-                     dieS8GbB(), model.params(), 65536, ctx.seed());
+                     dieS8GbB().id, model.params(), 65536, ctx.seed());
                  api::Dataset d("persist probe");
                  d.header({"bank", "row", "min_theta_h",
                            "min_theta_p", "min_tau_ret", "cells",
