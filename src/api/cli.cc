@@ -52,9 +52,6 @@ const char *const kUsage =
     "  --scale X            effort multiplier for heavy experiments\n"
     "  --deadline-ms N      wall budget per job; exceeding it ends the\n"
     "                       run as deadline_exceeded (0 = none)\n"
-    "  --cache-dir DIR      on-disk ThresholdStore snapshot cache\n"
-    "                       shared across runs and processes (also\n"
-    "                       RP_CACHE_DIR; empty = no persistence)\n"
     "\n"
     "cache options (directory: --cache-dir or RP_CACHE_DIR):\n"
     "  ls [--format FMT]    verified listing (table or json)\n"
@@ -71,6 +68,12 @@ const char *const kUsage =
     "  --grace-ms N         SIGTERM/SIGINT drain budget before\n"
     "                       in-flight jobs are cancelled (default:\n"
     "                       5000; exit 3 = drained, 4 = cancelled)\n"
+    "\n"
+    "run and serve options:\n"
+    "  --cache-dir DIR      on-disk ThresholdStore snapshot cache for\n"
+    "                       every job of the process, shared across\n"
+    "                       runs and processes (also RP_CACHE_DIR;\n"
+    "                       empty = no persistence)\n"
     "\n"
     "Fault injection (testing): set RP_FAULT_POINTS (and optionally\n"
     "RP_FAULT_SEED) to inject deterministic faults at named points;\n"
@@ -186,6 +189,28 @@ selectExperiments(const ParsedArgs &parsed)
     return selected;
 }
 
+/**
+ * Peel every --cache-dir off @p flags.  Returns the snapshot-cache
+ * directory of this process: the last --cache-dir, else RP_CACHE_DIR,
+ * else "" (no cache).
+ */
+std::string
+takeCacheDir(std::vector<Flag> &flags)
+{
+    std::string dir;
+    if (const char *env = std::getenv("RP_CACHE_DIR"))
+        dir = env;
+    std::vector<Flag> rest;
+    for (Flag &flag : flags) {
+        if (flag.key == "cache-dir")
+            dir = flag.value;
+        else
+            rest.push_back(std::move(flag));
+    }
+    flags = std::move(rest);
+    return dir;
+}
+
 std::vector<std::pair<std::string, std::string>>
 overlayOf(const std::vector<Flag> &flags)
 {
@@ -245,6 +270,7 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
 {
     ParsedArgs parsed = parseArgs(args, 1);
     const auto selected = selectExperiments(parsed);
+    const std::string cache_dir = takeCacheDir(parsed.flags);
 
     // Peel the job-policy flag off before the rest becomes the
     // config overlay: a deadline is service semantics, not an
@@ -274,6 +300,9 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
     for (const Experiment *exp : selected)
         (void)Service::resolveConfig(*exp, overlay);
 
+    // The cache is process state: armed (or, with "", disarmed) once,
+    // before any job can acquire a store.
+    persist::SnapshotCache::instance().configure(cache_dir);
     Service service(Service::Options{/*workers=*/1});
     double total_secs = 0.0;
     int threads = 0;
@@ -338,7 +367,7 @@ int
 cmdCache(const std::vector<std::string> &args, std::ostream &out,
          std::ostream &err)
 {
-    const ParsedArgs parsed = parseArgs(args, 1);
+    ParsedArgs parsed = parseArgs(args, 1);
     if (parsed.positionals.empty())
         throw ConfigError(
             "cache: expected a verb (ls | gc | export | import)");
@@ -353,14 +382,10 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out,
     if (parsed.formatSet && verb != "ls")
         throw ConfigError("cache " + verb + " does not accept --format");
 
-    std::string dir;
-    if (const char *env = std::getenv("RP_CACHE_DIR"))
-        dir = env;
+    const std::string dir = takeCacheDir(parsed.flags);
     long long max_bytes = -1;
     for (const Flag &flag : parsed.flags) {
-        if (flag.key == "cache-dir") {
-            dir = flag.value;
-        } else if (flag.key == "max-bytes" && verb == "gc") {
+        if (flag.key == "max-bytes" && verb == "gc") {
             max_bytes = parseInt(flag.value, "--max-bytes");
             if (max_bytes < 0)
                 throw ConfigError("--max-bytes: must be >= 0");
@@ -373,138 +398,122 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out,
         throw ConfigError("cache: no directory (pass --cache-dir or "
                           "set RP_CACHE_DIR)");
 
-    try {
-        if (verb == "ls") {
-            if (!operands.empty())
-                throw ConfigError("cache ls takes no arguments");
-            const auto entries = persist::SnapshotCache::listDir(dir);
-            if (parsed.format == "json") {
-                JsonValue v = JsonValue::object();
-                v.add("dir", JsonValue::string(dir));
-                JsonValue list = JsonValue::array();
-                for (const auto &e : entries) {
-                    JsonValue item = JsonValue::object();
-                    item.add("file", JsonValue::string(e.file));
-                    item.add("bytes",
-                             JsonValue::number((long long)e.bytes));
-                    item.add("valid",
-                             JsonValue::makeBool(e.info.valid));
-                    if (e.info.valid) {
-                        item.add("die",
-                                 JsonValue::string(e.info.dieId));
-                        item.add("bits_per_row",
-                                 JsonValue::number(
-                                     (long long)e.info.bitsPerRow));
-                        item.add("seed",
-                                 JsonValue::number(
-                                     (long long)e.info.seed));
-                        item.add("candidate_rows",
-                                 JsonValue::number(
-                                     (long long)e.info.candidateRows));
-                        item.add("word_mask_rows",
-                                 JsonValue::number(
-                                     (long long)e.info.wordMaskRows));
-                    } else {
-                        item.add("error",
-                                 JsonValue::string(e.info.error));
-                    }
-                    list.push(std::move(item));
-                }
-                v.add("snapshots", std::move(list));
-                writeJson(out, v, 2);
-                out << "\n";
-                return 0;
-            }
-            if (parsed.format != "table")
-                throw ConfigError(
-                    "cache ls --format: expected table or json, got "
-                    "'" + parsed.format + "'");
-            Dataset table("Snapshot cache " + dir);
-            table.header({"file", "bytes", "status", "die", "bits",
-                          "seed", "cand rows", "mask rows"});
+    if (verb == "ls") {
+        if (!operands.empty())
+            throw ConfigError("cache ls takes no arguments");
+        const auto entries = persist::SnapshotCache::listDir(dir);
+        if (parsed.format == "json") {
+            JsonValue v = JsonValue::object();
+            v.add("dir", JsonValue::string(dir));
+            JsonValue list = JsonValue::array();
             for (const auto &e : entries) {
-                if (e.info.valid)
-                    table.row(
-                        {e.file, std::to_string(e.bytes), "ok",
-                         e.info.dieId,
-                         std::to_string(e.info.bitsPerRow),
-                         std::to_string(e.info.seed),
-                         std::to_string(e.info.candidateRows),
-                         std::to_string(e.info.wordMaskRows)});
-                else
-                    table.row({e.file, std::to_string(e.bytes),
-                               "invalid: " + e.info.error, "", "", "",
-                               "", ""});
-            }
-            out << table.renderAscii();
-            out << entries.size() << " snapshot(s)\n";
-            return 0;
-        }
-        if (verb == "gc") {
-            if (!operands.empty())
-                throw ConfigError("cache gc takes no arguments");
-            const auto result = persist::SnapshotCache::gcDir(
-                dir, max_bytes < 0 ? std::uintmax_t(-1)
-                                   : std::uintmax_t(max_bytes));
-            out << "removed " << result.removed << " file(s), "
-                << result.removedBytes << " byte(s); kept "
-                << result.keptBytes << " byte(s)\n";
-            return 0;
-        }
-        if (verb == "export") {
-            if (operands.size() != 1)
-                throw ConfigError(
-                    "cache export: expected one destination directory");
-            std::size_t installed = 0, skipped = 0;
-            for (const auto &e :
-                 persist::SnapshotCache::listDir(dir)) {
-                if (!e.info.valid) {
-                    err << "rowpress: cache export: skipping "
-                        << e.file << " (" << e.info.error << ")\n";
-                    ++skipped;
-                    continue;
+                JsonValue item = JsonValue::object();
+                item.add("file", JsonValue::string(e.file));
+                item.add("bytes", JsonValue::number((long long)e.bytes));
+                item.add("valid", JsonValue::makeBool(e.info.valid));
+                if (e.info.valid) {
+                    item.add("die", JsonValue::string(e.info.dieId));
+                    item.add("bits_per_row",
+                             JsonValue::number(
+                                 (long long)e.info.bitsPerRow));
+                    item.add("seed",
+                             JsonValue::number((long long)e.info.seed));
+                    item.add("candidate_rows",
+                             JsonValue::number(
+                                 (long long)e.info.candidateRows));
+                    item.add("word_mask_rows",
+                             JsonValue::number(
+                                 (long long)e.info.wordMaskRows));
+                } else {
+                    item.add("error", JsonValue::string(e.info.error));
                 }
-                const std::string src =
-                    (std::filesystem::path(dir) / e.file).string();
-                if (persist::SnapshotCache::installFile(
-                        src, operands.front()))
-                    ++installed;
-                else
-                    ++skipped;
+                list.push(std::move(item));
             }
-            out << "exported " << installed << " snapshot(s) to "
-                << operands.front() << " (" << skipped
-                << " skipped)\n";
+            v.add("snapshots", std::move(list));
+            writeJson(out, v, 2);
+            out << "\n";
             return 0;
         }
-        if (verb == "import") {
-            if (operands.empty())
-                throw ConfigError(
-                    "cache import: expected snapshot file(s)");
-            std::size_t installed = 0, skipped = 0;
-            for (const std::string &src : operands) {
-                if (persist::SnapshotCache::installFile(src, dir))
-                    ++installed;
-                else
-                    ++skipped;
-            }
-            out << "imported " << installed << " snapshot(s) into "
-                << dir << " (" << skipped << " already covered)\n";
-            return 0;
+        if (parsed.format != "table")
+            throw ConfigError(
+                "cache ls --format: expected table or json, got "
+                "'" + parsed.format + "'");
+        Dataset table("Snapshot cache " + dir);
+        table.header({"file", "bytes", "status", "die", "bits",
+                      "seed", "cand rows", "mask rows"});
+        for (const auto &e : entries) {
+            if (e.info.valid)
+                table.row({e.file, std::to_string(e.bytes), "ok",
+                           e.info.dieId,
+                           std::to_string(e.info.bitsPerRow),
+                           std::to_string(e.info.seed),
+                           std::to_string(e.info.candidateRows),
+                           std::to_string(e.info.wordMaskRows)});
+            else
+                table.row({e.file, std::to_string(e.bytes),
+                           "invalid: " + e.info.error, "", "", "",
+                           "", ""});
         }
-        throw ConfigError("cache: unknown verb '" + verb +
-                          "' (ls | gc | export | import)");
-    } catch (const persist::CacheError &e) {
-        // Unusable directories and rejected imports are user errors:
-        // same exit discipline as any other bad flag (exit 2).
-        throw ConfigError(e.what());
+        out << table.renderAscii();
+        out << entries.size() << " snapshot(s)\n";
+        return 0;
     }
+    if (verb == "gc") {
+        if (!operands.empty())
+            throw ConfigError("cache gc takes no arguments");
+        const auto result = persist::SnapshotCache::gcDir(
+            dir, max_bytes < 0 ? std::uintmax_t(-1)
+                               : std::uintmax_t(max_bytes));
+        out << "removed " << result.removed << " file(s), "
+            << result.removedBytes << " byte(s); kept "
+            << result.keptBytes << " byte(s)\n";
+        return 0;
+    }
+    if (verb == "export") {
+        if (operands.size() != 1)
+            throw ConfigError(
+                "cache export: expected one destination directory");
+        std::size_t installed = 0, skipped = 0;
+        for (const auto &e : persist::SnapshotCache::listDir(dir)) {
+            if (!e.info.valid) {
+                err << "rowpress: cache export: skipping "
+                    << e.file << " (" << e.info.error << ")\n";
+                ++skipped;
+                continue;
+            }
+            const std::string src =
+                (std::filesystem::path(dir) / e.file).string();
+            if (persist::SnapshotCache::installFile(src, operands.front()))
+                ++installed;
+            else
+                ++skipped;
+        }
+        out << "exported " << installed << " snapshot(s) to "
+            << operands.front() << " (" << skipped << " skipped)\n";
+        return 0;
+    }
+    if (verb == "import") {
+        if (operands.empty())
+            throw ConfigError("cache import: expected snapshot file(s)");
+        std::size_t installed = 0, skipped = 0;
+        for (const std::string &src : operands) {
+            if (persist::SnapshotCache::installFile(src, dir))
+                ++installed;
+            else
+                ++skipped;
+        }
+        out << "imported " << installed << " snapshot(s) into "
+            << dir << " (" << skipped << " already covered)\n";
+        return 0;
+    }
+    throw ConfigError("cache: unknown verb '" + verb +
+                      "' (ls | gc | export | import)");
 }
 
 int
 cmdServe(const std::vector<std::string> &args, std::ostream &out)
 {
-    const ParsedArgs parsed = parseArgs(args, 1);
+    ParsedArgs parsed = parseArgs(args, 1);
     if (!parsed.positionals.empty())
         throw ConfigError(
             "serve takes no experiment arguments (submit jobs over "
@@ -518,6 +527,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     if (parsed.time || parsed.all)
         throw ConfigError(std::string("serve does not accept --") +
                           (parsed.time ? "time" : "all"));
+    const std::string cache_dir = takeCacheDir(parsed.flags);
     int jobs = 2;
     std::size_t queue_max = 64;
     int grace_ms = 5000;
@@ -540,6 +550,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
         }
     }
 
+    persist::SnapshotCache::instance().configure(cache_dir);
     // A client that stops reading (e.g. `... | rowpress serve |
     // head`) must surface as a stream error, not kill the server
     // mid-job by the default SIGPIPE action.
@@ -576,6 +587,11 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
             << kUsage;
         return 2;
     } catch (const ConfigError &e) {
+        err << "rowpress: " << e.what() << "\n";
+        return 2;
+    } catch (const persist::CacheError &e) {
+        // An unusable cache directory or a rejected import: a user
+        // error, so the same exit code as any other bad flag.
         err << "rowpress: " << e.what() << "\n";
         return 2;
     } catch (const std::exception &e) {

@@ -27,9 +27,6 @@ baseSchema()
     schema.add({"threads", OptionType::Int, "0", "RP_THREADS",
                 "engine worker threads (0 = hardware concurrency)",
                 0.0, true});
-    schema.add({"cache-dir", OptionType::String, "", "RP_CACHE_DIR",
-                "on-disk ThresholdStore snapshot cache directory "
-                "(empty = no persistence)"});
     return schema;
 }
 

@@ -15,6 +15,7 @@
 #include "api/context.h"
 #include "api/service.h"
 #include "core/thread_annotations.h"
+#include "device/threshold_store.h"
 #include "persist/cache.h"
 
 namespace rp::api {
@@ -492,7 +493,7 @@ class ProtocolSession
     static JsonValue
     warmCacheJson()
     {
-        const auto stats = Service::warmCacheStats();
+        const auto stats = device::ThresholdStore::registryStats();
         JsonValue v = JsonValue::object();
         v.add("stores", JsonValue::number((long long)stats.stores));
         v.add("hits", JsonValue::number((long long)stats.hits));
@@ -578,10 +579,12 @@ class ProtocolSession
     void
     opCache(const JsonValue &request, JsonValue &response)
     {
-        if (boolMember(request, "evict"))
+        if (boolMember(request, "evict")) {
+            const std::size_t evicted =
+                device::ThresholdStore::evictRegistry();
             response.add("evicted",
-                         JsonValue::number(
-                             (long long)Service::evictWarmCache()));
+                         JsonValue::number((long long)evicted));
+        }
         response.add("warm_cache", warmCacheJson());
         response.add("disk_cache", diskCacheJson());
     }

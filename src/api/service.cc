@@ -69,18 +69,6 @@ Service::resolveConfig(
     return config;
 }
 
-device::ThresholdStoreRegistryStats
-Service::warmCacheStats()
-{
-    return device::ThresholdStore::registryStats();
-}
-
-std::size_t
-Service::evictWarmCache()
-{
-    return device::ThresholdStore::evictRegistry();
-}
-
 std::uint64_t
 Service::submit(const JobRequest &request)
 {
@@ -650,16 +638,6 @@ Service::executeJob(Job &job)
         core::faultPointThrow("service.worker.pre_dispatch");
 
         const Experiment &exp = findExperiment(job.req.experiment);
-
-        // Arm (or, with "", disarm) the snapshot cache before any
-        // store can be acquired.  A bad directory is a configuration
-        // error — fail the job up front, not a silent cold run.
-        try {
-            persist::SnapshotCache::instance().configure(
-                job.config.getString("cache-dir"));
-        } catch (const persist::CacheError &e) {
-            throw ConfigError(e.what());
-        }
 
         JobEvent started;
         started.type = JobEventType::Started;

@@ -21,9 +21,12 @@
  *  - a job's results are a pure function of (experiment, resolved
  *    config); the engine's determinism contract covers thread count,
  *    and per-job engines isolate scheduling entirely;
- *  - the process-wide ThresholdStore registry (the warm cache the
- *    Service reports on) is a pure deterministic cache, so sharing it
- *    between concurrent jobs cannot change any result;
+ *  - the process-wide ThresholdStore registry is a pure
+ *    deterministic cache, so sharing it between concurrent jobs cannot
+ *    change any result.  So is the on-disk snapshot cache behind it
+ *    (persist::SnapshotCache), a setting of the process that the
+ *    front-end configures before the Service exists; a job cannot
+ *    name a directory;
  *  - sinks write under `<outDir>/<experiment>/`, so concurrent jobs
  *    collide only if a client submits the same (outDir, experiment)
  *    twice in flight — give such jobs distinct outDirs.
@@ -44,7 +47,6 @@
 #include "api/sink.h"
 #include "core/engine.h"
 #include "core/thread_annotations.h"
-#include "device/threshold_store.h"
 
 namespace rp::api {
 
@@ -187,19 +189,6 @@ class Service
      */
     std::uint64_t addObserver(Observer fn);
     void removeObserver(std::uint64_t handle);
-
-    // ---- warm-cache ownership ---------------------------------------
-
-    /**
-     * Stats of the process-wide keyed ThresholdStore registry — the
-     * warm cache that makes a long-lived service profitable (stores
-     * survive between jobs, so repeat experiments skip candidate
-     * enumeration entirely).
-     */
-    static device::ThresholdStoreRegistryStats warmCacheStats();
-
-    /** Evict the warm cache; returns the number of stores dropped. */
-    static std::size_t evictWarmCache();
 
     // ---- shared request resolution ----------------------------------
 

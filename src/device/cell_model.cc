@@ -43,7 +43,7 @@ CellModel::deriveParams()
 {
     CellModelParams &p = params_;
 
-    // Structural constants (ablation knobs; DESIGN.md section 5).
+    // Structural constants (the knobs bench_ablation_model.cc varies).
     p.kappaDs = 3.0;
     p.rhoWeakSide = 0.06;
     p.gammaRhAggr = 0.5;

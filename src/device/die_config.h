@@ -6,7 +6,7 @@
  * manufacturers (Table 1) and reports their RowHammer / RowPress
  * vulnerability summaries in Tables 5 and 6.  Each DieConfig below
  * carries those *measured targets*; the CellModel derives per-cell
- * threshold distributions from them (see DESIGN.md section 5).
+ * threshold distributions from them (device/cell_model.h).
  *
  * Key empirical invariant exploited for calibration: for
  * tAggON >= tREFI the paper's data satisfies

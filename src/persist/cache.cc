@@ -236,15 +236,19 @@ warmStartHook(const device::ThresholdStore &store)
 }
 
 /**
- * Install @p blob (already fully validated against @p info) into
- * @p dir under the canonical name, honoring the monotone rule.
- * Returns false when the existing snapshot already covers it.
+ * Install a snapshot of (@p key, @p invariants_hash) covering
+ * @p cand_rows candidate and @p wm_rows word-mask rows into @p dir
+ * under the canonical name.  Under the publish lock the existing
+ * file's header decides (the monotone rule): when it already covers
+ * both counts nothing is serialized and 0 is returned; otherwise
+ * @p serialize() makes the bytes, which replace the file atomically,
+ * and their count is returned.
  */
-bool
-installBlob(const std::string &dir,
-            const std::vector<std::uint8_t> &blob,
-            const std::string &key, std::uint64_t invariants_hash,
-            std::uint64_t cand_rows, std::uint64_t wm_rows)
+template <class Serialize>
+std::size_t
+installSnapshot(const std::string &dir, const std::string &key,
+                std::uint64_t invariants_hash, std::uint64_t cand_rows,
+                std::uint64_t wm_rows, Serialize &&serialize)
 {
     const std::string path =
         (fs::path(dir) /
@@ -254,9 +258,10 @@ installBlob(const std::string &dir,
     const DiskCounts existing = headerCountsOf(path);
     if (existing.valid && existing.candRows >= cand_rows &&
         existing.wmRows >= wm_rows)
-        return false;
+        return 0;
+    const std::vector<std::uint8_t> blob = serialize();
     writeAtomically(path, blob);
-    return true;
+    return blob.size();
 }
 
 } // namespace
@@ -289,20 +294,6 @@ SnapshotCache::configure(const std::string &dir)
         dir.empty() ? nullptr : &warmStartHook);
 }
 
-bool
-SnapshotCache::enabled() const
-{
-    core::LockGuard lock(mutex_);
-    return !dir_.empty();
-}
-
-std::string
-SnapshotCache::dir() const
-{
-    core::LockGuard lock(mutex_);
-    return dir_;
-}
-
 CacheStats
 SnapshotCache::stats() const
 {
@@ -319,9 +310,6 @@ SnapshotCache::resetStats()
     stats_ = CacheStats{};
     stats_.enabled = enabled;
     stats_.dir = dir;
-    // Dropping the memo is safe: the next sweep re-checks the disk
-    // header and the monotone rule skips already-covered snapshots.
-    published_.clear();
 }
 
 std::string
@@ -361,17 +349,11 @@ SnapshotCache::tryLoad(const device::ThresholdStore &store)
             ++stats_.misses;
             return false;
         }
-        const LoadCounts counts = loadSnapshot(
-            map.data(), map.size(), store.contentKey(), store);
+        loadSnapshot(map.data(), map.size(), store.contentKey(), store);
         touchFile(path);
         core::LockGuard lock(mutex_);
         ++stats_.hits;
         stats_.bytesLoaded += map.size();
-        TierCounts &memo = published_[store.contentKey()];
-        memo.candidateRows =
-            std::max(memo.candidateRows, counts.candidateRows);
-        memo.wordMaskRows =
-            std::max(memo.wordMaskRows, counts.wordMaskRows);
         return true;
     } catch (const std::exception &e) {
         // Corrupt, truncated, stale-math, or fault-injected: one
@@ -381,10 +363,6 @@ SnapshotCache::tryLoad(const device::ThresholdStore &store)
         quarantineIfInvalid(path);
         core::LockGuard lock(mutex_);
         ++stats_.rejected;
-        // Forget any publication memo: the disk copy is gone (or
-        // untrustworthy), so the next sweep must rewrite it even if
-        // the rebuilt tiers end up no larger than before.
-        published_.erase(store.contentKey());
         return false;
     }
 }
@@ -436,39 +414,23 @@ SnapshotCache::publishStore(const device::ThresholdStore &store,
     const device::ThresholdStoreStats tiers = store.stats();
     if (tiers.candidateRows == 0 && tiers.wordMaskRows == 0)
         return false;
-    {
-        core::LockGuard lock(mutex_);
-        const auto it = published_.find(key);
-        if (it != published_.end() &&
-            it->second.candidateRows >= tiers.candidateRows &&
-            it->second.wordMaskRows >= tiers.wordMaskRows) {
-            ++stats_.publishSkips;
-            return false;
-        }
-    }
     try {
-        const std::vector<std::uint8_t> blob =
-            writeSnapshot(store, key);
+        // Before the publish lock: a failed publish touches no file.
         if (const int err =
                 core::faultPoint("persist.snapshot.write"))
             throw CacheError("injected snapshot write fault: " +
                              errnoText(err));
-        const bool wrote = installBlob(
-            dir, blob, key, invariantsHashOf(store),
-            tiers.candidateRows, tiers.wordMaskRows);
+        const std::size_t bytes = installSnapshot(
+            dir, key, invariantsHashOf(store), tiers.candidateRows,
+            tiers.wordMaskRows, [&] { return writeSnapshot(store, key); });
         core::LockGuard lock(mutex_);
-        TierCounts &memo = published_[key];
-        memo.candidateRows =
-            std::max(memo.candidateRows, tiers.candidateRows);
-        memo.wordMaskRows =
-            std::max(memo.wordMaskRows, tiers.wordMaskRows);
-        if (wrote) {
+        if (bytes != 0) {
             ++stats_.publishes;
-            stats_.bytesPublished += blob.size();
+            stats_.bytesPublished += bytes;
         } else {
             ++stats_.publishSkips;
         }
-        return wrote;
+        return bytes != 0;
     } catch (const std::exception &e) {
         warn("snapshot cache: publish to %s failed: %s", dir.c_str(),
              e.what());
@@ -588,7 +550,7 @@ bool
 SnapshotCache::installFile(const std::string &src,
                            const std::string &dir)
 {
-    const std::vector<std::uint8_t> blob = readFileBytes(src);
+    std::vector<std::uint8_t> blob = readFileBytes(src);
     const SnapshotInfo info =
         inspectSnapshot(blob.data(), blob.size());
     if (!info.valid)
@@ -598,8 +560,9 @@ SnapshotCache::installFile(const std::string &src,
     fs::create_directories(dir, ec);
     if (ec || !fs::is_directory(dir))
         throw CacheError("'" + dir + "' is not a usable directory");
-    return installBlob(dir, blob, info.key, info.invariantsHash,
-                       info.candidateRows, info.wordMaskRows);
+    return installSnapshot(dir, info.key, info.invariantsHash,
+                           info.candidateRows, info.wordMaskRows,
+                           [&blob] { return std::move(blob); }) != 0;
 }
 
 } // namespace rp::persist

@@ -2,11 +2,15 @@
  * @file
  * Shared on-disk warm-start cache of ThresholdStore snapshots.
  *
- * A cache directory (configured per job via `--cache-dir` /
- * `RP_CACHE_DIR`) holds one snapshot file per (die, bits, seed,
+ * A cache directory holds one snapshot file per (die, bits, seed,
  * build-invariants) identity, named by a hash of the content key so
  * every process sharing the directory agrees on the file without
- * coordination.  The lifecycle:
+ * coordination.  The directory is a setting of the process, not of a
+ * job: `rowpress run` and `rowpress serve` read `--cache-dir` (or
+ * `RP_CACHE_DIR`) once and call SnapshotCache::configure() before any
+ * job runs.  Library callers that build a Service themselves arm the
+ * cache the same way; only the CLI reads `RP_CACHE_DIR`.  The
+ * lifecycle:
  *
  *  - load: when ThresholdStore::acquire() creates a store, the cache
  *    (via the store's warm-start hook) mmaps the matching snapshot,
@@ -15,13 +19,14 @@
  *    bit-flip, stale format, changed math — logs one warning and
  *    degrades to a cold build.  Loading never throws and never
  *    serves stale math.
- *  - publish: after a job completes, every registered store whose
- *    built tiers grew is serialized to a temp file in the cache
- *    directory and atomically renamed into place, under an advisory
- *    flock and a monotone rule (never replace a snapshot that
- *    already covers at least as many rows), so concurrent serve
- *    processes sharing the directory never observe torn files and
- *    never regress each other's coverage.
+ *  - publish: after a job completes, every registered store with
+ *    built tiers takes the snapshot's advisory flock and reads the
+ *    file's header, the only publication record.  Only when the file
+ *    does not cover the store's tiers (the monotone rule: never
+ *    replace a snapshot that already covers at least as many rows) is
+ *    the store serialized to a temp file and atomically renamed into
+ *    place, so concurrent serve processes sharing the directory never
+ *    observe torn files and never regress each other's coverage.
  *  - gc: size-capped LRU over file mtimes (a successful load
  *    freshens its file), dropping undecodable files first.
  *
@@ -33,7 +38,6 @@
 #define ROWPRESS_PERSIST_CACHE_H
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,10 +84,9 @@ struct CacheEntry
 /**
  * Process-wide snapshot cache.  configure() arms it (and installs
  * the ThresholdStore warm-start hook); with no directory configured
- * every operation is a cheap no-op.  The mutex guards configuration,
- * counters, and the per-key publication memo only — file I/O and
- * store mutation happen outside it, so loads and publishes of
- * different stores proceed concurrently.
+ * every operation is a cheap no-op.  The mutex guards configuration
+ * and counters only — file I/O and store mutation happen outside it,
+ * so loads and publishes of different stores proceed concurrently.
  */
 class SnapshotCache
 {
@@ -98,8 +101,6 @@ class SnapshotCache
      */
     void configure(const std::string &dir);
 
-    bool enabled() const;
-    std::string dir() const;
     CacheStats stats() const;
 
     /**
@@ -110,8 +111,9 @@ class SnapshotCache
     bool tryLoad(const device::ThresholdStore &store);
 
     /**
-     * Serialize every registered store whose built tiers grew since
-     * its last publication.  Returns files written; never throws.
+     * Serialize every registered store whose built tiers the
+     * directory's snapshot does not cover.  Returns files written;
+     * never throws.
      */
     std::size_t publishRegistry();
 
@@ -162,17 +164,6 @@ class SnapshotCache
     mutable core::Mutex mutex_;
     std::string dir_ RP_GUARDED_BY(mutex_);
     CacheStats stats_ RP_GUARDED_BY(mutex_);
-    /**
-     * Per-content-key (candidateRows, wordMaskRows) as of the last
-     * publish/load, so an unchanged store skips serialization on the
-     * next sweep.
-     */
-    struct TierCounts
-    {
-        std::size_t candidateRows = 0;
-        std::size_t wordMaskRows = 0;
-    };
-    std::map<std::string, TierCounts> published_ RP_GUARDED_BY(mutex_);
 };
 
 } // namespace rp::persist

@@ -2,9 +2,9 @@
  * @file
  * Synthetic workload trace generation.
  *
- * Substitution (see DESIGN.md section 2): the paper evaluates its
- * mitigations on SPEC CPU2006/2017, TPC-H, and YCSB traces.  Those
- * traces are proprietary / machine-specific; mitigation overhead,
+ * Substitution: the paper evaluates its mitigations on SPEC
+ * CPU2006/2017, TPC-H, and YCSB traces.  Those traces are
+ * proprietary / machine-specific; mitigation overhead,
  * however, is a function of the request stream's statistics - memory
  * intensity (misses per kilo-instruction), row-buffer locality, write
  * fraction, and bank spread - which these generators reproduce.  Each

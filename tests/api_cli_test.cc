@@ -18,6 +18,7 @@
 #include "api/context.h"
 #include "api/registry.h"
 #include "chr/export.h"
+#include "persist/cache.h"
 
 namespace rp::api {
 namespace {
@@ -242,6 +243,39 @@ TEST(ApiCli, CsvAndJsonArtifactsWritten)
     EXPECT_NE(jbody.str().find("\"experiment\": \"zzztest_a\""),
               std::string::npos);
     EXPECT_NE(jbody.str().find("dummy note"), std::string::npos);
+}
+
+TEST(ApiCli, CacheDirIsAFlagOfTheProcess)
+{
+    // No experiment declares cache-dir, yet `run` takes it for every
+    // selected experiment, and an unusable directory fails before any
+    // of them runs.
+    std::string text;
+    ASSERT_EQ(cli({"list", "--format", "json"}, &text), 0);
+    EXPECT_EQ(text.find("\"cache-dir\""), std::string::npos);
+
+    const fs::path dir = fs::path(::testing::TempDir()) / "rp_cli_cache";
+    fs::remove_all(dir);
+    const int runs = g_runs_a;
+    ASSERT_EQ(cli({"run", "zzztest_a", "zzztest_b", "--cache-dir",
+                   dir.string()},
+                  &text),
+              0)
+        << text;
+    EXPECT_EQ(g_runs_a, runs + 1);
+    EXPECT_TRUE(persist::SnapshotCache::instance().stats().enabled);
+    EXPECT_TRUE(fs::is_directory(dir));
+
+    const fs::path plain = dir / "plainfile";
+    std::ofstream(plain) << "x";
+    EXPECT_EQ(cli({"run", "zzztest_a", "--cache-dir",
+                   (plain / "sub").string()},
+                  &text),
+              2);
+    EXPECT_NE(text.find("not a usable directory"), std::string::npos)
+        << text;
+    EXPECT_EQ(g_runs_a, runs + 1);
+    persist::SnapshotCache::instance().configure("");
 }
 
 TEST(ApiCli, UnknownFormatRejected)

@@ -25,6 +25,7 @@
 #include "api/context.h"
 #include "api/service.h"
 #include "device/die_config.h"
+#include "device/threshold_store.h"
 
 namespace rp::api {
 namespace {
@@ -373,14 +374,14 @@ TEST(ApiService, WarmCacheStatsAndEviction)
     ASSERT_EQ(service.wait(service.submit(req)).state,
               JobState::Finished);
 
-    const auto stats = Service::warmCacheStats();
+    const auto stats = device::ThresholdStore::registryStats();
     EXPECT_GE(stats.stores, 1u);
     EXPECT_GE(stats.misses, 1u);
     EXPECT_GE(stats.totals.candidateRows, 1u);
     EXPECT_GT(stats.totals.approxBytes, 0u);
 
-    EXPECT_GE(Service::evictWarmCache(), 1u);
-    const auto after = Service::warmCacheStats();
+    EXPECT_GE(device::ThresholdStore::evictRegistry(), 1u);
+    const auto after = device::ThresholdStore::registryStats();
     EXPECT_EQ(after.stores, 0u);
     EXPECT_GE(after.evictions, 1u);
 
@@ -391,7 +392,7 @@ TEST(ApiService, WarmCacheStatsAndEviction)
     ASSERT_EQ(service.wait(service.submit(req)).state,
               JobState::Finished);
     EXPECT_EQ(slurp(out / "zzsvc_sweep" / "result.json"), before_json);
-    EXPECT_GE(Service::warmCacheStats().stores, 1u);
+    EXPECT_GE(device::ThresholdStore::registryStats().stores, 1u);
 }
 
 /**

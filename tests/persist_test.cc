@@ -25,6 +25,7 @@
 
 #include "api/cli.h"
 #include "api/context.h"
+#include "api/json.h"
 #include "api/registry.h"
 #include "core/fault.h"
 #include "device/cell_model.h"
@@ -34,6 +35,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define RP_TEST_HAVE_FORK 1
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -389,6 +391,34 @@ TEST(PersistCache, WarmStartRoundTripThroughDisk)
     ThresholdStore::evictRegistry();
 }
 
+TEST(PersistCache, PublishFollowsTheConfiguredDirectory)
+{
+    // The snapshot file's header is the only publication record, so a
+    // store already published to d1 is published again once the cache
+    // points at d2.
+    CacheGuard guard;
+    auto &cache = SnapshotCache::instance();
+    const fs::path d1 = freshDir("rp_persist_dir1");
+    const fs::path d2 = freshDir("rp_persist_dir2");
+    ThresholdStore::evictRegistry();
+    cache.configure(d1.string());
+    const auto store = acquireShared(1006);
+    store->row(0, 11);
+    EXPECT_EQ(cache.publishRegistry(), 1u);
+
+    cache.configure(d2.string());
+    EXPECT_EQ(cache.publishRegistry(), 1u);
+    const std::string file = SnapshotCache::snapshotFileName(
+        store->contentKey(), invariantsHashOf(*store));
+    EXPECT_TRUE(fs::is_regular_file(d2 / file));
+    const auto entries = SnapshotCache::listDir(d2.string());
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].file, file);
+    EXPECT_TRUE(entries[0].info.valid) << entries[0].info.error;
+    EXPECT_EQ(entries[0].info.candidateRows, 1u);
+    ThresholdStore::evictRegistry();
+}
+
 TEST(PersistCache, StoreIdentityIsIndependentOfTheFirstAcquirer)
 {
     // A kappa edit leaves the store key alone, so a kappa-edited model
@@ -433,7 +463,6 @@ TEST(PersistCache, StoreIdentityIsIndependentOfTheFirstAcquirer)
         cache.configure(
             freshDir("rp_persist_first_" + std::to_string(order))
                 .string());
-        cache.resetStats(); // drops the publish memo of the last order
         ThresholdStore::evictRegistry();
         {
             const auto cold = acquireInOrder(order);
@@ -565,7 +594,7 @@ TEST(PersistCache, WriteFaultNeverFailsTheRun)
     EXPECT_GE(cache.stats().publishFailures, 1u);
     EXPECT_TRUE(fs::is_empty(dir));
 
-    // Disarmed, the same sweep succeeds (the failure left no memo).
+    // Disarmed, the same sweep succeeds (the failure wrote nothing).
     core::FaultInjector::instance().disarm();
     EXPECT_EQ(cache.publishRegistry(), 1u);
     ThresholdStore::evictRegistry();
@@ -581,7 +610,7 @@ TEST(PersistCache, GarbageDirectoryRejected)
                      (file / "sub").string()),
                  CacheError);
     // And the cache stays disarmed after the failed configure.
-    EXPECT_FALSE(SnapshotCache::instance().enabled());
+    EXPECT_FALSE(SnapshotCache::instance().stats().enabled);
 }
 
 TEST(PersistCache, GcDropsInvalidThenLru)
@@ -894,6 +923,122 @@ TEST(PersistCli, RunColdThenWarmIsByteIdentical)
     EXPECT_EQ(cli(bad), 2);
     ThresholdStore::evictRegistry();
 }
+
+#if defined(RP_TEST_HAVE_FORK) // POSIX only: serve() redirects fd 0
+/** `rowpress serve ARGS` with @p requests on its standard input. */
+int
+serve(const std::vector<std::string> &args, const std::string &requests,
+      std::string *out_text)
+{
+    const fs::path in = freshDir("rp_persist_serve_in") / "requests";
+    std::ofstream(in) << requests;
+    const int saved = ::dup(0);
+    const int fd = ::open(in.c_str(), O_RDONLY);
+    ::dup2(fd, 0);
+    ::close(fd);
+    std::vector<std::string> cmd = {"serve"};
+    cmd.insert(cmd.end(), args.begin(), args.end());
+    const int rc = cli(cmd, out_text);
+    ::dup2(saved, 0);
+    ::close(saved);
+    return rc;
+}
+
+/** The response to the first @p op request in serve's output. */
+api::JsonValue
+responseTo(const std::string &op, const std::string &text)
+{
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.empty() || line[0] != '{')
+            continue;
+        api::JsonValue v = api::parseJson(line);
+        const api::JsonValue *o = v.find("op");
+        if (v.find("ok") && o && o->text == op)
+            return v;
+    }
+    ADD_FAILURE() << "no " << op << " response in:\n" << text;
+    return api::JsonValue::object();
+}
+
+std::string
+submitProbe(const fs::path &out, const std::string &config = "{}")
+{
+    return "{\"op\":\"submit\",\"experiment\":\"zzzpersist_probe\","
+           "\"formats\":[\"csv\"],\"config\":" + config +
+           ",\"out\":\"" + out.string() + "\"}\n"
+           "{\"op\":\"wait\",\"job\":1}\n"
+           "{\"op\":\"cache\"}\n";
+}
+
+TEST(PersistCli, ServeCacheDirIsAProcessSetting)
+{
+    CacheGuard guard;
+    ::unsetenv("RP_CACHE_DIR");
+    const fs::path cache_dir = freshDir("rp_persist_serve_cache");
+    const fs::path out = freshDir("rp_persist_serve_out");
+    const std::vector<std::string> flag = {"--cache-dir",
+                                           cache_dir.string()};
+    ThresholdStore::evictRegistry();
+
+    // The first server builds the store and publishes it after the job.
+    std::string text;
+    ASSERT_EQ(serve(flag, submitProbe(out), &text), 0) << text;
+    const api::JsonValue waited = responseTo("wait", text);
+    ASSERT_NE(waited.find("state"), nullptr) << text;
+    EXPECT_EQ(waited.find("state")->text, "finished");
+    const auto entries = SnapshotCache::listDir(cache_dir.string());
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_TRUE(entries[0].info.valid) << entries[0].info.error;
+
+    // A second server on the same directory warm-loads it.
+    ThresholdStore::evictRegistry();
+    SnapshotCache::instance().resetStats();
+    ASSERT_EQ(serve(flag, submitProbe(out), &text), 0) << text;
+    const api::JsonValue cache = responseTo("cache", text);
+    const api::JsonValue *disk = cache.find("disk_cache");
+    ASSERT_NE(disk, nullptr) << text;
+    EXPECT_TRUE(disk->find("enabled")->boolean);
+    EXPECT_EQ(disk->find("dir")->text, cache_dir.string());
+    EXPECT_GE(std::stoll(disk->find("hits")->text), 1);
+
+    // RP_CACHE_DIR arms the process's cache as the flag does.
+    ::setenv("RP_CACHE_DIR", cache_dir.string().c_str(), 1);
+    ASSERT_EQ(serve({}, "{\"op\":\"cache\"}\n", &text), 0) << text;
+    ::unsetenv("RP_CACHE_DIR");
+    const api::JsonValue by_env = responseTo("cache", text);
+    ASSERT_NE(by_env.find("disk_cache"), nullptr) << text;
+    EXPECT_EQ(by_env.find("disk_cache")->find("dir")->text,
+              cache_dir.string());
+
+    // With neither, serve disarms it, and a job cannot name a
+    // directory: its submit is refused by name.
+    const std::string named =
+        "{\"cache-dir\":\"" + cache_dir.string() + "\"}";
+    ASSERT_EQ(serve({}, submitProbe(out, named), &text), 0) << text;
+    const api::JsonValue refused = responseTo("submit", text);
+    ASSERT_NE(refused.find("error"), nullptr) << text;
+    EXPECT_FALSE(refused.find("ok")->boolean) << text;
+    EXPECT_NE(refused.find("error")->text.find(
+                  "does not accept --cache-dir"),
+              std::string::npos)
+        << text;
+    EXPECT_FALSE(SnapshotCache::instance().stats().enabled);
+
+    // An unusable directory exits 2 before any job runs.
+    const fs::path plain = cache_dir / "plainfile";
+    std::ofstream(plain) << "x";
+    const fs::path unused = freshDir("rp_persist_serve_unused");
+    EXPECT_EQ(serve({"--cache-dir", (plain / "sub").string()},
+                    submitProbe(unused), &text),
+              2);
+    EXPECT_NE(text.find("not a usable directory"), std::string::npos)
+        << text;
+    EXPECT_TRUE(fs::is_empty(unused));
+    ThresholdStore::evictRegistry();
+}
+#endif // RP_TEST_HAVE_FORK
 
 } // namespace
 } // namespace rp::persist

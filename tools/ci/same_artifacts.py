@@ -3,50 +3,44 @@
 
 Usage: same_artifacts.py A B
 
-Both trees must hold the same file paths.  Every file must match byte
-for byte, except `result.json`: it must match as a JSON document once
-its top-level "config" member is dropped.  That member records the
+Each tree holds one directory of artifacts per experiment, as
+`rowpress run --out` writes it.  Both trees must hold the same files
+with the same digests under perfbench/run.py's rule
+(`artifact_digests`): every file's bytes, except that `result.json`
+drops its top-level "config" member.  That member records the
 resolved run config, thread count included, which does not change any
-result; perfbench/run.py's artifact digests use the same rule.
+result.
 
 Prints one line per difference.  Exits 0 when the trees agree, 1 when
 they differ, and 2 on a usage error.
 """
 
-import json
 import os
 import sys
 
-
-def file_set(root):
-    """Paths of every file under root, relative to it."""
-    found = set()
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            found.add(os.path.relpath(os.path.join(dirpath, name), root))
-    return found
+sys.dont_write_bytecode = True
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import artifact_digests  # noqa: E402
 
 
-def comparable(path):
-    """The bytes of path, or for result.json its config-less document."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if os.path.basename(path) == "result.json":
-        doc = json.loads(data)
-        doc.pop("config", None)
-        return doc
-    return data
+def experiments(*roots):
+    """The union of the experiment directories under every root."""
+    return sorted({name for root in roots for name in os.listdir(root)
+                   if os.path.isdir(os.path.join(root, name))})
 
 
 def differences(a, b):
-    files_a, files_b = file_set(a), file_set(b)
+    exps = experiments(a, b)
+    digests_a, digests_b = artifact_digests(a, exps), artifact_digests(b, exps)
     found = []
-    for rel in sorted(files_a - files_b):
+    for rel in sorted(set(digests_a) - set(digests_b)):
         found.append("only in %s: %s" % (a, rel))
-    for rel in sorted(files_b - files_a):
+    for rel in sorted(set(digests_b) - set(digests_a)):
         found.append("only in %s: %s" % (b, rel))
-    for rel in sorted(files_a & files_b):
-        if comparable(os.path.join(a, rel)) != comparable(os.path.join(b, rel)):
+    for rel in sorted(set(digests_a) & set(digests_b)):
+        if digests_a[rel] != digests_b[rel]:
             found.append("differs: %s" % rel)
     return found
 
