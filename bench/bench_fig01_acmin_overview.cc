@@ -51,7 +51,7 @@ REGISTER_EXPERIMENT_OPTS(
     fig01, "Fig. 1: ACmin overview, RowHammer vs RowPress",
     "Fig. 1 (box-and-whiskers at 80C)", "characterization",
     [](api::ConfigSchema &schema) {
-        schema.add({"temp", api::OptionType::Double, "80", "",
+        schema.add({"temp", api::OptionType::Double, "80",
                     "module temperature (C)", 0.0, true});
     },
     runFig01);

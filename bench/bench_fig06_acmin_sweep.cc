@@ -61,7 +61,7 @@ REGISTER_EXPERIMENT_OPTS(
     fig06, "Figs. 6/7: ACmin vs tAggON sweep",
     "Fig. 6 (log-log), Fig. 7 (linear region)", "characterization",
     [](api::ConfigSchema &schema) {
-        schema.add({"temp", api::OptionType::Double, "50", "",
+        schema.add({"temp", api::OptionType::Double, "50",
                     "module temperature (C)", 0.0, true});
     },
     runFig06);

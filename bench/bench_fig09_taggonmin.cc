@@ -58,7 +58,7 @@ REGISTER_EXPERIMENT_OPTS(
     fig09, "Fig. 9: tAggONmin vs activation count",
     "Fig. 9 (single-sided @ 50C)", "characterization",
     [](api::ConfigSchema &schema) {
-        schema.add({"temp", api::OptionType::Double, "50", "",
+        schema.add({"temp", api::OptionType::Double, "50",
                     "module temperature (C)", 0.0, true});
     },
     runFig09);

@@ -55,7 +55,6 @@ REGISTER_EXPERIMENT_OPTS(
     "Fig. 15 (50-80C, 5C steps, single-sided)", "characterization",
     [](api::ConfigSchema &schema) {
         schema.add({"temp-step", api::OptionType::Int, "5",
-                    "ROWPRESS_TEMP_STEP",
                     "temperature sweep step (C)", 1.0, true});
     },
     runFig15);

@@ -61,8 +61,8 @@ void
 runFig19(api::ExperimentContext &ctx)
 {
     // Default: the paper's three representative dies at 50C plus the
-    // S 8Gb B-die's 80C and double-sided variants; --dies all (or
-    // ROWPRESS_DIES=all) adds the 80C column for all dies.
+    // S 8Gb B-die's 80C and double-sided variants; --dies all adds
+    // the 80C column for all dies.
     const auto dies = ctx.dies();
     const bool all = ctx.allDiesSelected();
     for (const auto &die : dies) {

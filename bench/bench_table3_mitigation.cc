@@ -136,7 +136,7 @@ REGISTER_EXPERIMENT_OPTS(
     "Table 3 / Tables 8, 9 (T_RH = 1000, S 8Gb B-die profile)",
     "simulator",
     [](api::ConfigSchema &schema) {
-        schema.add({"trh", api::OptionType::Int, "1000", "",
+        schema.add({"trh", api::OptionType::Int, "1000",
                     "base RowHammer threshold T_RH", 1.0, true});
     },
     runTable3);

@@ -1,7 +1,5 @@
 #include "api/config.h"
 
-#include <cstdlib>
-
 namespace rp::api {
 
 ConfigSchema &
@@ -55,49 +53,19 @@ Config::validate(const OptionSpec &spec, const std::string &value,
                               std::to_string(spec.minValue));
         break;
     }
-    case OptionType::Bool:
-        parseBool(value, what);
-        break;
     case OptionType::String:
         break;
     }
 }
 
 void
-Config::loadEnv()
-{
-    for (const auto &opt : schema_.options()) {
-        const char *v = opt.envVar.empty()
-                            ? nullptr
-                            : std::getenv(opt.envVar.c_str());
-        if (!v)
-            continue;
-        validate(opt, v, opt.envVar);
-        Entry &entry = values_[opt.key];
-        if (int(ConfigLayer::Env) < int(entry.origin))
-            continue; // a CLI value already set this key
-        entry.value = v;
-        entry.origin = ConfigLayer::Env;
-    }
-}
-
-void
-Config::set(const std::string &key, const std::string &value,
-            ConfigLayer layer)
+Config::set(const std::string &key, const std::string &value)
 {
     const OptionSpec *spec = schema_.find(key);
     if (!spec)
         throw ConfigError("unknown option '--" + key + "'");
-    const std::string what =
-        layer == ConfigLayer::Env && !spec->envVar.empty()
-            ? spec->envVar
-            : "--" + key;
-    validate(*spec, value, what);
-    Entry &entry = values_[key];
-    if (int(layer) < int(entry.origin))
-        return; // a higher layer already set this key
-    entry.value = value;
-    entry.origin = layer;
+    validate(*spec, value, "--" + key);
+    values_[key] = {value, ConfigLayer::Cli};
 }
 
 const OptionSpec &
@@ -126,13 +94,6 @@ Config::getDouble(const std::string &key) const
     return parseDouble(values_.at(key).value, "--" + key);
 }
 
-bool
-Config::getBool(const std::string &key) const
-{
-    specOf(key, OptionType::Bool);
-    return parseBool(values_.at(key).value, "--" + key);
-}
-
 const std::string &
 Config::getString(const std::string &key) const
 {
@@ -145,7 +106,6 @@ configLayerName(ConfigLayer layer)
 {
     switch (layer) {
     case ConfigLayer::Default: return "default";
-    case ConfigLayer::Env: return "env";
     case ConfigLayer::Cli: return "cli";
     }
     return "unknown";

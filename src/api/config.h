@@ -3,16 +3,17 @@
  * Typed, schema-checked experiment configuration.
  *
  * A ConfigSchema declares the options an experiment understands (name,
- * type, default, optional legacy environment alias, optional lower
- * bound); a Config holds one value per declared option with layered
- * precedence
+ * type, default, optional lower bound); a Config holds one value per
+ * declared option, resolved as
  *
- *     defaults  <  environment variables  <  CLI flags
+ *     defaults  <  the job's request (CLI flags or a submit's config)
  *
- * and records which layer supplied each value.  Setting an undeclared
- * key, or a value that fails the type/bound check, raises ConfigError
- * — unknown keys are rejected hard rather than ignored, so a typoed
- * flag can never silently run the default configuration.
+ * and records which layer supplied each value.  Nothing else (no
+ * environment variable) feeds a job's config, so a request resolves
+ * the same in every process.  Setting an undeclared key, or a value
+ * that fails the type/bound check, raises ConfigError — unknown keys
+ * are rejected hard rather than ignored, so a typoed flag can never
+ * silently run the default configuration.
  */
 
 #ifndef ROWPRESS_API_CONFIG_H
@@ -32,7 +33,6 @@ enum class OptionType
     Int,
     Double,
     String,
-    Bool,
 };
 
 /**
@@ -44,12 +44,11 @@ enum class OptionType
  */
 enum class ConfigLayer
 {
-    Default = 0,
-    Env = 1,
-    Cli = 2,
+    Default,
+    Cli,
 };
 
-/** Lower-case name of a layer ("default", "env", "cli"). */
+/** Lower-case name of a layer ("default", "cli"). */
 const char *configLayerName(ConfigLayer layer);
 
 /** One fully-resolved configuration entry (key, value, origin layer). */
@@ -66,7 +65,6 @@ struct OptionSpec
     std::string key;          ///< CLI flag name (`--<key>`).
     OptionType type = OptionType::String;
     std::string defaultValue; ///< Textual default (schema-validated).
-    std::string envVar;       ///< Env alias; "" = none.
     std::string help;         ///< One-line description for `--help`.
     double minValue = 0.0;    ///< Lower bound when hasMin (Int/Double).
     bool hasMin = false;
@@ -86,7 +84,7 @@ class ConfigSchema
     std::vector<OptionSpec> options_;
 };
 
-/** Layered key/value store over a ConfigSchema. */
+/** Key/value store over a ConfigSchema: defaults < request. */
 class Config
 {
   public:
@@ -95,23 +93,14 @@ class Config
     const ConfigSchema &schema() const { return schema_; }
 
     /**
-     * Apply the environment layer: every declared option with an env
-     * alias that is set in the environment is validated and loaded.
-     * CLI-layer values are not overwritten.
+     * Set @p key to @p value at the Cli layer (validated against the
+     * schema; a later set of the same key wins).  Throws ConfigError
+     * on unknown keys or malformed values.
      */
-    void loadEnv();
-
-    /**
-     * Set @p key to @p value at @p layer (validated against the
-     * schema).  A lower layer never overwrites a higher one; throws
-     * ConfigError on unknown keys or malformed values.
-     */
-    void set(const std::string &key, const std::string &value,
-             ConfigLayer layer = ConfigLayer::Cli);
+    void set(const std::string &key, const std::string &value);
 
     int getInt(const std::string &key) const;
     double getDouble(const std::string &key) const;
-    bool getBool(const std::string &key) const;
     const std::string &getString(const std::string &key) const;
 
     /** The layer that supplied the current value of @p key. */

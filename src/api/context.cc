@@ -13,18 +13,16 @@ baseSchema()
 {
     ConfigSchema schema;
     schema.add({"locations", OptionType::Int, "10",
-                "ROWPRESS_BENCH_LOCATIONS",
                 "tested row locations per module", 1.0, true});
-    schema.add({"dies", OptionType::String, "default", "ROWPRESS_DIES",
+    schema.add({"dies", OptionType::String, "default",
                 "die set: default | all | comma-separated die ids"});
     schema.add({"scale", OptionType::Double, "1",
-                "ROWPRESS_BENCH_SCALE",
                 "effort multiplier for the heavy experiments", 0.0,
                 true});
-    schema.add({"seed", OptionType::Int, "1", "RP_SEED",
+    schema.add({"seed", OptionType::Int, "1",
                 "root seed for module construction and searches", 0.0,
                 true});
-    schema.add({"threads", OptionType::Int, "0", "RP_THREADS",
+    schema.add({"threads", OptionType::Int, "0",
                 "engine worker threads (0 = hardware concurrency)",
                 0.0, true});
     return schema;

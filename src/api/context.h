@@ -30,8 +30,7 @@ namespace rp::api {
 
 /**
  * The base options every experiment accepts (--locations, --dies,
- * --temp is per-experiment, --seed, --threads, --scale) with their
- * legacy environment aliases.
+ * --seed, --threads, --scale; --temp is per-experiment).
  */
 ConfigSchema baseSchema();
 
@@ -66,10 +65,9 @@ class ExperimentContext
     std::uint64_t seed() const;
 
     /**
-     * Die set from the resolved "dies" option (--dies or
-     * ROWPRESS_DIES): "default" -> the three representative
-     * manufacturers, "all" -> all twelve revisions, otherwise a
-     * comma-separated list of die ids.
+     * Die set from the resolved "dies" option (--dies): "default" ->
+     * the three representative manufacturers, "all" -> all twelve
+     * revisions, otherwise a comma-separated list of die ids.
      */
     std::vector<device::DieConfig> dies() const;
 

@@ -1,6 +1,5 @@
 #include "api/env.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -67,19 +66,6 @@ parseDouble(const std::string &text, const std::string &what)
         throw ConfigError(what + ": number out of range: '" + text +
                           "'");
     return v;
-}
-
-bool
-parseBool(const std::string &text, const std::string &what)
-{
-    std::string t = strip(text);
-    for (char &c : t)
-        c = char(std::tolower((unsigned char)c));
-    if (t == "1" || t == "true" || t == "yes" || t == "on")
-        return true;
-    if (t == "0" || t == "false" || t == "no" || t == "off")
-        return false;
-    throw ConfigError(what + ": not a boolean: '" + text + "'");
 }
 
 } // namespace rp::api

@@ -1,14 +1,11 @@
 /**
  * @file
- * Validated environment/text parsing for the rp::api configuration
- * layer.
+ * Strict text parsing of rp::api configuration values.
  *
- * Replaces the ad-hoc `rpb::envInt` (atoi, silently accepting garbage
- * and negative values) used by the old per-figure binaries: every
- * value is parsed strictly — the whole string must be a number of the
- * declared type and must satisfy the declared lower bound — and a
- * violation raises a ConfigError naming the variable and the
- * offending text instead of silently running with a bogus value.
+ * Every value is parsed strictly — the whole string must be a number
+ * of the declared type — and a violation raises a ConfigError naming
+ * the flag and the offending text instead of silently running with a
+ * bogus value.  Config adds the declared lower bound on top.
  */
 
 #ifndef ROWPRESS_API_ENV_H
@@ -28,7 +25,7 @@ class ConfigError : public std::runtime_error
 
 /**
  * Parse @p text as a whole-string integer.  @p what names the value
- * in the ConfigError message (e.g. "RP_THREADS" or "--locations").
+ * in the ConfigError message (e.g. "--locations").
  */
 long long parseInt(const std::string &text, const std::string &what);
 
@@ -40,9 +37,6 @@ int parseInt32(const std::string &text, const std::string &what);
 
 /** Parse @p text as a whole-string floating-point number. */
 double parseDouble(const std::string &text, const std::string &what);
-
-/** Parse "1"/"0"/"true"/"false"/"yes"/"no"/"on"/"off". */
-bool parseBool(const std::string &text, const std::string &what);
 
 } // namespace rp::api
 

@@ -3,10 +3,10 @@
  * Job currency of the rp::api::Service layer.
  *
  * A JobRequest names one experiment run: the experiment id, a config
- * overlay (applied on top of defaults < environment, exactly like CLI
- * flags), the output formats and artifact directory.  The Service
- * resolves the request into a Config at submission, schedules it, and
- * emits typed JobEvents while it runs.  A job's results are a pure
+ * overlay (applied on top of the defaults, exactly like CLI flags),
+ * the output formats and artifact directory.  The Service resolves
+ * the request into a Config at submission, schedules it, and emits
+ * typed JobEvents while it runs.  A job's results are a pure
  * function of (experiment, resolved config) — independent of how the
  * request arrived (`rowpress run`, `rowpress serve`, or the C++ API)
  * and of what other jobs run concurrently.
@@ -67,7 +67,7 @@ struct JobRequest
     std::string experiment;
 
     /**
-     * Config overlay, applied in order on top of defaults < env.  The
+     * Config overlay, applied in order on top of the defaults.  The
      * same layer CLI flags occupy, so `rowpress run fig06 --temp 65`
      * and a serve submit with {"temp": "65"} resolve identically.
      */

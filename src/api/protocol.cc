@@ -46,13 +46,10 @@ experimentListJson(const std::vector<std::string> &patterns)
             switch (spec.type) {
             case OptionType::Int: type = "int"; break;
             case OptionType::Double: type = "double"; break;
-            case OptionType::Bool: type = "bool"; break;
             case OptionType::String: type = "string"; break;
             }
             o.add("type", JsonValue::string(type));
             o.add("default", JsonValue::string(spec.defaultValue));
-            if (!spec.envVar.empty())
-                o.add("env", JsonValue::string(spec.envVar));
             o.add("help", JsonValue::string(spec.help));
             if (spec.hasMin)
                 o.add("min", JsonValue::number(spec.minValue));

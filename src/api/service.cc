@@ -59,12 +59,11 @@ Service::resolveConfig(
     if (exp.declareOptions)
         exp.declareOptions(schema);
     Config config{std::move(schema)};
-    config.loadEnv();
     for (const auto &[key, value] : overlay) {
         if (!config.schema().find(key))
             throw ConfigError("experiment '" + exp.info.id +
                               "' does not accept --" + key);
-        config.set(key, value, ConfigLayer::Cli);
+        config.set(key, value);
     }
     return config;
 }

@@ -197,9 +197,10 @@ class Service
 
     /**
      * THE config resolution path: base + declared schema, defaults <
-     * env < overlay.  `rowpress run` flags and serve submit overlays
-     * both go through here, so a job's resolved config cannot depend
-     * on the front-end.
+     * overlay.  `rowpress run` flags and serve submit overlays both
+     * go through here, and nothing else (no environment variable) is
+     * read, so a job's resolved config cannot depend on the front-end
+     * or the process.
      */
     static Config
     resolveConfig(const Experiment &exp,

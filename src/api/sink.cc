@@ -139,9 +139,9 @@ JsonSink::beginExperiment(const ExperimentInfo &info)
 void
 JsonSink::resolvedConfig(const std::vector<ConfigValue> &config)
 {
-    // The fully resolved config (defaults < env < overlay): the
-    // values this run actually used, so the artifact reproduces
-    // with `rowpress run <experiment>` plus the non-default keys.
+    // The fully resolved config (defaults < overlay): the values this
+    // run actually used, so the artifact reproduces with `rowpress
+    // run <experiment>` plus the non-default keys.
     JsonValue resolved = JsonValue::object();
     for (const ConfigValue &kv : config) {
         JsonValue entry = JsonValue::object();

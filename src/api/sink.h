@@ -55,7 +55,7 @@ class ResultSink
 
     virtual void beginExperiment(const ExperimentInfo &info);
     /**
-     * The job's fully resolved Config (defaults < env < overlay),
+     * The job's fully resolved Config (defaults < overlay),
      * delivered right after beginExperiment.  JsonSink embeds it in
      * result.json so every artifact is reproducible from its own
      * metadata; default: ignored.

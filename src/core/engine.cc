@@ -18,18 +18,12 @@ ExperimentEngine::ExperimentEngine(Options opts)
     : numThreads_(opts.numThreads > 0 ? opts.numThreads
                                       : defaultThreadCount()),
       rootSeed_(opts.rootSeed), cancel_(std::move(opts.cancel)),
-      defaultProgress_(std::move(opts.progress))
+      progress_(std::move(opts.progress))
 {
 }
 
 void
 ExperimentEngine::run(std::vector<Task> tasks)
-{
-    run(std::move(tasks), RunOptions());
-}
-
-void
-ExperimentEngine::run(std::vector<Task> tasks, const RunOptions &opts)
 {
     if (tasks.empty())
         return;
@@ -41,8 +35,6 @@ ExperimentEngine::run(std::vector<Task> tasks, const RunOptions &opts)
 
     RunState state;
     state.tasks = std::move(tasks);
-    state.rootSeed = opts.rootSeed ? opts.rootSeed : rootSeed_;
-    state.progress = opts.progress ? opts.progress : defaultProgress_;
 
     // Fork: the calling thread claims tasks next to the threads started
     // for this set.  If one fails to start, the set finishes on the
@@ -113,7 +105,7 @@ ExperimentEngine::execute(RunState &state, std::size_t task_index) const
     if (!skip) {
         TaskContext ctx;
         ctx.index = task_index;
-        ctx.seed = taskSeed(state.rootSeed, task_index);
+        ctx.seed = taskSeed(rootSeed_, task_index);
         try {
             // Fault point: a thread dying mid-task (the engine's
             // first-error capture turns it into the run's outcome,
@@ -130,12 +122,12 @@ ExperimentEngine::execute(RunState &state, std::size_t task_index) const
 
     LockGuard lock(state.doneMutex);
     ++state.done;
-    if (state.progress && !state.cancelled) {
+    if (progress_ && !state.cancelled) {
         // A throwing progress callback is treated like a failing task:
         // captured and rethrown at the run() call site, never allowed
         // to escape a thread (std::terminate).
         try {
-            state.progress(state.done, state.tasks.size());
+            progress_(state.done, state.tasks.size());
         } catch (...) {
             if (!state.firstError)
                 state.firstError = std::current_exception();

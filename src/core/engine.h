@@ -28,8 +28,8 @@
  * engine at once, and a task may call `run` on its own engine.
  *
  * The thread count is Options::numThreads, or the hardware concurrency
- * when that is 0.  `RP_THREADS` reaches an engine only through the
- * `threads` option that api::Config resolves.
+ * when that is 0.  A service job's engine takes it from the job's
+ * resolved `threads` option; no environment variable sets it.
  *
  * Job-scoped task groups: the api::Service constructs one engine per
  * job, so an engine doubles as the job's task group — its Options
@@ -104,20 +104,10 @@ class ExperimentEngine
          */
         CancelToken cancel;
         /**
-         * Default progress hook, invoked serially as (done, total)
-         * for every run that does not pass its own
-         * RunOptions::progress.  The service wires this to the job's
-         * Progress event stream so drivers need no per-call plumbing.
+         * Progress hook, invoked serially as (done, total) within
+         * every run.  The service wires this to the job's Progress
+         * event stream so drivers need no per-call plumbing.
          */
-        std::function<void(std::size_t, std::size_t)> progress;
-    };
-
-    /** Per-run options. */
-    struct RunOptions
-    {
-        /** Override the engine root seed for this run (0 = engine's). */
-        std::uint64_t rootSeed = 0;
-        /** Progress callback, invoked serially as (done, total). */
         std::function<void(std::size_t, std::size_t)> progress;
     };
 
@@ -157,7 +147,6 @@ class ExperimentEngine
      * An empty task set returns immediately.
      */
     void run(std::vector<Task> tasks);
-    void run(std::vector<Task> tasks, const RunOptions &opts);
 
     /**
      * Ordered parallel map: invoke `fn(ctx) -> R` for indices
@@ -167,13 +156,6 @@ class ExperimentEngine
     std::vector<R>
     map(std::size_t n, Fn &&fn)
     {
-        return map<R>(n, std::forward<Fn>(fn), RunOptions());
-    }
-
-    template <typename R, typename Fn>
-    std::vector<R>
-    map(std::size_t n, Fn &&fn, const RunOptions &opts)
-    {
         std::vector<R> out(n);
         std::vector<Task> tasks;
         tasks.reserve(n);
@@ -182,7 +164,7 @@ class ExperimentEngine
                 out[i] = fn(ctx);
             });
         }
-        run(std::move(tasks), opts);
+        run(std::move(tasks));
         return out;
     }
 
@@ -192,8 +174,6 @@ class ExperimentEngine
         // Immutable while the set is in flight (written by run()
         // before any thread starts, read-only afterwards): no guard.
         std::vector<Task> tasks;
-        std::uint64_t rootSeed = 0;
-        std::function<void(std::size_t, std::size_t)> progress;
 
         /// Next unclaimed task index.
         std::atomic<std::size_t> cursor{0};
@@ -215,7 +195,7 @@ class ExperimentEngine
     int numThreads_;
     std::uint64_t rootSeed_;
     CancelToken cancel_;
-    std::function<void(std::size_t, std::size_t)> defaultProgress_;
+    std::function<void(std::size_t, std::size_t)> progress_;
 };
 
 /**

@@ -30,14 +30,14 @@ namespace {
 void
 declareFuzzOptions(api::ConfigSchema &schema)
 {
-    schema.add({"trials", api::OptionType::Int, "48", "",
+    schema.add({"trials", api::OptionType::Int, "48",
                 "search trials (evolve: total evaluation budget)", 1.0,
                 true});
-    schema.add({"population", api::OptionType::Int, "16", "",
+    schema.add({"population", api::OptionType::Int, "16",
                 "evolve: genomes per generation", 1.0, true});
-    schema.add({"budget", api::OptionType::Int, "8", "",
+    schema.add({"budget", api::OptionType::Int, "8",
                 "per-trial pattern budget in ms", 1.0, true});
-    schema.add({"trh", api::OptionType::Int, "1000", "",
+    schema.add({"trh", api::OptionType::Int, "1000",
                 "base RowHammer threshold sizing Graphene/PARA", 1.0,
                 true});
 }
@@ -45,7 +45,7 @@ declareFuzzOptions(api::ConfigSchema &schema)
 void
 declareMitigationOption(api::ConfigSchema &schema)
 {
-    schema.add({"mitigation", api::OptionType::String, "graphene", "",
+    schema.add({"mitigation", api::OptionType::String, "graphene",
                 "mitigation to search against: "
                 "none | trr | graphene | para"});
 }
@@ -230,8 +230,7 @@ registerFuzzExperiments()
               "fuzz"},
              [](api::ConfigSchema &schema) {
                  declareFuzzOptions(schema);
-                 schema.add({"strategy", api::OptionType::String,
-                             "evolve", "",
+                 schema.add({"strategy", api::OptionType::String, "evolve",
                              "search strategy: random | evolve"});
              },
              runFuzzBypassMatrix});

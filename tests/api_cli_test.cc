@@ -2,13 +2,12 @@
  * @file
  * `rowpress` CLI tests against dummy registered experiments: list
  * output, glob selection, run exit codes (success, unknown
- * experiment, unknown flag), config precedence through the CLI, and
- * sink artifact writing.
+ * experiment, unknown flag), flags and schema defaults through the
+ * CLI, and sink artifact writing.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -36,9 +35,8 @@ struct RegisterDummies
         ExperimentRegistry::instance().add(
             {{"zzztest_a", "Dummy experiment A", "none", "test"},
              [](ConfigSchema &schema) {
-                 schema.add({"knob", OptionType::Int, "5",
-                             "RP_TEST_CLI_KNOB", "dummy knob", 0.0,
-                             true});
+                 schema.add({"knob", OptionType::Int, "5", "dummy knob",
+                             0.0, true});
              },
              [](ExperimentContext &ctx) {
                  ++g_runs_a;
@@ -201,15 +199,11 @@ TEST(ApiCli, GlobRunsBothDummies)
     EXPECT_NE(text.find("b table"), std::string::npos);
 }
 
-TEST(ApiCli, FlagOverridesEnvThroughCli)
+TEST(ApiCli, FlagSetsKnobAndDefaultHoldsWithoutIt)
 {
-    ASSERT_EQ(::setenv("RP_TEST_CLI_KNOB", "11", 1), 0);
-    ASSERT_EQ(cli({"run", "zzztest_a", "--threads", "1"}), 0);
-    EXPECT_EQ(g_last_knob, 11);
     ASSERT_EQ(cli({"run", "zzztest_a", "--threads", "1", "--knob=23"}),
               0);
     EXPECT_EQ(g_last_knob, 23);
-    ::unsetenv("RP_TEST_CLI_KNOB");
     ASSERT_EQ(cli({"run", "zzztest_a", "--threads", "1"}), 0);
     EXPECT_EQ(g_last_knob, 5); // schema default
 }

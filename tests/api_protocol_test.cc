@@ -30,8 +30,8 @@ struct RegisterDummies
         ExperimentRegistry::instance().add(
             {{"zzproto_a", "Protocol dummy A", "none", "test"},
              [](ConfigSchema &schema) {
-                 schema.add({"knob", OptionType::Int, "5", "",
-                             "dummy knob", 0.0, true});
+                 schema.add({"knob", OptionType::Int, "5", "dummy knob",
+                             0.0, true});
              },
              [](ExperimentContext &ctx) {
                  Dataset d("proto table");

@@ -252,22 +252,47 @@ engineThreadsOf(
     return st.engineThreads;
 }
 
-TEST(ApiService, EngineThreadsFollowRpThreadsWithoutOverlay)
+TEST(ApiService, JobConfigIgnoresTheProcessEnvironment)
 {
-    ::setenv("RP_THREADS", "3", 1);
-    const int threads = engineThreadsOf({});
-    ::unsetenv("RP_THREADS");
-    EXPECT_EQ(threads, 3);
-}
+    // The environment aliases of the retired per-figure binaries (and
+    // two names retired before them), each set to a non-default value:
+    // a job's config is its request, so none of them may reach it.
+    const std::vector<std::pair<const char *, const char *>> retired = {
+        {"ROWPRESS_BENCH_LOCATIONS", "3"}, {"ROWPRESS_DIES", "all"},
+        {"ROWPRESS_BENCH_SCALE", "0.5"},   {"RP_SEED", "9"},
+        {"RP_THREADS", "3"},               {"ROWPRESS_TEMP_STEP", "10"},
+        {"ROWPRESS_SEED", "9"},            {"ROWPRESS_ALL_DIES", "1"}};
+    for (const auto &[name, value] : retired)
+        ::setenv(name, value, 1);
 
-TEST(ApiService, ThreadsZeroOverlaySelectsHardwareOverRpThreads)
-{
-    // `--threads 0` means hardware; RP_THREADS must not override it.
+    auto resolved = [](const std::string &id) {
+        std::map<std::string, ConfigValue> by_key;
+        const Config config =
+            Service::resolveConfig(Service::findExperiment(id), {});
+        for (const ConfigValue &kv : config.resolved())
+            by_key[kv.key] = kv;
+        return by_key;
+    };
+    auto fig06 = resolved("fig06");
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"locations", "10"},
+             {"dies", "default"},
+             {"scale", "1"},
+             {"seed", "1"},
+             {"threads", "0"}}) {
+        EXPECT_EQ(fig06[key].value, value) << key;
+        EXPECT_EQ(fig06[key].origin, "default") << key;
+    }
+    auto fig15 = resolved("fig15");
+    EXPECT_EQ(fig15["temp-step"].value, "5");
+    EXPECT_EQ(fig15["temp-step"].origin, "default");
+
     const int hw = std::max(1, int(std::thread::hardware_concurrency()));
-    ::setenv("RP_THREADS", std::to_string(hw + 1).c_str(), 1);
-    const int threads = engineThreadsOf({{"threads", "0"}});
-    ::unsetenv("RP_THREADS");
-    EXPECT_EQ(threads, hw);
+    EXPECT_EQ(engineThreadsOf({}), hw);
+
+    for (const auto &[name, value] : retired)
+        ::unsetenv(name);
 }
 
 TEST(ApiService, FailedJobReportsErrorAndWritesNoResult)

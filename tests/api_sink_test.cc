@@ -186,7 +186,7 @@ TEST(ApiSink, JsonSinkResultParsesBack)
     sink.beginExperiment(info());
     sink.resolvedConfig({{"locations", "4", "cli"},
                          {"dies", "default", "default"},
-                         {"scale", "0.25", "env"}});
+                         {"scale", "0.25", "cli"}});
     Dataset d("data");
     d.header({"name", "value"});
     d.row({"36ns", "381.7K"});

@@ -86,18 +86,6 @@ TEST(Engine, SameRootSeedIsBitIdenticalAcrossThreadCounts)
     EXPECT_NE(a.front(), c.front());
 }
 
-TEST(Engine, RunOptionsRootSeedOverridesEngineSeed)
-{
-    auto job = [](const TaskContext &ctx) { return ctx.seed; };
-
-    ExperimentEngine engine(withThreads(2, 1));
-    ExperimentEngine::RunOptions opts;
-    opts.rootSeed = 7;
-    auto seeds = engine.map<std::uint64_t>(4, job, opts);
-    for (std::size_t i = 0; i < seeds.size(); ++i)
-        EXPECT_EQ(seeds[i], ExperimentEngine::taskSeed(7, i));
-}
-
 TEST(Engine, ExceptionPropagatesToCaller)
 {
     ExperimentEngine engine(withThreads(4));
@@ -128,22 +116,21 @@ TEST(Engine, EmptyTaskSetReturnsImmediately)
 
 TEST(Engine, ProgressReportsEveryTask)
 {
-    ExperimentEngine engine(withThreads(4));
     std::atomic<std::size_t> calls{0};
     std::size_t last_done = 0;
     std::size_t last_total = 0;
-
-    std::vector<ExperimentEngine::Task> tasks;
-    for (int i = 0; i < 20; ++i)
-        tasks.push_back([](const TaskContext &) {});
-
-    ExperimentEngine::RunOptions opts;
+    ExperimentEngine::Options opts = withThreads(4);
     opts.progress = [&](std::size_t done, std::size_t total) {
         ++calls;
         last_done = done;
         last_total = total;
     };
-    engine.run(std::move(tasks), opts);
+    ExperimentEngine engine(opts);
+
+    std::vector<ExperimentEngine::Task> tasks;
+    for (int i = 0; i < 20; ++i)
+        tasks.push_back([](const TaskContext &) {});
+    engine.run(std::move(tasks));
 
     EXPECT_EQ(calls.load(), 20u);
     EXPECT_EQ(last_done, 20u);

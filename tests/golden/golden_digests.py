@@ -9,8 +9,8 @@ tests/golden/digests.txt.  The digest rule is perfbench's
 (`artifact_digests` in perfbench/run.py: every file's bytes, except
 that result.json drops its "config" member, which records the thread
 count).  The runs get the environment minus every RP_/ROWPRESS_ knob
-(perfbench's `child_env`), so a stray ROWPRESS_DIES cannot change what
-is run.
+(perfbench's `child_env`), so a stray RP_FAULT_POINTS or RP_CACHE_DIR
+cannot change what is run.
 
 Prints one line per differing, missing or extra path.  Exits 0 when
 every digest matches, 1 when any differs, and 2 on a usage error or a
