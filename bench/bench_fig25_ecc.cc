@@ -33,8 +33,8 @@ runFig25(api::ExperimentContext &ctx)
             for (auto kind : {chr::AccessKind::SingleSided,
                               chr::AccessKind::DoubleSided}) {
                 // Max-activation attempts over the tested locations,
-                // chunked into (location, victim-slice) engine tasks
-                // so the full scans scale past the location count.
+                // one engine task per (victim, location) cell so the
+                // full scans scale past the location count.
                 const std::vector<int> tested(
                     rows.begin(), rows.begin() + std::ptrdiff_t(locs));
                 auto attempts = chr::maxActivationAttempts(

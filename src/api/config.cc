@@ -43,6 +43,10 @@ Config::validate(const OptionSpec &spec, const std::string &value,
             throw ConfigError(what + ": value " + std::to_string(v) +
                               " is below the minimum of " +
                               std::to_string((long long)spec.minValue));
+        if (spec.hasMax && double(v) > spec.maxValue)
+            throw ConfigError(what + ": value " + std::to_string(v) +
+                              " is above the maximum of " +
+                              std::to_string((long long)spec.maxValue));
         break;
     }
     case OptionType::Double: {

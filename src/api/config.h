@@ -3,7 +3,7 @@
  * Typed, schema-checked experiment configuration.
  *
  * A ConfigSchema declares the options an experiment understands (name,
- * type, default, optional lower bound); a Config holds one value per
+ * type, default, optional bounds); a Config holds one value per
  * declared option, resolved as
  *
  *     defaults  <  the job's request (CLI flags or a submit's config)
@@ -68,6 +68,8 @@ struct OptionSpec
     std::string help;         ///< One-line description for `--help`.
     double minValue = 0.0;    ///< Lower bound when hasMin (Int/Double).
     bool hasMin = false;
+    double maxValue = 0.0;    ///< Upper bound when hasMax (Int).
+    bool hasMax = false;
 };
 
 /** The set of options one experiment (or the CLI itself) accepts. */

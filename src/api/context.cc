@@ -12,8 +12,10 @@ ConfigSchema
 baseSchema()
 {
     ConfigSchema schema;
+    // Every location's layout must fit the bank.
     schema.add({"locations", OptionType::Int, "10",
-                "tested row locations per module", 1.0, true});
+                "tested row locations per module", 1.0, true,
+                double(chr::maxLocations()), true});
     schema.add({"dies", OptionType::String, "default",
                 "die set: default | all | comma-separated die ids"});
     schema.add({"scale", OptionType::Double, "1",
@@ -22,9 +24,11 @@ baseSchema()
     schema.add({"seed", OptionType::Int, "1",
                 "root seed for module construction and searches", 0.0,
                 true});
+    // A fixed ceiling: a job's engine starts up to this many threads
+    // per task set.
     schema.add({"threads", OptionType::Int, "0",
                 "engine worker threads (0 = hardware concurrency)",
-                0.0, true});
+                0.0, true, 256.0, true});
     return schema;
 }
 

@@ -53,6 +53,8 @@ experimentListJson(const std::vector<std::string> &patterns)
             o.add("help", JsonValue::string(spec.help));
             if (spec.hasMin)
                 o.add("min", JsonValue::number(spec.minValue));
+            if (spec.hasMax)
+                o.add("max", JsonValue::number(spec.maxValue));
             opts.push(std::move(o));
         }
         e.add("options", std::move(opts));

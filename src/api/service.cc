@@ -474,7 +474,7 @@ Service::dispatch(Job &job, JobEvent &&event)
             // brackets that dispatch, and a throw there would leak
             // the in-flight admission count.
             if (event.type != JobEventType::Queued)
-                core::faultPointThrow("sink.render");
+                core::faultPoint("sink.render");
             applyJobEvent(*sink, event);
         }
     }
@@ -634,7 +634,7 @@ Service::executeJob(Job &job)
     try {
         // Fault point: the worker dying between claiming the job and
         // opening its event stream.
-        core::faultPointThrow("service.worker.pre_dispatch");
+        core::faultPoint("service.worker.pre_dispatch");
 
         const Experiment &exp = findExperiment(job.req.experiment);
 

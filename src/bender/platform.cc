@@ -184,14 +184,6 @@ TestPlatform::runTraced(const Program &program)
 }
 
 void
-TestPlatform::reset()
-{
-    chip_->reset();
-    nextFree_ = 0;
-    lastIssue_ = 0;
-}
-
-void
 TestPlatform::copyStateOf(const TestPlatform &src, int bank,
                           const std::vector<int> &rows, Time shift)
 {

@@ -94,7 +94,7 @@ class TestPlatform
      * row's own accumulated dose against its own damage bound and
      * clears it — so callers may partition a victim set across engine
      * tasks and concatenate the per-row results; the BER drivers'
-     * (location, victim-chunk) chunking relies on this.
+     * one-victim tasks rely on this.
      */
     void checkRowInto(int bank, int row, bool full_scan,
                       std::vector<device::FlipRecord> &out);
@@ -109,9 +109,6 @@ class TestPlatform
     {
         return chip_->rowWouldFlip(bank, row, nextFree_);
     }
-
-    /** Reset chip state and the command clock to power-on. */
-    void reset();
 
     /**
      * Take @p src's command clock and last issue time, the timing

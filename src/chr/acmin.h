@@ -61,12 +61,12 @@ AttemptResult runPressAttempt(bender::TestPlatform &platform,
                               bool full_scan = false);
 
 /**
- * runPressAttempt variant that full-scans only @p victims (a
- * contiguous slice of the layout's victim list): the unit of work of
- * the BER drivers' (location, victim-chunk) engine tasks.  Scanning a
- * subset does not change any row's result — each row's dose is
- * evaluated independently — so concatenating the slices in victim
- * order reproduces the unchunked attempt bit-for-bit.
+ * runPressAttempt variant that full-scans only @p victims (a subset
+ * of the layout's victim list): maxActivationAttempts scans one
+ * victim per engine task.  Scanning a subset does not change any
+ * row's result — each row's dose is evaluated independently — so
+ * concatenating per-victim results in victim order reproduces the
+ * full attempt bit-for-bit.
  */
 AttemptResult runPressAttemptOn(bender::TestPlatform &platform,
                                 const RowLayout &layout,

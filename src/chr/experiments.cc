@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -17,6 +18,17 @@ baseRowsOf(const ModuleConfig &cfg)
     for (int i = 0; i < cfg.numLocations; ++i)
         rows.push_back(cfg.firstRow + i * cfg.rowStride);
     return rows;
+}
+
+int
+maxLocations(const ModuleConfig &cfg)
+{
+    int reach = 0;
+    for (AccessKind kind :
+         {AccessKind::SingleSided, AccessKind::DoubleSided})
+        reach = std::max(reach, makeLayout(kind, cfg.bank, 0).highRow());
+    const int last_base = dram::Organization{}.rows - 1 - reach;
+    return (last_base - cfg.firstRow) / cfg.rowStride + 1;
 }
 
 ModuleConfig
@@ -164,58 +176,26 @@ acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
            const std::vector<Time> &t_agg_ons, AccessKind kind,
            DataPattern pattern, const SearchConfig &cfg)
 {
+    // One task per (tAggON, location) cell, point-major, each on a
+    // fresh single-location Module: threads that start together
+    // search different locations, so they build different rows of the
+    // shared ThresholdStore instead of waiting on one.
     const std::vector<int> rows = baseRowsOf(mc);
     const std::size_t n_rows = rows.size();
-
-    // (location, tAggON-chunk) tasks: when the engine has more
-    // workers than locations, each location's sweep is split into
-    // contiguous tAggON slices so the task set can occupy every
-    // worker (the same re-chunking maxActivationAttempts uses for
-    // full scans).  Each task runs its slice on a private
-    // single-location Module, reset before every search, so each
-    // search starts from a pristine platform and results are
-    // bit-identical at any chunk count, while the store build is
-    // still shared through the keyed registry.
-    struct TaskDesc
-    {
-        std::size_t loc;
-        std::size_t first;
-        std::size_t last;
-    };
-    const std::size_t split = engine.chunksPerTask(n_rows);
-    std::vector<TaskDesc> descs;
-    for (std::size_t ri = 0; ri < n_rows; ++ri) {
-        for (const auto &[first, last] :
-             core::splitRanges(t_agg_ons.size(), split))
-            descs.push_back({ri, first, last});
-    }
-
-    auto pieces = engine.map<std::vector<LocationResult>>(
-        descs.size(), [&](const core::TaskContext &ctx) {
-            const TaskDesc &d = descs[ctx.index];
-            const int row = rows[d.loc];
+    auto cells = engine.map<LocationResult>(
+        t_agg_ons.size() * n_rows, [&](const core::TaskContext &ctx) {
+            const int row = rows[ctx.index % n_rows];
             Module local(locationConfig(mc, row));
-            std::vector<LocationResult> slice;
-            slice.reserve(d.last - d.first);
-            for (std::size_t ti = d.first; ti < d.last; ++ti) {
-                local.platform().reset();
-                slice.push_back(acminAtLocation(
-                    local, row, t_agg_ons[ti], kind, pattern, cfg));
-            }
-            return slice;
+            return acminAtLocation(local, row,
+                                   t_agg_ons[ctx.index / n_rows], kind,
+                                   pattern, cfg);
         });
 
     std::vector<SweepPoint> points(t_agg_ons.size());
     for (std::size_t ti = 0; ti < t_agg_ons.size(); ++ti)
         points[ti].tAggOn = t_agg_ons[ti];
-    // descs iterate locations in row order, so per-point location
-    // lists assemble in the same order as the serial driver.
-    for (std::size_t di = 0; di < descs.size(); ++di) {
-        const TaskDesc &d = descs[di];
-        for (std::size_t ti = d.first; ti < d.last; ++ti)
-            points[ti].locations.push_back(
-                std::move(pieces[di][ti - d.first]));
-    }
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        points[i / n_rows].locations.push_back(std::move(cells[i]));
     return points;
 }
 
@@ -370,55 +350,39 @@ maxActivationAttempts(const ModuleConfig &mc,
     if (rows.empty())
         return {};
 
-    // (location, victim-chunk) tasks: when the engine has more
-    // workers than locations, each location's victim list is split
-    // into contiguous slices, every task replays the (fast-forwarded,
-    // cheap) attempt program on a private Module and full-scans only
-    // its slice.  Row materialization is independent per row, so the
-    // in-order concatenation below is bit-identical to the serial
-    // per-location scan regardless of the chunk count.
-    struct TaskDesc
-    {
-        std::size_t loc;
-        std::size_t first;
-        std::size_t last;
-    };
+    // One task per (victim, location) cell, victim-major: each replays
+    // the (fast-forwarded, cheap) attempt on a fresh Module and
+    // full-scans its one victim.  Rows materialize independently, so
+    // a location's cells concatenated in victim order are its serial
+    // full scan.  Layouts are translates of one shape, so every
+    // location has the same number of victims.
     std::vector<RowLayout> layouts;
     layouts.reserve(rows.size());
     for (int row : rows)
         layouts.push_back(makeLayout(kind, mc.bank, row));
+    const std::size_t n_rows = rows.size();
+    const std::size_t n_victims = layouts.front().victims.size();
 
-    const std::size_t split = engine.chunksPerTask(rows.size());
-    std::vector<TaskDesc> tasks;
-    for (std::size_t li = 0; li < rows.size(); ++li) {
-        for (const auto &[first, last] :
-             core::splitRanges(layouts[li].victims.size(), split))
-            tasks.push_back({li, first, last});
-    }
-
-    auto pieces = engine.map<AttemptResult>(
-        tasks.size(), [&](const core::TaskContext &ctx) {
-            const TaskDesc &d = tasks[ctx.index];
-            const RowLayout &layout = layouts[d.loc];
-            Module local(locationConfig(mc, rows[d.loc]));
+    auto cells = engine.map<AttemptResult>(
+        n_victims * n_rows, [&](const core::TaskContext &ctx) {
+            const std::size_t li = ctx.index % n_rows;
+            const RowLayout &layout = layouts[li];
+            Module local(locationConfig(mc, rows[li]));
             auto &platform = local.platform();
             const std::uint64_t acts = maxActsWithinBudget(
                 t_agg_on, platform.timing(), platform.cmdGap(), 60_ms);
-            const std::vector<int> victims(
-                layout.victims.begin() + std::ptrdiff_t(d.first),
-                layout.victims.begin() + std::ptrdiff_t(d.last));
-            return runPressAttemptOn(platform, layout, pattern,
-                                     t_agg_on, acts, victims);
+            return runPressAttemptOn(
+                platform, layout, pattern, t_agg_on, acts,
+                {layout.victims[ctx.index / n_rows]});
         });
 
-    std::vector<AttemptResult> results(rows.size());
-    for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
-        AttemptResult &dst = results[tasks[ti].loc];
-        AttemptResult &src = pieces[ti];
-        dst.elapsed = src.elapsed;
+    std::vector<AttemptResult> results(n_rows);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        AttemptResult &dst = results[i % n_rows];
+        dst.elapsed = cells[i].elapsed;
         dst.flips.insert(dst.flips.end(),
-                         std::make_move_iterator(src.flips.begin()),
-                         std::make_move_iterator(src.flips.end()));
+                         std::make_move_iterator(cells[i].flips.begin()),
+                         std::make_move_iterator(cells[i].flips.end()));
     }
     return results;
 }

@@ -37,11 +37,20 @@ struct ModuleConfig
 std::vector<int> baseRowsOf(const ModuleConfig &cfg);
 
 /**
+ * Largest numLocations for which every layout of @p cfg's locations
+ * fits the bank: the last base row plus the farthest row a layout
+ * reaches (base + 5, double-sided) stays below
+ * dram::Organization{}.rows.
+ */
+int maxLocations(const ModuleConfig &cfg = {});
+
+/**
  * Copy of @p cfg that tests only the single location @p row.  The
- * engine-parallel drivers below run every location task on a private
- * Module built from such a config, so each task is a pure function of
- * (config, row, experiment parameters) — independent of scheduling
- * and thread count.
+ * engine-parallel drivers below run every grid cell (one location at
+ * one search point) as its own task on a fresh Module built from such
+ * a config, so each task is a pure function of (config, row,
+ * experiment parameters) — independent of scheduling and thread
+ * count.
  */
 ModuleConfig locationConfig(const ModuleConfig &cfg, int row);
 
@@ -116,9 +125,8 @@ SweepPoint acminPoint(Module &module, Time t_agg_on, AccessKind kind,
                       const SearchConfig &cfg = {});
 
 /**
- * Engine-parallel form: (location, tAggON-chunk) tasks, each on a
- * private single-location Module (see locationConfig and the
- * re-chunking notes on acminSweep).
+ * Engine-parallel form: one task per location, each on a fresh
+ * single-location Module (see locationConfig).
  */
 SweepPoint acminPoint(const ModuleConfig &mc,
                       core::ExperimentEngine &engine, Time t_agg_on,
@@ -134,13 +142,10 @@ acminSweep(Module &module, const std::vector<Time> &t_agg_ons,
            const SearchConfig &cfg = {});
 
 /**
- * Engine-parallel sweep: (location, tAggON-chunk) tasks — when the
- * engine has more workers than locations, each location's sweep is
- * split into contiguous tAggON slices (ExperimentEngine::chunksPerTask
- * + core::splitRanges) so sweep jobs scale past numLocations on
- * many-core hosts.  Each task runs on a private single-location
- * Module, reset before every search, so any chunking is bit-identical
- * to one fresh Module per (location, tAggON).
+ * Engine-parallel sweep: one task per (tAggON, location) cell,
+ * indexed point-major (point x locations + location), each search on
+ * a fresh single-location Module, so the task set scales with the
+ * grid rather than the location count.
  */
 std::vector<SweepPoint>
 acminSweep(const ModuleConfig &mc, core::ExperimentEngine &engine,
@@ -200,13 +205,12 @@ AttemptResult maxActivationAttempt(Module &module, int location_idx,
 
 /**
  * Engine-parallel max-activation attempts over @p rows (one result
- * per row, in order).  Tasks are (location, victim-chunk) pairs —
- * when the engine has more workers than locations, each location's
- * full-scan victim inspection is split across several tasks that each
- * replay the (cheap, fast-forwarded) attempt program on a private
- * Module and scan only their chunk of victim rows.  Row evaluation is
- * independent and the ThresholdStore is read-only, so any chunking is
- * bit-identical to the serial per-location scan.
+ * per row, in order).  One task per (victim, location) cell, indexed
+ * victim-major: each replays the (cheap, fast-forwarded) attempt
+ * program on a fresh single-location Module and full-scans its one
+ * victim row.  Rows materialize independently, so a location's cells
+ * concatenated in victim order are bit-identical to the serial
+ * per-location scan (maxActivationAttempt).
  */
 std::vector<AttemptResult>
 maxActivationAttempts(const ModuleConfig &mc,

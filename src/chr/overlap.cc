@@ -43,12 +43,13 @@ namespace {
  * flattened (tAggON + tRAS reference) x location grid plus the
  * retention reference as ONE engine task set (no serialization
  * barrier), with @p cell_flips measuring one (tAggON, location) cell
- * on its private module, then assemble the per-step overlap results.
+ * on a fresh single-location Module, then assemble the per-step
+ * overlap results.
  */
 std::vector<OverlapResult>
 overlapViaEngine(
     const ModuleConfig &mc, core::ExperimentEngine &engine,
-    const std::vector<Time> &t_agg_ons, bool module_per_location,
+    const std::vector<Time> &t_agg_ons,
     const std::function<std::vector<VictimFlip>(Module &, int, Time)>
         &cell_flips)
 {
@@ -63,41 +64,14 @@ overlapViaEngine(
     std::vector<std::vector<VictimFlip>> cells(n_grid);
     std::vector<std::uint64_t> ret_ids;
     std::vector<core::ExperimentEngine::Task> tasks;
-    if (module_per_location) {
-        // (location, grid-chunk) tasks: each task measures a
-        // contiguous slice of the grid on a private Module, reset
-        // before every cell, so the set scales past numLocations on
-        // many-core hosts (ExperimentEngine::chunksPerTask +
-        // core::splitRanges, like the acmin-sweep driver) with the
-        // same results at any chunk count.
-        const std::size_t split = engine.chunksPerTask(n_rows + 1);
-        const auto ranges = core::splitRanges(grid.size(), split);
-        tasks.reserve(n_rows * ranges.size() + 1);
-        for (std::size_t ri = 0; ri < n_rows; ++ri) {
-            for (const auto &[first, last] : ranges) {
-                tasks.push_back([&, ri, first = first,
-                                 last = last](const core::TaskContext &) {
-                    const int row = rows[ri];
-                    Module local(locationConfig(mc, row));
-                    for (std::size_t ti = first; ti < last; ++ti) {
-                        local.platform().reset();
-                        cells[ti * n_rows + ri] =
-                            cell_flips(local, row, grid[ti]);
-                    }
-                });
-            }
-        }
-    } else {
-        // One task (and one pristine Module) per grid cell.
-        tasks.reserve(n_grid + 1);
-        for (std::size_t i = 0; i < n_grid; ++i) {
-            tasks.push_back([&, i](const core::TaskContext &) {
-                const Time t = grid[i / n_rows];
-                const int row = rows[i % n_rows];
-                Module local(locationConfig(mc, row));
-                cells[i] = cell_flips(local, row, t);
-            });
-        }
+    tasks.reserve(n_grid + 1);
+    for (std::size_t i = 0; i < n_grid; ++i) {
+        tasks.push_back([&, i](const core::TaskContext &) {
+            const Time t = grid[i / n_rows];
+            const int row = rows[i % n_rows];
+            Module local(locationConfig(mc, row));
+            cells[i] = cell_flips(local, row, t);
+        });
     }
     tasks.push_back([&](const core::TaskContext &) {
         Module local(mc);
@@ -136,7 +110,7 @@ overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const SearchConfig &cfg)
 {
     return overlapViaEngine(
-        mc, engine, t_agg_ons, /*module_per_location=*/true,
+        mc, engine, t_agg_ons,
         [&](Module &local, int row, Time t) {
             return acminAtLocation(local, row, t, kind,
                                    DataPattern::CheckerBoard, cfg)
@@ -149,7 +123,7 @@ overlapAtMaxAc(const ModuleConfig &mc, core::ExperimentEngine &engine,
                const std::vector<Time> &t_agg_ons, AccessKind kind)
 {
     return overlapViaEngine(
-        mc, engine, t_agg_ons, /*module_per_location=*/false,
+        mc, engine, t_agg_ons,
         [&](Module &local, int row, Time t) {
             (void)row;
             return maxActivationAttempt(local, 0, kind,

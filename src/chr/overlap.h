@@ -33,8 +33,8 @@ double overlapFraction(const std::vector<std::uint64_t> &a,
  * Overlap at ACmin (Fig. 10): for each tAggON, the cells that flip at
  * that tAggON's ACmin are compared against the RowHammer set (cells
  * flipping at tAggON = tRAS) and the retention-failure set.  The
- * reference sets and every (tAggON, location) point run as engine
- * tasks, each search on a pristine per-location platform.
+ * retention reference and every (tAggON, location) cell run as one
+ * engine task set, each cell on a fresh single-location Module.
  */
 std::vector<OverlapResult>
 overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
@@ -43,8 +43,8 @@ overlapAtAcmin(const ModuleConfig &mc, core::ExperimentEngine &engine,
 
 /**
  * Overlap at maximum activation count (Fig. 11): same comparison with
- * all patterns driven as hard as the 60 ms budget allows, every
- * (tAggON, location) point as an engine task.
+ * all patterns driven as hard as the 60 ms budget allows, in the
+ * same task shape.
  */
 std::vector<OverlapResult>
 overlapAtMaxAc(const ModuleConfig &mc, core::ExperimentEngine &engine,

@@ -110,7 +110,7 @@ ExperimentEngine::execute(RunState &state, std::size_t task_index) const
             // Fault point: a thread dying mid-task (the engine's
             // first-error capture turns it into the run's outcome,
             // exactly like an experiment body throwing).
-            faultPointThrow("core.engine.task");
+            faultPoint("core.engine.task");
             state.tasks[task_index](ctx);
         } catch (...) {
             LockGuard lock(state.doneMutex);
@@ -134,34 +134,6 @@ ExperimentEngine::execute(RunState &state, std::size_t task_index) const
             state.cancelled = true;
         }
     }
-}
-
-std::size_t
-ExperimentEngine::chunksPerTask(std::size_t n_tasks) const
-{
-    if (n_tasks == 0)
-        return 1;
-    const std::size_t threads = std::size_t(numThreads_);
-    return (threads + n_tasks - 1) / n_tasks;
-}
-
-std::vector<std::pair<std::size_t, std::size_t>>
-splitRanges(std::size_t n_items, std::size_t n_chunks)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    if (n_items == 0)
-        return ranges;
-    const std::size_t chunks = std::max<std::size_t>(
-        1, std::min(n_chunks, n_items));
-    const std::size_t base = n_items / chunks;
-    const std::size_t rem = n_items % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t len = base + (c < rem ? 1 : 0);
-        ranges.emplace_back(begin, begin + len);
-        begin += len;
-    }
-    return ranges;
 }
 
 } // namespace rp::core

@@ -132,15 +132,6 @@ class ExperimentEngine
     }
 
     /**
-     * How many pieces a driver should split each of @p n_tasks
-     * coarse-grained tasks into so the task set can occupy every
-     * thread (ceil(numThreads / n_tasks), at least 1).  Used by the
-     * full-scan BER drivers to re-chunk one-task-per-location work
-     * into (location, row-chunk) tasks when locations < threads.
-     */
-    std::size_t chunksPerTask(std::size_t n_tasks) const;
-
-    /**
      * Execute all tasks; returns once the set is complete and every
      * thread started for it has been joined.  The first exception
      * thrown by a task is rethrown here (remaining tasks are skipped).
@@ -197,15 +188,6 @@ class ExperimentEngine
     CancelToken cancel_;
     std::function<void(std::size_t, std::size_t)> progress_;
 };
-
-/**
- * Split @p n_items into at most @p n_chunks contiguous, non-empty
- * [begin, end) ranges whose sizes differ by at most one, in order.
- * Deterministic in its arguments, so drivers that fan chunked tasks
- * out over the engine produce the same partition on every run.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-splitRanges(std::size_t n_items, std::size_t n_chunks);
 
 } // namespace rp::core
 

@@ -1,6 +1,5 @@
 #include "core/fault.h"
 
-#include <cerrno>
 #include <cstdlib>
 
 #include "common/rng.h"
@@ -48,29 +47,6 @@ parsePlanInt(const std::string &text, const std::string &what)
 }
 
 } // namespace
-
-int
-errnoValueOf(const std::string &name)
-{
-    // The errno families the instrumented layers emulate: interrupted
-    // or would-block syscalls and I/O errors.
-    if (name == "EINTR") return EINTR;
-    if (name == "EAGAIN") return EAGAIN;
-    if (name == "EIO") return EIO;
-    // Numeric fallback for anything else.
-    std::size_t used = 0;
-    int v = 0;
-    try {
-        v = std::stoi(name, &used);
-    } catch (const std::exception &) {
-        used = std::string::npos;
-    }
-    if (used != name.size() || name.empty() || v <= 0)
-        throw std::invalid_argument("unknown errno name '" + name +
-                                    "' (use EINTR/EAGAIN/EIO or a "
-                                    "positive number)");
-    return v;
-}
 
 const std::vector<std::string> &
 FaultInjector::knownPoints()
@@ -136,10 +112,6 @@ FaultInjector::arm(std::uint64_t seed, std::vector<FaultSpec> specs)
             throw std::invalid_argument(
                 "fault spec for '" + spec.point +
                 "': skip must be >= 0");
-        if (spec.kind == FaultSpec::Kind::Errno && spec.errnoValue <= 0)
-            throw std::invalid_argument(
-                "fault spec for '" + spec.point +
-                "': errno faults need a positive errno value");
         point->specs.push_back(ArmedSpec{std::move(spec), 0});
     }
     armed_.store(true, std::memory_order_release);
@@ -174,7 +146,7 @@ FaultInjector::armFromEnv()
         if (eq == std::string::npos)
             throw std::invalid_argument(
                 "RP_FAULT_POINTS: entry '" + entry +
-                "' is not point=kind[...]");
+                "' is not point=throw[...]");
         FaultSpec spec;
         spec.point = trim(entry.substr(0, eq));
         std::string body = trim(entry.substr(eq + 1));
@@ -223,22 +195,10 @@ FaultInjector::armFromEnv()
             }
         }
 
-        std::string kind = body, arg;
-        const auto colon = body.find(':');
-        if (colon != std::string::npos) {
-            kind = trim(body.substr(0, colon));
-            arg = trim(body.substr(colon + 1));
-        }
-        if (kind == "throw") {
-            spec.kind = FaultSpec::Kind::Throw;
-        } else if (kind == "errno") {
-            spec.kind = FaultSpec::Kind::Errno;
-            spec.errnoValue = errnoValueOf(arg);
-        } else {
+        if (body != "throw")
             throw std::invalid_argument(
-                "RP_FAULT_POINTS: unknown kind '" + kind +
-                "' (throw | errno:<E>)");
-        }
+                "RP_FAULT_POINTS: unknown kind '" + body +
+                "' (the only kind is throw)");
         specs.push_back(std::move(spec));
     }
     if (!specs.empty())
@@ -268,21 +228,19 @@ FaultInjector::stats() const
     return out;
 }
 
-int
+void
 FaultInjector::onHit(const char *point)
 {
-    // Decide under the lock (counters + plan), act outside it: a
-    // Throw must not unwind with the mutex held.
-    FaultSpec::Kind kind = FaultSpec::Kind::Throw;
+    // Decide under the lock (counters + plan), throw outside it: the
+    // throw must not unwind with the mutex held.
     bool fire = false;
-    int errno_value = 0;
     {
         LockGuard lock(mutex_);
         if (!armed_.load(std::memory_order_relaxed))
-            return 0;
+            return;
         PointState *state = findPoint(point);
         if (!state)
-            return 0; // unregistered call site: never inject
+            return; // unregistered call site: never inject
         const std::uint64_t hit = state->hits++;
         for (ArmedSpec &armed : state->specs) {
             const FaultSpec &spec = armed.spec;
@@ -304,22 +262,10 @@ FaultInjector::onHit(const char *point)
             ++armed.fired;
             ++state->fires;
             fire = true;
-            kind = spec.kind;
-            errno_value = spec.errnoValue;
             break;
         }
     }
-    if (!fire)
-        return 0;
-    if (kind == FaultSpec::Kind::Throw)
-        throw InjectedFault(point);
-    return errno_value;
-}
-
-void
-faultPointThrow(const char *point)
-{
-    if (faultPoint(point) != 0)
+    if (fire)
         throw InjectedFault(point);
 }
 

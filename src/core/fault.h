@@ -10,7 +10,7 @@
  * production code is instrumented with *named fault points*
  * (`faultPoint("sink.render")`), which cost one relaxed atomic load
  * when the injector is disarmed (the production state) and, when
- * armed, consult a deterministic plan of what to inject where.
+ * armed, consult a deterministic plan of where to throw.
  *
  * Determinism contract: a fault plan is a pure function of
  * (seed, point name, per-point hit index).  The hit index is an
@@ -22,19 +22,16 @@
  * points never perturb each other's decisions and a fixed
  * RP_FAULT_SEED replays the same fault schedule.
  *
- * Two fault kinds:
- *  - Throw: throws InjectedFault, which fails the job it hits;
- *  - Errno: faultPoint() returns a nonzero errno value (EINTR,
- *    EAGAIN, EIO, ...) for call sites that emulate syscall
- *    failures; sites with no errno semantics treat it as a throw
- *    (faultPointThrow).
+ * One fault kind: a firing point throws InjectedFault, which fails
+ * the job it hits (or, at the snapshot-cache points, degrades to a
+ * cold build or a skipped publish).
  *
  * Arming: programmatic (tests call `arm(seed, specs)`) or from the
  * environment — `RP_FAULT_SEED` plus `RP_FAULT_POINTS`, a comma list
- * of `point=kind[:arg][@skip][xcount][~prob]`, e.g.
+ * of `point=throw[@skip][xcount][~prob]`, e.g.
  *
  *   RP_FAULT_POINTS='service.worker.pre_dispatch=throw x1,
- *                    persist.snapshot.write=errno:EIO@2'
+ *                    persist.snapshot.write=throw@2'
  *
  * Point names are validated against a fixed registry (knownPoints),
  * so a typo'd point errors instead of silently injecting nothing.
@@ -53,7 +50,7 @@
 
 namespace rp::core {
 
-/** Thrown by an armed Throw fault point; the message names it. */
+/** Thrown by a firing fault point; the message names it. */
 class InjectedFault : public std::runtime_error
 {
   public:
@@ -63,18 +60,10 @@ class InjectedFault : public std::runtime_error
     }
 };
 
-/** What to inject at one named point. */
+/** Where and when to throw at one named point. */
 struct FaultSpec
 {
-    enum class Kind
-    {
-        Throw, ///< throw InjectedFault
-        Errno, ///< faultPoint() returns errnoValue
-    };
-
     std::string point;       ///< Must name a registered point.
-    Kind kind = Kind::Throw;
-    int errnoValue = 0;      ///< Errno: the value to return.
     int skip = 0;            ///< Ignore the first N hits of the point.
     int count = -1;          ///< Fire at most N times (-1 = always).
     double probability = 1.0;///< Seeded per-hit gate in (0, 1].
@@ -107,9 +96,8 @@ class FaultInjector
      * Arm from `RP_FAULT_SEED` (default 1) + `RP_FAULT_POINTS`.  A
      * missing/empty RP_FAULT_POINTS leaves the injector disarmed.
      * Spec grammar per comma-separated entry (whitespace ignored):
-     *   point=kind[:arg][@skip][xcount][~prob]
-     * with kind one of throw | errno:<NAME|num>.  Throws
-     * std::invalid_argument on malformed input.
+     *   point=throw[@skip][xcount][~prob]
+     * Throws std::invalid_argument on malformed input.
      */
     void armFromEnv();
 
@@ -132,11 +120,9 @@ class FaultInjector
 
     /**
      * Slow path behind faultPoint(): record a hit at @p point and
-     * apply the armed plan.  Returns 0 (no fault) or the errno
-     * value of a firing Errno fault; throws InjectedFault
-     * for a firing Throw fault.
+     * apply the armed plan; throws InjectedFault when a spec fires.
      */
-    int onHit(const char *point);
+    void onHit(const char *point);
 
   private:
     FaultInjector();
@@ -167,26 +153,16 @@ class FaultInjector
 };
 
 /**
- * THE instrumentation call.  Returns 0 when disarmed or when no fault
- * fires; returns an errno value for Errno faults (call sites that
- * emulate syscalls translate it); throws InjectedFault for Throw
- * faults.
+ * THE instrumentation call: returns when disarmed or when no fault
+ * fires, and throws InjectedFault when one does.
  */
-inline int
+inline void
 faultPoint(const char *point)
 {
     FaultInjector &fi = FaultInjector::instance();
-    return fi.armed() ? fi.onHit(point) : 0;
+    if (fi.armed())
+        fi.onHit(point);
 }
-
-/**
- * faultPoint() for sites with no errno semantics: a firing Errno
- * fault is promoted to an InjectedFault throw.
- */
-void faultPointThrow(const char *point);
-
-/** Symbolic errno name ("EIO") to value; throws on unknown names. */
-int errnoValueOf(const std::string &name);
 
 } // namespace rp::core
 

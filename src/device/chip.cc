@@ -257,14 +257,4 @@ Chip::storedFlipBits(int b, int row) const
     return bits;
 }
 
-void
-Chip::reset()
-{
-    for (auto &bk : banks_)
-        bk.reset();
-    data_.clear();
-    fault_.reset();
-    refreshPtr_ = 0;
-}
-
 } // namespace rp::device

@@ -123,9 +123,6 @@ class Chip
     /** Bits of @p row that currently differ from its fill pattern. */
     std::vector<int> storedFlipBits(int b, int row) const;
 
-    /** Reset banks, data, and dose state. */
-    void reset();
-
   private:
     struct RowData
     {

@@ -166,17 +166,6 @@ FaultModel::disturbedRows() const
     return rows;
 }
 
-void
-FaultModel::reset()
-{
-    // Keep the index pages; only the touched entries need zeroing.
-    for (const RowSlot &s : slots_)
-        indexPages_[pageEntry(
-            pageTable_[std::size_t(s.bank)][std::size_t(s.row >> kPageBits)],
-            s.row)] = 0;
-    slots_.clear();
-}
-
 std::vector<DoseState>
 FaultModel::snapshotDoses() const
 {

@@ -71,8 +71,7 @@ class FaultModel
 
     /**
      * False while no ACT, PRE or restore event has ever touched a row
-     * of @p bank (a cheap pre-check for Chip::refresh's stripe walk;
-     * it stays true across reset()).
+     * of @p bank (a cheap pre-check for Chip::refresh's stripe walk).
      */
     bool
     bankTouched(int bank) const
@@ -93,9 +92,6 @@ class FaultModel
 
     /** Rows that currently carry non-zero dose, in (bank, row) order. */
     std::vector<std::pair<int, int>> disturbedRows() const;
-
-    /** Clear all dose state (platform reset). */
-    void reset();
 
     // --- loop fast-forward support (bender::TestPlatform, sys::runDemo) ---
 
@@ -206,7 +202,7 @@ class FaultModel
     double temperatureC_ = 50.0;
     double evalNoiseSigma_ = 0.05;
 
-    /** Touched rows in first-touch order; kept until reset(). */
+    /** Touched rows in first-touch order. */
     std::vector<RowSlot> slots_;
 
     /**

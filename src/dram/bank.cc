@@ -107,18 +107,6 @@ Bank::ref(Time now)
 }
 
 void
-Bank::reset()
-{
-    open_ = false;
-    openRow_ = -1;
-    openedAt_ = 0;
-    earliestAct_ = 0;
-    earliestPre_ = 0;
-    earliestRead_ = 0;
-    earliestWrite_ = 0;
-}
-
-void
 Bank::shiftTiming(Time delta)
 {
     openedAt_ += delta;

@@ -67,9 +67,6 @@ class Bank
     /** Apply a rank-level REF (bank must be closed). */
     void ref(Time now);
 
-    /** Forget all timing history (used when resetting a platform). */
-    void reset();
-
     /**
      * Move the open time and every earliest-issue time @p delta later,
      * as if the bank's history had happened @p delta later (a

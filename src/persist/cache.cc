@@ -340,9 +340,7 @@ SnapshotCache::tryLoad(const device::ThresholdStore &store)
                                           invariantsHashOf(store)))
             .string();
     try {
-        if (const int err = core::faultPoint("persist.snapshot.read"))
-            throw CacheError("injected snapshot read fault: " +
-                             errnoText(err));
+        core::faultPoint("persist.snapshot.read");
         MappedFile map(path);
         if (!map.present()) {
             core::LockGuard lock(mutex_);
@@ -416,10 +414,7 @@ SnapshotCache::publishStore(const device::ThresholdStore &store,
         return false;
     try {
         // Before the publish lock: a failed publish touches no file.
-        if (const int err =
-                core::faultPoint("persist.snapshot.write"))
-            throw CacheError("injected snapshot write fault: " +
-                             errnoText(err));
+        core::faultPoint("persist.snapshot.write");
         const std::size_t bytes = installSnapshot(
             dir, key, invariantsHashOf(store), tiers.candidateRows,
             tiers.wordMaskRows, [&] { return writeSnapshot(store, key); });

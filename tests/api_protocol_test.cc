@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <tuple>
 
 #include "api/cli.h"
 #include "api/context.h"
@@ -384,6 +385,59 @@ TEST(ApiProtocol, SubmitRejectsOutOfRangeJobPolicy)
     EXPECT_NE(errors.back().find("timeout_ms"), std::string::npos)
         << errors.back();
     EXPECT_TRUE(service.jobs().empty());
+}
+
+TEST(ApiProtocol, SubmitRefusesUnservableConfigThenRunsValidJob)
+{
+    // A location count past the bank, or more engine threads than the
+    // ceiling, is refused at submit; the session then runs a valid
+    // job to its finished event.
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "rp_proto_bounds";
+    fs::remove_all(dir);
+    std::istringstream in(
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"config\":{\"locations\":\"4093\"}}\n"
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"config\":{\"threads\":\"257\"}}\n"
+        "{\"op\":\"submit\",\"experiment\":\"zzproto_a\","
+        "\"config\":{\"threads\":\"1\"},\"formats\":[\"json\"],"
+        "\"out\":\"" + dir.string() + "\"}\n");
+    std::ostringstream out;
+    Service service;
+    EXPECT_EQ(serveSession(service, in, out), 0);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    std::vector<JsonValue> responses;
+    std::size_t finished = 0;
+    while (std::getline(lines, line)) {
+        JsonValue v = parseJson(line);
+        if (const JsonValue *event = v.find("event")) {
+            if (event->text == "finished") {
+                ++finished;
+                EXPECT_EQ(v.find("state")->text, "finished") << line;
+            }
+            continue;
+        }
+        responses.push_back(std::move(v));
+    }
+    ASSERT_EQ(responses.size(), 3u);
+    for (const auto &[i, key, bound] :
+         {std::tuple<std::size_t, const char *, const char *>{
+              0, "--locations", "4092"},
+          {1, "--threads", "256"}}) {
+        EXPECT_FALSE(responses[i].find("ok")->boolean) << i;
+        const JsonValue *error = responses[i].find("error");
+        ASSERT_NE(error, nullptr) << i;
+        EXPECT_NE(error->text.find(key), std::string::npos) << error->text;
+        EXPECT_NE(error->text.find(bound), std::string::npos)
+            << error->text;
+    }
+    EXPECT_TRUE(responses[2].find("ok")->boolean);
+    EXPECT_EQ(finished, 1u);
+    EXPECT_EQ(service.jobs().size(), 1u);
+    EXPECT_TRUE(fs::exists(dir / "zzproto_a" / "result.json"));
 }
 
 TEST(ApiProtocol, ServeRejectsRunOnlyFlags)

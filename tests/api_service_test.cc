@@ -295,6 +295,39 @@ TEST(ApiService, JobConfigIgnoresTheProcessEnvironment)
         ::unsetenv(name);
 }
 
+TEST(ApiService, ResolveConfigBoundsLocationsAndThreads)
+{
+    // The largest location count whose layouts all fit the bank, and
+    // a fixed ceiling on engine threads (0 still means hardware
+    // concurrency).  Resolving a config starts no engine.
+    const Experiment &fig06 = Service::findExperiment("fig06");
+    EXPECT_EQ(chr::maxLocations(), 4092);
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"locations", "4092"}, {"threads", "256"}, {"threads", "0"}})
+        EXPECT_NO_THROW(
+            (void)Service::resolveConfig(fig06, {{key, value}}))
+            << key << "=" << value;
+
+    struct Refused
+    {
+        const char *key, *value, *bound;
+    };
+    for (const Refused &c : {Refused{"locations", "4093", "4092"},
+                             Refused{"threads", "257", "256"}}) {
+        try {
+            (void)Service::resolveConfig(fig06, {{c.key, c.value}});
+            ADD_FAILURE() << c.key << "=" << c.value << " was accepted";
+        } catch (const ConfigError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("--") + c.key),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(c.bound), std::string::npos) << what;
+        }
+    }
+}
+
 TEST(ApiService, FailedJobReportsErrorAndWritesNoResult)
 {
     const fs::path out = tempDir("rp_svc_fail");

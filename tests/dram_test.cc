@@ -115,16 +115,6 @@ TEST(Bank, RefBlocksActivationForTrfc)
     EXPECT_DEATH(bank.act(1, timing.tRFC - 1), "violates");
 }
 
-TEST(Bank, ResetClearsState)
-{
-    auto timing = benderTiming();
-    Bank bank(timing);
-    bank.act(1, 0);
-    bank.reset();
-    EXPECT_FALSE(bank.isOpen());
-    bank.act(2, 0); // legal immediately after reset
-}
-
 /** Property: a random legal command sequence never trips a check. */
 TEST(Bank, RandomLegalSequencesAreAccepted)
 {

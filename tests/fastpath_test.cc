@@ -13,8 +13,8 @@
  *    bit-identical to the plain per-bit reference loop
  *    (tests/full_scan_reference.h) at any dose, fill, polarity,
  *    override set, row width and parameter edit,
- *    and the (location, victim-chunk) BER task chunking must merge
- *    back to the serial per-location scan;
+ *    and the one-victim BER engine tasks must merge back to the
+ *    serial per-location scan;
  *  - findAcmin / findTAggOnMin, whose probes the AttemptOracle
  *    answers, must be bit-identical to the searches that replay every
  *    probe on the platform (tests/replay_reference.h; the multi-search
@@ -586,11 +586,10 @@ TEST(FastPath, PreparedRowMatchesCandidateEvaluation)
     EXPECT_GT(first_checked, 5000u);
 }
 
-TEST(FastPath, ChunkedAttemptsMatchSerialAttempts)
+TEST(FastPath, EngineAttemptsMatchSerialAttempts)
 {
-    // (location, victim-chunk) engine tasks against the serial
-    // per-location scan, with more workers than locations so the
-    // chunking actually splits victim lists.
+    // (victim, location) engine tasks against the serial
+    // per-location scan, with more engine threads than locations.
     const auto mc = testConfig(3);
     const std::vector<int> rows = chr::baseRowsOf(mc);
     core::ExperimentEngine engine(
@@ -599,23 +598,22 @@ TEST(FastPath, ChunkedAttemptsMatchSerialAttempts)
             o.numThreads = 4;
             return o;
         }());
-    ASSERT_GT(engine.chunksPerTask(rows.size()), 1u);
 
     for (auto kind : {chr::AccessKind::SingleSided,
                       chr::AccessKind::DoubleSided}) {
-        auto chunked = chr::maxActivationAttempts(
+        auto parallel = chr::maxActivationAttempts(
             mc, engine, rows, kind, chr::DataPattern::CheckerBoard,
             7800_ns);
-        ASSERT_EQ(chunked.size(), rows.size());
+        ASSERT_EQ(parallel.size(), rows.size());
         std::size_t total = 0;
         for (std::size_t li = 0; li < rows.size(); ++li) {
             chr::Module serial(chr::locationConfig(mc, rows[li]));
             auto expect = chr::maxActivationAttempt(
                 serial, 0, kind, chr::DataPattern::CheckerBoard,
                 7800_ns);
-            EXPECT_EQ(flipsOf(chunked[li].flips), flipsOf(expect.flips))
+            EXPECT_EQ(flipsOf(parallel[li].flips), flipsOf(expect.flips))
                 << chr::accessKindName(kind) << " row " << rows[li];
-            EXPECT_EQ(chunked[li].elapsed, expect.elapsed);
+            EXPECT_EQ(parallel[li].elapsed, expect.elapsed);
             total += expect.flips.size();
         }
         EXPECT_GT(total, 0u) << chr::accessKindName(kind);
@@ -635,7 +633,7 @@ slurp(const fs::path &p)
 
 TEST(FastPath, BerEccCsvByteIdenticalAcrossThreadCounts)
 {
-    // The fig25-shaped pipeline (chunked max-activation attempts ->
+    // The fig25-shaped pipeline (per-victim max-activation attempts ->
     // word-error stats -> SECDED/Chipkill outcomes -> CSV sink) must
     // write byte-identical artifacts at 1 and 4 threads.
     const auto mc = testConfig(2);

@@ -49,12 +49,10 @@ struct DisarmGuard
 };
 
 FaultSpec
-spec(const std::string &point, FaultSpec::Kind kind, int count = -1,
-     int skip = 0)
+spec(const std::string &point, int count = -1, int skip = 0)
 {
     FaultSpec s;
     s.point = point;
-    s.kind = kind;
     s.count = count;
     s.skip = skip;
     return s;
@@ -225,26 +223,25 @@ TEST(FaultInjector, RejectsUnknownPointsAndBadSpecs)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    EXPECT_THROW(
-        fi.arm(1, {spec("no.such.point", FaultSpec::Kind::Throw)}),
-        std::invalid_argument);
-    FaultSpec bad = spec("sink.render", FaultSpec::Kind::Throw);
+    EXPECT_THROW(fi.arm(1, {spec("no.such.point")}),
+                 std::invalid_argument);
+    FaultSpec bad = spec("sink.render");
     bad.probability = 1.5;
     EXPECT_THROW(fi.arm(1, {bad}), std::invalid_argument);
-    FaultSpec bad_errno = spec("sink.render", FaultSpec::Kind::Errno);
-    bad_errno.errnoValue = 0;
-    EXPECT_THROW(fi.arm(1, {bad_errno}), std::invalid_argument);
+    EXPECT_THROW(
+        fi.arm(1, {spec("sink.render", /*count=*/-1, /*skip=*/-1)}),
+        std::invalid_argument);
     EXPECT_FALSE(fi.armed());
 }
 
-TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
+TEST(FaultInjector, EnvGrammarArmsSkipCountPerPoint)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
     ::setenv("RP_FAULT_SEED", "42", 1);
     ::setenv("RP_FAULT_POINTS",
              " sink.render = throw x2 @1 , "
-             "persist.snapshot.write = errno:EIO ",
+             "persist.snapshot.write = throw ",
              1);
     fi.armFromEnv();
     ::unsetenv("RP_FAULT_POINTS");
@@ -253,13 +250,16 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountAndErrno)
 
     // skip=1: first hit passes, then two throws, then the count is
     // exhausted and the point goes quiet.
-    EXPECT_EQ(core::faultPoint("sink.render"), 0);
+    EXPECT_NO_THROW(core::faultPoint("sink.render"));
     EXPECT_THROW(core::faultPoint("sink.render"), core::InjectedFault);
     EXPECT_THROW(core::faultPoint("sink.render"), core::InjectedFault);
-    EXPECT_EQ(core::faultPoint("sink.render"), 0);
+    EXPECT_NO_THROW(core::faultPoint("sink.render"));
 
-    // Errno faults return the value instead of throwing.
-    EXPECT_EQ(core::faultPoint("persist.snapshot.write"), EIO);
+    // A spec without suffixes fires on every hit of its own point.
+    EXPECT_THROW(core::faultPoint("persist.snapshot.write"),
+                 core::InjectedFault);
+    EXPECT_THROW(core::faultPoint("persist.snapshot.write"),
+                 core::InjectedFault);
 
     const auto stats = fi.stats();
     bool checked = false;
@@ -277,11 +277,11 @@ TEST(FaultInjector, EnvGrammarRejectsMalformedInput)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    // The retired kinds (transient, delay) and the retired
+    // The retired kinds (transient, delay, errno) and the retired
     // service.submit.admit point are rejected like any unknown one.
     for (const char *bad :
          {"sink.render", "sink.render=frobnicate",
-          "zz.unknown=throw", "sink.render=errno:EWHAT",
+          "zz.unknown=throw", "sink.render=errno:EIO",
           "sink.render=delay:abc", "sink.render=throw~nope",
           "sink.render=transient", "sink.render=delay:5",
           "service.submit.admit=throw"}) {
@@ -296,16 +296,21 @@ TEST(FaultInjector, ProbabilityGateReplaysUnderFixedSeed)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    FaultSpec p = spec("sink.render", FaultSpec::Kind::Errno);
-    p.errnoValue = EIO;
+    FaultSpec p = spec("sink.render");
     p.probability = 0.5;
 
     auto pattern = [&](std::uint64_t seed) {
         fi.disarm();
         fi.arm(seed, {p});
         std::string bits;
-        for (int i = 0; i < 64; ++i)
-            bits += core::faultPoint("sink.render") ? '1' : '0';
+        for (int i = 0; i < 64; ++i) {
+            try {
+                core::faultPoint("sink.render");
+                bits += '0';
+            } catch (const core::InjectedFault &) {
+                bits += '1';
+            }
+        }
         return bits;
     };
 
@@ -324,8 +329,7 @@ TEST(FaultService, WorkerExceptionFailsJobWithoutWedgingQueue)
     DisarmGuard guard;
     const fs::path out = tempDir("rp_flt_worker");
     FaultInjector::instance().arm(
-        1, {spec("core.engine.task", FaultSpec::Kind::Throw,
-                 /*count=*/1)});
+        1, {spec("core.engine.task", /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -350,8 +354,7 @@ TEST(FaultService, SinkFailureDegradesOnlyItsJob)
     // scheduler worker the hit schedule is deterministic, so the
     // fault lands in job 1's Started delivery.
     FaultInjector::instance().arm(
-        1, {spec("sink.render", FaultSpec::Kind::Throw,
-                 /*count=*/1)});
+        1, {spec("sink.render", /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -448,8 +451,7 @@ TEST(FaultService, FailedJobResubmittedIsByteIdenticalToNoFaultRun)
         // One mid-run fault (the job's first engine task): a job runs
         // once, so it fails, naming the point.
         FaultInjector::instance().arm(
-            7, {spec("core.engine.task", FaultSpec::Kind::Throw,
-                     /*count=*/1)});
+            7, {spec("core.engine.task", /*count=*/1)});
         const JobRequest req = artifactRequest(faulted, threads);
         const JobStatus failed = service.wait(service.submit(req));
         EXPECT_EQ(failed.state, JobState::Failed);
@@ -479,26 +481,20 @@ TEST(FaultService, FailedJobResubmittedIsByteIdenticalToNoFaultRun)
 TEST(FaultService, PreDispatchFaultFailsJobBeforeItStarts)
 {
     DisarmGuard guard;
-    // A throw and an errno fault alike fail the job before it opens
-    // its stream: Queued, then Finished(failed), and no Started.
-    FaultSpec thrown = spec("service.worker.pre_dispatch",
-                            FaultSpec::Kind::Throw, /*count=*/1);
-    FaultSpec errno_fault = spec("service.worker.pre_dispatch",
-                                 FaultSpec::Kind::Errno, /*count=*/1);
-    errno_fault.errnoValue = EIO;
-    for (const FaultSpec &fault : {thrown, errno_fault}) {
-        FaultInjector::instance().arm(1, {fault});
-        Service service(Service::Options{/*workers=*/1});
-        EventLog log(service);
-        const auto id =
-            service.submit(artifactRequest(tempDir("rp_flt_predispatch")));
-        const JobStatus st = service.wait(id);
-        EXPECT_EQ(st.state, JobState::Failed);
-        EXPECT_NE(st.error.find("service.worker.pre_dispatch"),
-                  std::string::npos)
-            << st.error;
-        EXPECT_EQ(log.of(id), kNeverStarted);
-    }
+    // The fault fails the job before it opens its stream: Queued,
+    // then Finished(failed), and no Started.
+    FaultInjector::instance().arm(
+        1, {spec("service.worker.pre_dispatch", /*count=*/1)});
+    Service service(Service::Options{/*workers=*/1});
+    EventLog log(service);
+    const auto id =
+        service.submit(artifactRequest(tempDir("rp_flt_predispatch")));
+    const JobStatus st = service.wait(id);
+    EXPECT_EQ(st.state, JobState::Failed);
+    EXPECT_NE(st.error.find("service.worker.pre_dispatch"),
+              std::string::npos)
+        << st.error;
+    EXPECT_EQ(log.of(id), kNeverStarted);
 }
 
 TEST(FaultService, QueueFullRejectsWithReason)

@@ -114,13 +114,12 @@ TEST(ParallelDeterminism, SharedThresholdStoreThreadCountInvariant)
     }
 }
 
-TEST(ParallelDeterminism, OverlapAtAcminUnchunkedVsChunked)
+TEST(ParallelDeterminism, OverlapAtAcminSerialVsParallel)
 {
-    // 2 locations + the retention task = 3 coarse tasks: at 1 thread
-    // the driver runs one grid task per location (split = 1), at 4 it
-    // re-chunks each location's grid into slices (split = 2).  Each
-    // search starts from a reset platform, so the chunking must be
-    // bit-invisible.
+    // 2 locations x (3 tAggONs + the tRAS reference) cells plus the
+    // retention task: at 1 thread they run in index order, at 4 in
+    // any order.  Each cell runs on a fresh Module, so the schedule
+    // must be bit-invisible.
     chr::ModuleConfig mc;
     mc.die = device::dieS8GbB();
     mc.numLocations = 2;
@@ -141,6 +140,59 @@ TEST(ParallelDeterminism, OverlapAtAcminUnchunkedVsChunked)
         EXPECT_EQ(a[i].withRowHammer, b[i].withRowHammer);
         EXPECT_EQ(a[i].withRetention, b[i].withRetention);
     }
+}
+
+TEST(ParallelDeterminism, OverlapAtAcminMatchesPerCellReference)
+{
+    // The driver against a reference built here: each (tAggON,
+    // location) cell's ACmin flips from acminAtLocation on a fresh
+    // single-location Module, the RowHammer set at tRAS, and the
+    // retention set of one Module(mc) after 4 s at 80 C.  A driver
+    // that carried one search's platform state into the next would
+    // differ.
+    chr::ModuleConfig mc;
+    mc.die = device::dieS8GbB();
+    mc.numLocations = 4;
+    const auto kind = chr::AccessKind::SingleSided;
+    const std::vector<Time> sweep = {36_ns,  66_ns,   96_ns,   186_ns,
+                                     636_ns, 7800_ns, 70200_ns};
+
+    core::ExperimentEngine engine(withThreads(4));
+    const auto got = chr::overlapAtAcmin(mc, engine, sweep, kind);
+
+    const std::vector<int> rows = chr::baseRowsOf(mc);
+    auto ids_at = [&](Time t) {
+        std::vector<chr::VictimFlip> flips;
+        for (int row : rows) {
+            chr::Module local(chr::locationConfig(mc, row));
+            const auto cell = chr::acminAtLocation(
+                local, row, t, kind, chr::DataPattern::CheckerBoard, {});
+            flips.insert(flips.end(), cell.flips.begin(),
+                         cell.flips.end());
+        }
+        return chr::flipIdSet(flips);
+    };
+    const auto rh_ids = ids_at(dram::benderTiming().tRAS);
+    chr::Module whole(mc);
+    const auto ret_ids =
+        chr::flipIdSet(chr::retentionFailures(whole, 4.0, 80.0));
+
+    ASSERT_EQ(got.size(), sweep.size());
+    std::size_t rp_total = 0;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const auto rp_ids = ids_at(sweep[i]);
+        EXPECT_EQ(got[i].tAggOn, sweep[i]);
+        EXPECT_EQ(got[i].rpCells, rp_ids.size()) << i;
+        EXPECT_EQ(got[i].withRowHammer,
+                  chr::overlapFraction(rp_ids, rh_ids))
+            << i;
+        EXPECT_EQ(got[i].withRetention,
+                  chr::overlapFraction(rp_ids, ret_ids))
+            << i;
+        rp_total += rp_ids.size();
+    }
+    EXPECT_GT(rp_total, 0u);
+    EXPECT_FALSE(rh_ids.empty());
 }
 
 TEST(ParallelDeterminism, SharedStoreIdenticalToUnsharedStore)

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -560,8 +559,6 @@ TEST(PersistCache, ReadFaultDegradesToColdBuild)
 
     core::FaultSpec spec;
     spec.point = "persist.snapshot.read";
-    spec.kind = core::FaultSpec::Kind::Errno;
-    spec.errnoValue = EIO;
     core::FaultInjector::instance().arm(1, {spec});
 
     cache.resetStats();
@@ -585,7 +582,6 @@ TEST(PersistCache, WriteFaultNeverFailsTheRun)
 
     core::FaultSpec spec;
     spec.point = "persist.snapshot.write";
-    spec.kind = core::FaultSpec::Kind::Throw;
     core::FaultInjector::instance().arm(1, {spec});
 
     auto store = acquireShared(1004);
