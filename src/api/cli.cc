@@ -61,7 +61,8 @@ const char *const kUsage =
     "  import FILE...       validate and install snapshot files\n"
     "\n"
     "serve options:\n"
-    "  --jobs N             concurrent jobs in flight (default: 2)\n"
+    "  --jobs N             concurrent jobs in flight, 1-256\n"
+    "                       (default: 2)\n"
     "  --queue-max N        pending-queue admission bound; a full\n"
     "                       queue rejects with queue_full (default:\n"
     "                       64, 0 = unbounded)\n"
@@ -75,9 +76,9 @@ const char *const kUsage =
     "                       runs and processes (also RP_CACHE_DIR;\n"
     "                       empty = no persistence)\n"
     "\n"
-    "Fault injection (testing): set RP_FAULT_POINTS (and optionally\n"
-    "RP_FAULT_SEED) to inject deterministic faults at named points;\n"
-    "see docs for the grammar and the point registry.\n"
+    "Fault injection (testing): set RP_FAULT_POINTS to inject\n"
+    "deterministic faults at named points; see docs for the grammar\n"
+    "and the point registry.\n"
     "\n"
     "Experiments may declare further options (e.g. fig06 --temp,\n"
     "fig15 --temp-step); an option not declared by every selected\n"
@@ -360,8 +361,9 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
 /**
  * `rowpress cache`: offline maintenance of a snapshot cache
  * directory.  Every verb works on explicit paths (no Service, no
- * stores), so it is safe to run next to live serve processes — the
- * same flock + atomic-rename discipline the cache itself uses.
+ * stores), so it is safe to run next to live serve processes: it
+ * installs files under the cache's own publish lock and atomic
+ * rename, and reads snapshot files whole, as the cache does.
  */
 int
 cmdCache(const std::vector<std::string> &args, std::ostream &out,
@@ -533,9 +535,15 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     int grace_ms = 5000;
     for (const Flag &flag : parsed.flags) {
         if (flag.key == "jobs") {
+            // Each job slot is a scheduler thread, started before
+            // the first request is read.
             jobs = parseInt32(flag.value, "--jobs");
             if (jobs < 1)
                 throw ConfigError("--jobs: must be >= 1");
+            if (jobs > kMaxThreads)
+                throw ConfigError("--jobs: value " + std::to_string(jobs) +
+                                  " is above the maximum of " +
+                                  std::to_string(kMaxThreads));
         } else if (flag.key == "queue-max") {
             const long long v = parseInt(flag.value, "--queue-max");
             if (v < 0)

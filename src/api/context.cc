@@ -28,7 +28,7 @@ baseSchema()
     // per task set.
     schema.add({"threads", OptionType::Int, "0",
                 "engine worker threads (0 = hardware concurrency)",
-                0.0, true, 256.0, true});
+                0.0, true, double(kMaxThreads), true});
     return schema;
 }
 

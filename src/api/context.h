@@ -29,6 +29,12 @@
 namespace rp::api {
 
 /**
+ * The ceiling of --threads (a job's engine threads) and of serve's
+ * --jobs (its scheduler threads).
+ */
+constexpr int kMaxThreads = 256;
+
+/**
  * The base options every experiment accepts (--locations, --dies,
  * --seed, --threads, --scale; --temp is per-experiment).
  */

@@ -2,23 +2,9 @@
 
 #include <cstdlib>
 
-#include "common/rng.h"
-
 namespace rp::core {
 
 namespace {
-
-/** FNV-1a over the point name: a stable per-point hash input. */
-std::uint64_t
-pointHash(const std::string &name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : name) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 std::string
 trim(const std::string &s)
@@ -30,20 +16,15 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-long long
-parsePlanInt(const std::string &text, const std::string &what)
+/** The argument of an `xcount` / `@skip` suffix: 1 to 9 digits. */
+int
+parseSuffix(const std::string &arg, const std::string &what)
 {
-    std::size_t used = 0;
-    long long v = 0;
-    try {
-        v = std::stoll(text, &used);
-    } catch (const std::exception &) {
-        used = std::string::npos;
-    }
-    if (used != text.size() || text.empty())
-        throw std::invalid_argument("RP_FAULT_POINTS: " + what +
-                                    ": bad integer '" + text + "'");
-    return v;
+    if (arg.empty() || arg.size() > 9 ||
+        arg.find_first_not_of("0123456789") != std::string::npos)
+        throw std::invalid_argument("RP_FAULT_POINTS: bad " + what +
+                                    " '" + arg + "'");
+    return std::stoi(arg);
 }
 
 } // namespace
@@ -88,7 +69,7 @@ FaultInjector::findPoint(const std::string &name)
 }
 
 void
-FaultInjector::arm(std::uint64_t seed, std::vector<FaultSpec> specs)
+FaultInjector::arm(std::vector<FaultSpec> specs)
 {
     LockGuard lock(mutex_);
     for (PointState &p : points_) {
@@ -96,7 +77,6 @@ FaultInjector::arm(std::uint64_t seed, std::vector<FaultSpec> specs)
         p.fires = 0;
         p.specs.clear();
     }
-    seed_ = seed;
     for (FaultSpec &spec : specs) {
         PointState *point = findPoint(spec.point);
         if (!point)
@@ -104,10 +84,6 @@ FaultInjector::arm(std::uint64_t seed, std::vector<FaultSpec> specs)
                 "fault point '" + spec.point +
                 "' is not registered (see "
                 "core::FaultInjector::knownPoints)");
-        if (spec.probability <= 0.0 || spec.probability > 1.0)
-            throw std::invalid_argument(
-                "fault spec for '" + spec.point +
-                "': probability must be in (0, 1]");
         if (spec.skip < 0)
             throw std::invalid_argument(
                 "fault spec for '" + spec.point +
@@ -127,12 +103,6 @@ FaultInjector::armFromEnv()
     if (!points_env || trim(points_env).empty())
         return;
 
-    std::uint64_t seed = 1;
-    if (const char *seed_env =
-            std::getenv("RP_FAULT_SEED")) // NOLINT(concurrency-mt-unsafe): startup-only, pre-thread
-        seed = std::uint64_t(
-            parsePlanInt(trim(seed_env), "RP_FAULT_SEED"));
-
     std::vector<FaultSpec> specs;
     std::string rest = points_env;
     while (!rest.empty()) {
@@ -151,48 +121,16 @@ FaultInjector::armFromEnv()
         spec.point = trim(entry.substr(0, eq));
         std::string body = trim(entry.substr(eq + 1));
 
-        // Peel the optional suffixes ~prob, xcount, @skip from the
-        // right (order-independent grammar, applied right-to-left).
-        for (bool peeled = true; peeled;) {
-            peeled = false;
-            for (const char mark : {'~', 'x', '@'}) {
-                const auto at = body.find_last_of(mark);
-                if (at == std::string::npos || at == 0)
-                    continue;
-                // 'x' also appears in no suffix context; only treat
-                // it as a suffix when what follows parses as its arg.
-                const std::string arg = trim(body.substr(at + 1));
-                if (mark == '~') {
-                    char *end = nullptr;
-                    const double p =
-                        std::strtod(arg.c_str(), &end);
-                    if (!end || *end != '\0' || arg.empty())
-                        throw std::invalid_argument(
-                            "RP_FAULT_POINTS: bad probability '" +
-                            arg + "'");
-                    spec.probability = p;
-                } else {
-                    bool numeric = !arg.empty();
-                    for (char c : arg)
-                        numeric = numeric && c >= '0' && c <= '9';
-                    if (!numeric) {
-                        if (mark == '@')
-                            throw std::invalid_argument(
-                                "RP_FAULT_POINTS: bad skip '" + arg +
-                                "'");
-                        continue; // an 'x' inside the kind body
-                    }
-                    const long long v = parsePlanInt(
-                        arg, mark == 'x' ? "count" : "skip");
-                    if (mark == 'x')
-                        spec.count = int(v);
-                    else
-                        spec.skip = int(v);
-                }
-                body = trim(body.substr(0, at));
-                peeled = true;
-                break;
-            }
+        // Peel the optional suffixes xcount and @skip, in either
+        // order: the rightmost mark is always the next suffix, since
+        // the kind (throw) contains neither.
+        for (auto at = body.find_last_of("x@");
+             at != std::string::npos && at != 0;
+             at = body.find_last_of("x@")) {
+            const bool count = body[at] == 'x';
+            (count ? spec.count : spec.skip) = parseSuffix(
+                trim(body.substr(at + 1)), count ? "count" : "skip");
+            body = trim(body.substr(0, at));
         }
 
         if (body != "throw")
@@ -202,7 +140,7 @@ FaultInjector::armFromEnv()
         specs.push_back(std::move(spec));
     }
     if (!specs.empty())
-        arm(seed, std::move(specs));
+        arm(std::move(specs));
 }
 
 void
@@ -249,16 +187,6 @@ FaultInjector::onHit(const char *point)
             if (spec.count >= 0 &&
                 armed.fired >= std::uint64_t(spec.count))
                 continue;
-            if (spec.probability < 1.0) {
-                // Pure function of (seed, point, hit): replayable,
-                // independent across points.
-                const std::uint64_t h = hashU64(
-                    seed_, pointHash(spec.point), hit);
-                const double u =
-                    double(h >> 11) * (1.0 / 9007199254740992.0);
-                if (u >= spec.probability)
-                    continue;
-            }
             ++armed.fired;
             ++state->fires;
             fire = true;

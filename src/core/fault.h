@@ -13,22 +13,19 @@
  * armed, consult a deterministic plan of where to throw.
  *
  * Determinism contract: a fault plan is a pure function of
- * (seed, point name, per-point hit index).  The hit index is an
- * atomic per-point counter, so "fire on the 3rd hit of
- * service.worker.pre_dispatch" reproduces exactly whenever the
- * schedule of hits at that point is itself deterministic (one job in
- * flight, or a fault that fires on every hit).  The probability gate
- * hashes (seed, point, hit index) — never a global RNG — so two
- * points never perturb each other's decisions and a fixed
- * RP_FAULT_SEED replays the same fault schedule.
+ * (point name, per-point hit index).  The hit index is a per-point
+ * counter, so "fire on the 3rd hit of service.worker.pre_dispatch"
+ * reproduces exactly whenever the schedule of hits at that point is
+ * itself deterministic (one job in flight, or a fault that fires on
+ * every hit), and two points never perturb each other's decisions.
  *
  * One fault kind: a firing point throws InjectedFault, which fails
  * the job it hits (or, at the snapshot-cache points, degrades to a
  * cold build or a skipped publish).
  *
- * Arming: programmatic (tests call `arm(seed, specs)`) or from the
- * environment — `RP_FAULT_SEED` plus `RP_FAULT_POINTS`, a comma list
- * of `point=throw[@skip][xcount][~prob]`, e.g.
+ * Arming: programmatic (tests call `arm(specs)`) or from the
+ * environment — `RP_FAULT_POINTS`, a comma list of
+ * `point=throw[@skip][xcount]`, e.g.
  *
  *   RP_FAULT_POINTS='service.worker.pre_dispatch=throw x1,
  *                    persist.snapshot.write=throw@2'
@@ -66,7 +63,6 @@ struct FaultSpec
     std::string point;       ///< Must name a registered point.
     int skip = 0;            ///< Ignore the first N hits of the point.
     int count = -1;          ///< Fire at most N times (-1 = always).
-    double probability = 1.0;///< Seeded per-hit gate in (0, 1].
 };
 
 /**
@@ -88,15 +84,15 @@ class FaultInjector
     /**
      * Install a plan (replacing any previous one) and arm.  Throws
      * std::invalid_argument for an unregistered point name or a
-     * malformed spec (probability outside (0, 1], negative skip).
+     * negative skip.
      */
-    void arm(std::uint64_t seed, std::vector<FaultSpec> specs);
+    void arm(std::vector<FaultSpec> specs);
 
     /**
-     * Arm from `RP_FAULT_SEED` (default 1) + `RP_FAULT_POINTS`.  A
-     * missing/empty RP_FAULT_POINTS leaves the injector disarmed.
-     * Spec grammar per comma-separated entry (whitespace ignored):
-     *   point=throw[@skip][xcount][~prob]
+     * Arm from `RP_FAULT_POINTS`.  A missing/empty value leaves the
+     * injector disarmed.  Spec grammar per comma-separated entry
+     * (whitespace ignored):
+     *   point=throw[@skip][xcount]
      * Throws std::invalid_argument on malformed input.
      */
     void armFromEnv();
@@ -149,7 +145,6 @@ class FaultInjector
     mutable Mutex mutex_;      ///< Guards plan swaps + counters.
     std::vector<PointState> points_ RP_GUARDED_BY(mutex_);
     std::atomic<bool> armed_{false}; ///< Lock-free fast-path gate.
-    std::uint64_t seed_ RP_GUARDED_BY(mutex_) = 1;
 };
 
 /**

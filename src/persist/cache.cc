@@ -2,16 +2,16 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <system_error>
 
 #include "common/logging.h"
@@ -30,71 +30,6 @@ errnoText(int err)
 {
     return std::string(std::strerror(err));
 }
-
-/**
- * Read-only mmap of one snapshot file, held under a shared advisory
- * flock for the lifetime of the mapping (the exclusive side is the
- * publisher's side-lock; atomic rename is the primary torn-file
- * guard — a reader that opened the old inode keeps a consistent
- * view regardless).
- */
-class MappedFile
-{
-  public:
-    explicit MappedFile(const std::string &path)
-    {
-        fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (fd_ < 0) {
-            if (errno == ENOENT)
-                return; // absent: a miss, not an error
-            throw CacheError("open " + path + ": " +
-                             errnoText(errno));
-        }
-        present_ = true;
-        if (::flock(fd_, LOCK_SH) != 0)
-            throw CacheError("flock " + path + ": " +
-                             errnoText(errno));
-        struct stat st
-        {
-        };
-        if (::fstat(fd_, &st) != 0)
-            throw CacheError("fstat " + path + ": " +
-                             errnoText(errno));
-        size_ = std::size_t(st.st_size);
-        if (size_ > 0) {
-            void *map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE,
-                               fd_, 0);
-            if (map == MAP_FAILED)
-                throw CacheError("mmap " + path + ": " +
-                                 errnoText(errno));
-            map_ = map;
-        }
-    }
-
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-
-    ~MappedFile()
-    {
-        if (map_)
-            ::munmap(map_, size_);
-        if (fd_ >= 0)
-            ::close(fd_); // releases the flock
-    }
-
-    bool present() const { return present_; }
-    const std::uint8_t *data() const
-    {
-        return static_cast<const std::uint8_t *>(map_);
-    }
-    std::size_t size() const { return size_; }
-
-  private:
-    int fd_ = -1;
-    bool present_ = false;
-    void *map_ = nullptr;
-    std::size_t size_ = 0;
-};
 
 /**
  * Exclusive advisory lock on `<snapshot>.lock`, serializing
@@ -134,39 +69,59 @@ class PublishLock
     int fd_ = -1;
 };
 
-/** Tier row counts of an on-disk snapshot's header (monotone rule). */
-struct DiskCounts
+/**
+ * The first @p limit bytes of @p path (all of them by default).  A
+ * missing file is nullopt, a miss rather than an error; any other
+ * failure throws CacheError.
+ */
+std::optional<std::vector<std::uint8_t>>
+readFileBytes(const std::string &path, std::size_t limit = SIZE_MAX)
 {
-    bool valid = false;
-    std::uint64_t candRows = 0;
-    std::uint64_t wmRows = 0;
-};
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        if (errno == ENOENT)
+            return std::nullopt;
+        throw CacheError("open " + path + ": " + errnoText(errno));
+    }
+    struct stat st
+    {
+    };
+    std::vector<std::uint8_t> bytes;
+    int err = ::fstat(fd, &st) == 0 ? 0 : errno;
+    if (err == 0)
+        bytes.resize(std::min(std::size_t(st.st_size), limit));
+    std::size_t got = 0;
+    while (err == 0 && got < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n == 0)
+            break; // shrank since fstat: the snapshot checks see it
+        if (n > 0)
+            got += std::size_t(n);
+        else if (errno != EINTR)
+            err = errno;
+    }
+    ::close(fd);
+    if (err != 0)
+        throw CacheError("read " + path + ": " + errnoText(err));
+    bytes.resize(got);
+    return bytes;
+}
 
-DiskCounts
+/**
+ * The row counts of @p path's header, the publish-side coverage
+ * record; nullopt for a missing file or one of another format.
+ */
+std::optional<LoadCounts>
 headerCountsOf(const std::string &path)
 {
     // The file name already binds (key, invariants), so the header's
     // row counts are all the monotone rule needs; full validation
     // happens at load time.
-    DiskCounts out;
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        return out;
-    std::uint8_t header[96];
-    const ssize_t n = ::pread(fd, header, sizeof(header), 0);
-    ::close(fd);
-    if (n != ssize_t(sizeof(header)))
-        return out;
-    std::uint64_t magic = 0;
-    std::uint32_t version = 0;
-    std::memcpy(&magic, header, 8);
-    std::memcpy(&version, header + 8, 4);
-    if (magic != kSnapshotMagic || version != kSnapshotFormatVersion)
-        return out;
-    out.valid = true;
-    std::memcpy(&out.candRows, header + 40, 8);
-    std::memcpy(&out.wmRows, header + 48, 8);
-    return out;
+    const auto header = readFileBytes(path, kSnapshotHeaderBytes);
+    if (!header)
+        return std::nullopt;
+    return headerRowCounts(header->data(), header->size());
 }
 
 /** Write @p blob to @p path via temp file + fsync + atomic rename. */
@@ -216,16 +171,19 @@ touchFile(const std::string &path)
     (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 }
 
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+/** inspectSnapshot of @p path's bytes; a failed read is invalid too. */
+SnapshotInfo
+inspectFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CacheError("open " + path + ": " + errnoText(errno));
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return bytes;
+    SnapshotInfo info;
+    try {
+        if (const auto bytes = readFileBytes(path))
+            return inspectSnapshot(bytes->data(), bytes->size());
+        info.error = "no such file";
+    } catch (const CacheError &e) {
+        info.error = e.what();
+    }
+    return info;
 }
 
 /** The warm-start hook ThresholdStore::acquire() calls (never throws). */
@@ -255,9 +213,9 @@ installSnapshot(const std::string &dir, const std::string &key,
          SnapshotCache::snapshotFileName(key, invariants_hash))
             .string();
     PublishLock lock(path);
-    const DiskCounts existing = headerCountsOf(path);
-    if (existing.valid && existing.candRows >= cand_rows &&
-        existing.wmRows >= wm_rows)
+    const std::optional<LoadCounts> existing = headerCountsOf(path);
+    if (existing && existing->candidateRows >= cand_rows &&
+        existing->wordMaskRows >= wm_rows)
         return 0;
     const std::vector<std::uint8_t> blob = serialize();
     writeAtomically(path, blob);
@@ -341,17 +299,18 @@ SnapshotCache::tryLoad(const device::ThresholdStore &store)
             .string();
     try {
         core::faultPoint("persist.snapshot.read");
-        MappedFile map(path);
-        if (!map.present()) {
+        const auto bytes = readFileBytes(path);
+        if (!bytes) {
             core::LockGuard lock(mutex_);
             ++stats_.misses;
             return false;
         }
-        loadSnapshot(map.data(), map.size(), store.contentKey(), store);
+        loadSnapshot(bytes->data(), bytes->size(), store.contentKey(),
+                     store);
         touchFile(path);
         core::LockGuard lock(mutex_);
         ++stats_.hits;
-        stats_.bytesLoaded += map.size();
+        stats_.bytesLoaded += bytes->size();
         return true;
     } catch (const std::exception &e) {
         // Corrupt, truncated, stale-math, or fault-injected: one
@@ -377,8 +336,8 @@ SnapshotCache::quarantineIfInvalid(const std::string &path)
     // error here just leaves the file for `cache gc`.
     try {
         PublishLock lock(path);
-        const std::vector<std::uint8_t> bytes = readFileBytes(path);
-        if (!inspectSnapshot(bytes.data(), bytes.size()).valid)
+        const auto bytes = readFileBytes(path);
+        if (bytes && !inspectSnapshot(bytes->data(), bytes->size()).valid)
             ::unlink(path.c_str());
     } catch (const std::exception &) {
     }
@@ -448,13 +407,7 @@ SnapshotCache::listDir(const std::string &dir)
         CacheEntry entry;
         entry.file = it.path().filename().string();
         entry.bytes = it.file_size();
-        try {
-            const auto bytes = readFileBytes(it.path().string());
-            entry.info = inspectSnapshot(bytes.data(), bytes.size());
-        } catch (const std::exception &e) {
-            entry.info.valid = false;
-            entry.info.error = e.what();
-        }
+        entry.info = inspectFile(it.path().string());
         entries.push_back(std::move(entry));
     }
     std::sort(entries.begin(), entries.end(),
@@ -497,13 +450,7 @@ SnapshotCache::gcDir(const std::string &dir, std::uintmax_t max_bytes)
         c.path = it.path();
         c.bytes = it.file_size();
         c.mtime = fs::last_write_time(it.path());
-        try {
-            const auto bytes = readFileBytes(it.path().string());
-            c.valid =
-                inspectSnapshot(bytes.data(), bytes.size()).valid;
-        } catch (const std::exception &) {
-            c.valid = false;
-        }
+        c.valid = inspectFile(it.path().string()).valid;
         files.push_back(std::move(c));
     }
 
@@ -545,9 +492,11 @@ bool
 SnapshotCache::installFile(const std::string &src,
                            const std::string &dir)
 {
-    std::vector<std::uint8_t> blob = readFileBytes(src);
+    auto blob = readFileBytes(src);
+    if (!blob)
+        throw CacheError("open " + src + ": " + errnoText(ENOENT));
     const SnapshotInfo info =
-        inspectSnapshot(blob.data(), blob.size());
+        inspectSnapshot(blob->data(), blob->size());
     if (!info.valid)
         throw CacheError("'" + src + "' is not a valid snapshot: " +
                          info.error);
@@ -557,7 +506,7 @@ SnapshotCache::installFile(const std::string &src,
         throw CacheError("'" + dir + "' is not a usable directory");
     return installSnapshot(dir, info.key, info.invariantsHash,
                            info.candidateRows, info.wordMaskRows,
-                           [&blob] { return std::move(blob); }) != 0;
+                           [&blob] { return std::move(*blob); }) != 0;
 }
 
 } // namespace rp::persist

@@ -13,20 +13,23 @@
  * lifecycle:
  *
  *  - load: when ThresholdStore::acquire() creates a store, the cache
- *    (via the store's warm-start hook) mmaps the matching snapshot,
- *    validates it (checksum, version, key, invariants hash), and
- *    adopts its tiers.  Any failure — missing file, torn write,
- *    bit-flip, stale format, changed math — logs one warning and
+ *    (via the store's warm-start hook) reads the matching snapshot
+ *    file, validates it (checksum, version, every row, key,
+ *    invariants hash), and adopts its tiers.  A missing file is a
+ *    silent miss; any other failure — torn write, bit-flip, stale
+ *    format, out-of-range field, changed math — logs one warning and
  *    degrades to a cold build.  Loading never throws and never
- *    serves stale math.
+ *    serves stale math.  Readers take no lock: a snapshot file is
+ *    only ever replaced whole, by rename.
  *  - publish: after a job completes, every registered store with
- *    built tiers takes the snapshot's advisory flock and reads the
- *    file's header, the only publication record.  Only when the file
- *    does not cover the store's tiers (the monotone rule: never
- *    replace a snapshot that already covers at least as many rows) is
- *    the store serialized to a temp file and atomically renamed into
- *    place, so concurrent serve processes sharing the directory never
- *    observe torn files and never regress each other's coverage.
+ *    built tiers takes the snapshot's `<file>.lock` advisory flock
+ *    and reads the file's header, the only publication record.  Only
+ *    when the file does not cover the store's tiers (the monotone
+ *    rule: never replace a snapshot that already covers at least as
+ *    many rows) is the store serialized to a temp file and atomically
+ *    renamed into place, so concurrent serve processes sharing the
+ *    directory never observe torn files and never regress each
+ *    other's coverage.
  *  - gc: size-capped LRU over file mtimes (a successful load
  *    freshens its file), dropping undecodable files first.
  *

@@ -6,19 +6,21 @@
  * Every tier of a ThresholdStore is a pure deterministic function of
  * its content key (die id, threshold parameters, bits-per-row, seed),
  * so the expensive candidate enumeration and word-mask build can be
- * done once and reused by every later process.  A snapshot serializes
- * both tiers — the candidate SoA lists with their row minima and the
- * RowWordMasks word-occupancy tier — into a little-endian format with
- * a fixed header and a section table of fixed offsets, so a reader
- * can mmap the file and copy each SoA array straight into the tier
- * vectors with one memcpy per array (the arrays are stored
- * contiguously, field-major, exactly as the in-memory layout wants
- * them).
+ * done once and reused by every later process.  A snapshot is a
+ * little-endian row stream: a fixed 96-byte header, the content key,
+ * then every candidate row (key, cell count, row minima, then its
+ * bit / thetaH / thetaP / tauRet / anti / domSide arrays) and every
+ * word-mask row (key, geometry, lower bounds, then its mask words),
+ * each tier in ascending row-key order.  One bounds-checked walker
+ * reads it for both loadSnapshot and inspectSnapshot.
  *
  * Trust model: a snapshot is only adopted when
  *
- *  - magic, format version, and structural bounds check out;
+ *  - magic, format version and file size check out;
  *  - the FNV-1a checksum over the whole file matches;
+ *  - every row field is in range: anti and domSide in {0, 1}, bits
+ *    strictly ascending below bits-per-row, and the mask geometry of
+ *    the header's bits-per-row and ladder sizes;
  *  - the embedded content key equals the store's key; and
  *  - the build-invariants hash matches invariantsHashOf(store) — a
  *    fingerprint of the store's threshold parameters, the
@@ -27,11 +29,14 @@
  *    invalidates every old snapshot automatically (stale math is
  *    never served).
  *
- * Any violation raises SnapshotError; callers (persist::SnapshotCache)
- * treat that as "no snapshot" and fall back to a clean rebuild.  The
- * non-negotiable invariant is that a store warmed from a snapshot is
- * bit-identical to a freshly built one — the doubles are stored as
- * raw IEEE-754 bit patterns and never pass through text.
+ * The checksum detects corruption; it is not a signature, so the
+ * range checks are what keep a hand-edited file from indexing out of
+ * bounds.  Any violation raises SnapshotError; callers
+ * (persist::SnapshotCache) treat that as "no snapshot" and fall back
+ * to a clean rebuild.  The non-negotiable invariant is that a store
+ * warmed from a snapshot is bit-identical to a freshly built one — the
+ * doubles are stored as raw IEEE-754 bit patterns and never pass
+ * through text.
  */
 
 #ifndef ROWPRESS_PERSIST_SNAPSHOT_H
@@ -39,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,9 +60,15 @@ class SnapshotError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** "RPSNAP01" little-endian; new layouts bump the trailing digits. */
+/**
+ * "RPSNAP01" little-endian.  The magic never changes; the format
+ * version field is the one layout version.
+ */
 constexpr std::uint64_t kSnapshotMagic = 0x313050414e535052ULL;
-constexpr std::uint32_t kSnapshotFormatVersion = 1;
+constexpr std::uint32_t kSnapshotFormatVersion = 2;
+
+/** Size of the fixed header every snapshot starts with. */
+constexpr std::size_t kSnapshotHeaderBytes = 96;
 
 /** Canonical snapshot file extension (cache files, ls/gc/import). */
 constexpr const char *kSnapshotExtension = ".rpsnap";
@@ -80,7 +92,7 @@ std::uint64_t invariantsHashOf(const device::ThresholdStore &store);
 /** Header summary of one snapshot blob, for `rowpress cache ls`. */
 struct SnapshotInfo
 {
-    bool valid = false;      ///< Structure + checksum fully verified.
+    bool valid = false;      ///< Every check but the store's passed.
     std::string error;       ///< Why !valid (one line).
     std::uint32_t version = 0;
     std::uint64_t invariantsHash = 0;
@@ -93,7 +105,7 @@ struct SnapshotInfo
     std::size_t bytes = 0;
 };
 
-/** Tier row counts adopted by loadSnapshot. */
+/** Tier row counts of a snapshot. */
 struct LoadCounts
 {
     std::size_t candidateRows = 0;
@@ -113,19 +125,27 @@ std::vector<std::uint8_t> writeSnapshot(
  * invariants hash, then adopt every tier row into @p into (insert-if-
  * absent: rows already built win, and are bit-identical anyway).
  * Throws SnapshotError on any mismatch; @p into is only modified
- * after full validation.
+ * after every row has validated.
  */
 LoadCounts loadSnapshot(const std::uint8_t *data, std::size_t size,
                         const std::string &expected_key,
                         const device::ThresholdStore &into);
 
 /**
- * Parse and fully verify (structure + checksum) a snapshot blob
+ * Walk and fully verify (checksum and every row) a snapshot blob
  * without a target store; never throws — failures land in
  * SnapshotInfo::error.
  */
 SnapshotInfo inspectSnapshot(const std::uint8_t *data,
                              std::size_t size);
+
+/**
+ * The row counts a header of the current format version records, read
+ * from the first kSnapshotHeaderBytes of @p data without a checksum
+ * (the cache's publish-side coverage rule); nullopt for anything else.
+ */
+std::optional<LoadCounts> headerRowCounts(const std::uint8_t *data,
+                                          std::size_t size);
 
 } // namespace rp::persist
 

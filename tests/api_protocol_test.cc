@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <tuple>
 
@@ -442,10 +446,20 @@ TEST(ApiProtocol, SubmitRefusesUnservableConfigThenRunsValidJob)
 
 TEST(ApiProtocol, ServeRejectsRunOnlyFlags)
 {
-    // These rejections happen before any stdin is read.  Flags serve
-    // does not have fail like any unknown flag; the two long names are
-    // split literals so that a search of the tree for them finds no
-    // user.
+    // These rejections happen before any stdin is read or any
+    // scheduler thread starts.  Flags serve does not have fail like
+    // any unknown flag; the two long names are split literals so that
+    // a search of the tree for them finds no user.  Standard input is
+    // an empty file, so a serve that starts anyway ends at EOF with
+    // exit 0 instead of waiting for input.
+    const fs::path empty =
+        fs::path(::testing::TempDir()) / "rp_proto_empty_stdin";
+    std::ofstream{empty};
+    const int saved_stdin = ::dup(0);
+    const int empty_fd = ::open(empty.c_str(), O_RDONLY);
+    ASSERT_GE(empty_fd, 0);
+    ::dup2(empty_fd, 0);
+    ::close(empty_fd);
     for (const std::vector<std::string> &args :
          {std::vector<std::string>{"serve", "--out", "x"},
           std::vector<std::string>{"serve", "--format", "json"},
@@ -454,6 +468,7 @@ TEST(ApiProtocol, ServeRejectsRunOnlyFlags)
           std::vector<std::string>{"serve", "fig06"},
           std::vector<std::string>{"serve", "--jobs", "0"},
           std::vector<std::string>{"serve", "--jobs", "4294967297"},
+          std::vector<std::string>{"serve", "--jobs", "257"},
           std::vector<std::string>{"serve", "--port", "99999"},
           std::vector<std::string>{"serve", "--port", "7733"},
           std::vector<std::string>{"serve", "--session-max-"
@@ -465,7 +480,15 @@ TEST(ApiProtocol, ServeRejectsRunOnlyFlags)
           std::vector<std::string>{"serve", "--bogus", "1"}}) {
         std::ostringstream out, err;
         EXPECT_EQ(runCli(args, out, err), 2) << args[1];
+        if (args.back() == "257") {
+            EXPECT_NE(err.str().find("--jobs: value 257 is above the "
+                                     "maximum of 256"),
+                      std::string::npos)
+                << err.str();
+        }
     }
+    ::dup2(saved_stdin, 0);
+    ::close(saved_stdin);
 }
 
 TEST(ApiProtocol, ShutdownVerbEndsSessionBeforeEof)

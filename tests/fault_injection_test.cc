@@ -2,8 +2,8 @@
  * @file
  * Chaos suite: the deterministic fault-injection harness driving the
  * service/protocol robustness stack.  Every scenario arms
- * core::FaultInjector (programmatically or through the RP_FAULT_SEED
- * / RP_FAULT_POINTS environment grammar) and asserts the documented
+ * core::FaultInjector (programmatically or through the
+ * RP_FAULT_POINTS environment grammar) and asserts the documented
  * degradation: a worker exception fails its job without wedging the
  * queue; a sink failure degrades only its job; a failed output ends
  * a serve session while its submitted jobs still finish; a deadline
@@ -223,13 +223,10 @@ TEST(FaultInjector, RejectsUnknownPointsAndBadSpecs)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    EXPECT_THROW(fi.arm(1, {spec("no.such.point")}),
+    EXPECT_THROW(fi.arm({spec("no.such.point")}),
                  std::invalid_argument);
-    FaultSpec bad = spec("sink.render");
-    bad.probability = 1.5;
-    EXPECT_THROW(fi.arm(1, {bad}), std::invalid_argument);
     EXPECT_THROW(
-        fi.arm(1, {spec("sink.render", /*count=*/-1, /*skip=*/-1)}),
+        fi.arm({spec("sink.render", /*count=*/-1, /*skip=*/-1)}),
         std::invalid_argument);
     EXPECT_FALSE(fi.armed());
 }
@@ -238,14 +235,12 @@ TEST(FaultInjector, EnvGrammarArmsSkipCountPerPoint)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    ::setenv("RP_FAULT_SEED", "42", 1);
     ::setenv("RP_FAULT_POINTS",
              " sink.render = throw x2 @1 , "
              "persist.snapshot.write = throw ",
              1);
     fi.armFromEnv();
     ::unsetenv("RP_FAULT_POINTS");
-    ::unsetenv("RP_FAULT_SEED");
     ASSERT_TRUE(fi.armed());
 
     // skip=1: first hit passes, then two throws, then the count is
@@ -277,49 +272,24 @@ TEST(FaultInjector, EnvGrammarRejectsMalformedInput)
 {
     DisarmGuard guard;
     auto &fi = FaultInjector::instance();
-    // The retired kinds (transient, delay, errno) and the retired
-    // service.submit.admit point are rejected like any unknown one.
+    // The retired kinds (transient, delay, errno), the retired
+    // probability suffix (~prob) and the retired service.submit.admit
+    // point are rejected like any unknown one, and so is a count or
+    // skip that is not 1 to 9 digits.
     for (const char *bad :
          {"sink.render", "sink.render=frobnicate",
           "zz.unknown=throw", "sink.render=errno:EIO",
           "sink.render=delay:abc", "sink.render=throw~nope",
+          "sink.render=throw~0.5", "sink.render=throw x1~0.5",
           "sink.render=transient", "sink.render=delay:5",
-          "service.submit.admit=throw"}) {
+          "service.submit.admit=throw", "sink.render=throw x",
+          "sink.render=throw x-1", "sink.render=throw @1x",
+          "sink.render=throw x1234567890"}) {
         ::setenv("RP_FAULT_POINTS", bad, 1);
         EXPECT_THROW(fi.armFromEnv(), std::invalid_argument) << bad;
     }
     ::unsetenv("RP_FAULT_POINTS");
     EXPECT_FALSE(fi.armed());
-}
-
-TEST(FaultInjector, ProbabilityGateReplaysUnderFixedSeed)
-{
-    DisarmGuard guard;
-    auto &fi = FaultInjector::instance();
-    FaultSpec p = spec("sink.render");
-    p.probability = 0.5;
-
-    auto pattern = [&](std::uint64_t seed) {
-        fi.disarm();
-        fi.arm(seed, {p});
-        std::string bits;
-        for (int i = 0; i < 64; ++i) {
-            try {
-                core::faultPoint("sink.render");
-                bits += '0';
-            } catch (const core::InjectedFault &) {
-                bits += '1';
-            }
-        }
-        return bits;
-    };
-
-    const std::string a = pattern(1234);
-    const std::string b = pattern(1234);
-    EXPECT_EQ(a, b); // same seed: identical fault schedule
-    EXPECT_NE(a.find('1'), std::string::npos);
-    EXPECT_NE(a.find('0'), std::string::npos);
-    EXPECT_NE(a, pattern(99)); // different seed: different schedule
 }
 
 // ---- service chaos ---------------------------------------------------
@@ -329,7 +299,7 @@ TEST(FaultService, WorkerExceptionFailsJobWithoutWedgingQueue)
     DisarmGuard guard;
     const fs::path out = tempDir("rp_flt_worker");
     FaultInjector::instance().arm(
-        1, {spec("core.engine.task", /*count=*/1)});
+        {spec("core.engine.task", /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -354,7 +324,7 @@ TEST(FaultService, SinkFailureDegradesOnlyItsJob)
     // scheduler worker the hit schedule is deterministic, so the
     // fault lands in job 1's Started delivery.
     FaultInjector::instance().arm(
-        1, {spec("sink.render", /*count=*/1)});
+        {spec("sink.render", /*count=*/1)});
 
     Service service(Service::Options{/*workers=*/1});
     const auto first = service.submit(artifactRequest(out / "a"));
@@ -451,7 +421,7 @@ TEST(FaultService, FailedJobResubmittedIsByteIdenticalToNoFaultRun)
         // One mid-run fault (the job's first engine task): a job runs
         // once, so it fails, naming the point.
         FaultInjector::instance().arm(
-            7, {spec("core.engine.task", /*count=*/1)});
+            {spec("core.engine.task", /*count=*/1)});
         const JobRequest req = artifactRequest(faulted, threads);
         const JobStatus failed = service.wait(service.submit(req));
         EXPECT_EQ(failed.state, JobState::Failed);
@@ -484,7 +454,7 @@ TEST(FaultService, PreDispatchFaultFailsJobBeforeItStarts)
     // The fault fails the job before it opens its stream: Queued,
     // then Finished(failed), and no Started.
     FaultInjector::instance().arm(
-        1, {spec("service.worker.pre_dispatch", /*count=*/1)});
+        {spec("service.worker.pre_dispatch", /*count=*/1)});
     Service service(Service::Options{/*workers=*/1});
     EventLog log(service);
     const auto id =

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "api/cli.h"
@@ -278,8 +279,8 @@ TEST_F(PersistChaos, TruncationRejected)
 
 TEST_F(PersistChaos, BitFlipAnywhereRejected)
 {
-    // Flip one bit at a spread of offsets: header, section table,
-    // candidate payload, mask payload, last byte.
+    // Flip one bit at a spread of offsets: header, content key,
+    // candidate rows, the middle of the row stream, last byte.
     for (const std::size_t at :
          {std::size_t(9), std::size_t(100), std::size_t(400),
           blob_.size() / 2, blob_.size() - 1}) {
@@ -330,6 +331,34 @@ TEST_F(PersistChaos, WrongKeySeedOrGeometryRejected)
                               *wrong_seed),
                  SnapshotError);
     EXPECT_EQ(wrong_seed->stats().candidateRows, 0u);
+}
+
+TEST_F(PersistChaos, OutOfRangeCandidateFieldsRejected)
+{
+    // A file with a valid checksum but an out-of-range cell field (a
+    // hand-edited one, say) is refused before anything is adopted:
+    // domSide and anti index two-entry tables, and a bit indexes the
+    // row.
+    const auto [key, good] = store_->exportRows().front();
+    ASSERT_GE(good->size(), 2u);
+    const std::pair<std::function<void(RowCandidates &)>, std::string>
+        edits[] = {
+            {[](RowCandidates &r) { r.domSide[0] = 9; }, "domSide"},
+            {[](RowCandidates &r) { r.anti[0] = 3; }, "anti"},
+            {[](RowCandidates &r) { std::swap(r.bit[0], r.bit[1]); },
+             "bits"},
+            {[](RowCandidates &r) { r.bit.back() = 65536; }, "bits"},
+        };
+    for (const auto &[edit, why] : edits) {
+        SCOPED_TRACE(why);
+        CellModel model(dieS8GbB(), 65536, 3);
+        const auto bad =
+            ThresholdStore::makePrivate(model.params(), 65536, 3);
+        RowCandidates row = *good;
+        edit(row);
+        bad->adoptRow(key, std::move(row));
+        expectRejected(writeSnapshot(*bad, kTestKey), why);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -559,7 +588,7 @@ TEST(PersistCache, ReadFaultDegradesToColdBuild)
 
     core::FaultSpec spec;
     spec.point = "persist.snapshot.read";
-    core::FaultInjector::instance().arm(1, {spec});
+    core::FaultInjector::instance().arm({spec});
 
     cache.resetStats();
     auto store = acquireShared(1003);
@@ -582,7 +611,7 @@ TEST(PersistCache, WriteFaultNeverFailsTheRun)
 
     core::FaultSpec spec;
     spec.point = "persist.snapshot.write";
-    core::FaultInjector::instance().arm(1, {spec});
+    core::FaultInjector::instance().arm({spec});
 
     auto store = acquireShared(1004);
     store->row(0, 3);
